@@ -5,7 +5,9 @@ sweep of single-link failure states through two engines — one with the
 incremental path enabled, one forced to full recomputation — asserting
 that the incremental engine (a) produces identical routing states,
 (b) re-converges a strict subset of the prefixes, and (c) is faster in
-wall clock on the sweep.
+wall clock on the sweep.  Each sweep's time is the minimum over
+``REPEATS`` fresh engines: a single wall-clock sample put the same code
+anywhere between 1.1x and 1.4x.
 
 Run with the slow lane::
 
@@ -26,6 +28,7 @@ TOPO_SEED = 100
 N_SENSORS = 10
 N_FAILURES = 40
 REQUIRED_SPEEDUP = 1.3
+REPEATS = 5
 
 
 def failure_states(net, n):
@@ -37,12 +40,18 @@ def failure_states(net, n):
     ]
 
 
-def sweep(engine, states):
-    """Converge nominal (the baseline) plus every failure state, timed."""
-    started = time.perf_counter()
-    engine.converge(NetworkState.nominal())
-    routings = [engine.converge(state) for state in states]
-    return time.perf_counter() - started, routings
+def sweep(make_engine, states):
+    """Converge nominal (the baseline) plus every failure state on
+    ``REPEATS`` fresh engines; the fastest time, the last engine and its
+    routings."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        engine = make_engine()
+        started = time.perf_counter()
+        engine.converge(NetworkState.nominal())
+        routings = [engine.converge(state) for state in states]
+        best = min(best, time.perf_counter() - started)
+    return best, engine, routings
 
 
 @pytest.mark.slow
@@ -51,11 +60,13 @@ def test_incremental_reconverges_strict_subset_and_is_faster():
     sensors = topo.stub_asns[:N_SENSORS]
     states = failure_states(topo.net, N_FAILURES)
 
-    incremental = BgpEngine.for_sensor_ases(topo.net, sensors)
-    full = BgpEngine.for_sensor_ases(topo.net, sensors, incremental=False)
-
-    full_seconds, full_routings = sweep(full, states)
-    incr_seconds, incr_routings = sweep(incremental, states)
+    full_seconds, full, full_routings = sweep(
+        lambda: BgpEngine.for_sensor_ases(topo.net, sensors, incremental=False),
+        states,
+    )
+    incr_seconds, incremental, incr_routings = sweep(
+        lambda: BgpEngine.for_sensor_ases(topo.net, sensors), states
+    )
 
     # Correctness first: the incremental results must be identical.
     for incr, reference in zip(incr_routings, full_routings):

@@ -1,4 +1,4 @@
-"""AS-level BGP substrate: routes, policies, fixpoint engine, messages."""
+"""AS-level BGP substrate: routes, policies, route computation, messages."""
 
 from repro.netsim.bgp.engine import BgpEngine
 from repro.netsim.bgp.eventsim import BgpMessage, EventDrivenBgp

@@ -1,53 +1,63 @@
-"""AS-level path-vector convergence engine (the C-BGP substitute).
+"""AS-level BGP route computation (the C-BGP substitute).
 
-The paper uses the event-driven C-BGP simulator, but only ever consumes
-*converged* routing states (traceroutes are taken "after letting C-BGP
-converge to a stable network state") plus the withdrawal messages one AS
-logs between two states.  We therefore compute stable states directly with
-a Gauss-Seidel path-vector iteration, which for Gao-Rexford-compliant
-policies converges to the unique stable solution (Gao & Rexford 2001); the
-withdrawal log falls out of diffing the per-session Adj-RIB-Out of two
-states (:mod:`repro.netsim.bgp.messages`).
+The paper only ever consumes *converged* C-BGP states ("after letting
+C-BGP converge to a stable network state") plus the withdrawals one AS
+logs between two states, which fall out of diffing the per-session
+Adj-RIB-Out of the two (:mod:`repro.netsim.bgp.messages`).
 
-Each prefix converges independently, so the engine iterates per prefix:
-within a sweep every AS (in ascending ASN order) recomputes its best route
-from its neighbours' *current* selections; sweeps repeat until a full pass
-changes nothing.
+**Three phases per prefix.**  Under Gao-Rexford policies (an acyclic
+customer→provider graph, customer > peer > provider preference,
+valley-free export) the stable state is unique (Gao & Rexford 2001), so
+each prefix is built in O(E) over a :class:`SessionTable` resolved once:
 
-**Incremental re-convergence.**  The experiment loop converges a baseline
-state once and then many failure states derived from it.  A failure only
-perturbs the prefixes whose converged routes actually traverse the failed
-element: for Gao-Rexford-safe policies the stable state is *unique*, and
-removing links/routers/announcements that no selected route of a prefix
-uses leaves that prefix's old fixpoint a fixpoint of the degraded network
-— hence *the* solution.  The engine therefore records, per prefix, the
-inter-AS links its baseline routes were learned over (plus their endpoint
-routers and the origin AS's routers), and on a state that is a pure
-degradation of the baseline re-runs :meth:`_converge_prefix` only for
-prefixes whose dependency set intersects the newly failed/filtered
-elements; every other prefix shares the baseline's per-prefix RIB object.
-IGP weight overrides never enter the BGP decision process here, so they
-never trigger re-convergence.  Setting ``REPRO_FULL_CONVERGE=1`` in the
-environment forces the historical full recomputation for every state.
+1. *customer routes* climb the provider DAG breadth-first from the origin
+   (only own and customer routes are exported upwards);
+2. *peer routes* take one peering hop from those ASes (peer and provider
+   routes are never exported to peers);
+3. *provider routes* descend to customers through a bucket queue by path
+   length, seeded with every AS routed in the first two phases.
+
+An AS takes the first phase that reaches it (its local-pref class) and
+in it the offer minimising (path length, neighbour ASN, link id), the
+tie-breaks of :meth:`~repro.netsim.bgp.route.BgpRoute.preference_key`.
+Lengths settle in increasing order, so any later offer is longer: every
+AS holds its best route given its neighbours' routes — a stable state, so
+*the* stable state.  Down links and routers, per-prefix export filters and
+the sender-side AS-path loop check prune sessions as in BGP.  A provider
+cycle voids the premise; the engine rejects it with a ConvergenceError.
+
+**Incremental re-convergence.**  After the first (baseline) state, most
+states are pure degradations of it.  The stable state being unique,
+removing elements no selected route of a prefix uses leaves that prefix's
+routes unchanged.  So the engine records, per prefix, the inter-AS links
+its baseline routes were learned over (plus their endpoint routers and
+the origin AS's routers) and re-solves only prefixes whose set meets a
+newly failed or filtered element; the rest share the baseline's RIB dict.
+IGP weight overrides never enter the BGP decision process.
+``REPRO_FULL_CONVERGE=1`` forces a full recomputation for every state.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import ConvergenceError, RoutingError
 from repro.netsim.bgp import policy
-from repro.netsim.bgp.rib import CowRibTable, RibSharingStats, RoutingState
+from repro.netsim.bgp.rib import (
+    AdjRibOut,
+    CowRibTable,
+    RibSharingStats,
+    RoutingState,
+    SessionTable,
+)
 from repro.netsim.bgp.route import BgpRoute
 from repro.netsim.cache import LruCache
 from repro.netsim.topology import Internetwork, NetworkState, Relationship
+from repro.netsim.validate import _find_cycle
 
 __all__ = ["BgpEngine", "ConvergenceCounters", "DEFAULT_ROUTING_CACHE_CAPACITY"]
-
-logger = logging.getLogger(__name__)
 
 #: Converged states kept per engine; one baseline plus the live working set
 #: of failure states of a batch fit comfortably.
@@ -63,8 +73,8 @@ def full_converge_forced() -> bool:
 class ConvergenceCounters:
     """Accounting of one engine's convergence work.
 
-    ``prefixes_converged`` counts :meth:`BgpEngine._converge_prefix` runs
-    (the expensive fixpoint sweeps); ``prefixes_reused`` counts prefixes
+    ``prefixes_converged`` counts :meth:`BgpEngine._solve_prefix` runs
+    (the per-prefix route computations); ``prefixes_reused`` counts prefixes
     whose baseline routes were shared instead.  Their ratio is the direct
     measure of what incremental re-convergence saves.
     """
@@ -76,12 +86,13 @@ class ConvergenceCounters:
 
 
 class BgpEngine:
-    """Computes :class:`RoutingState` fixpoints for a fixed topology.
+    """Computes stable :class:`RoutingState` objects for a fixed topology.
 
     Parameters
     ----------
     net:
-        The internetwork.
+        The internetwork.  Its customer→provider graph must be acyclic, or
+        the constructor raises :class:`~repro.errors.ConvergenceError`.
     prefixes:
         Mapping ``prefix -> origin ASN``.  In the experiments this is the
         set of sensor-AS prefixes (plus AS-X's own prefix) — the only
@@ -115,7 +126,14 @@ class BgpEngine:
                 raise RoutingError(
                     f"prefix {prefix} is not the allocated prefix of AS {asn}"
                 )
-        self._sessions = self._enumerate_sessions()
+        self._sessions = SessionTable(net)
+        providers = self._sessions.toward[Relationship.CUSTOMER_PROVIDER]
+        cycle = _find_cycle(
+            {asn: [s.neighbour for s in out] for asn, out in providers.items()}
+        )
+        if cycle:
+            pretty = " -> ".join(f"AS{asn}" for asn in cycle)
+            raise ConvergenceError(f"provider cycle {pretty} is not Gao-Rexford safe")
         self._cache: LruCache[NetworkState, RoutingState] = LruCache(
             cache_capacity
         )
@@ -182,16 +200,20 @@ class BgpEngine:
     # --------------------------------------------------------------- internal
 
     def _full_converge(self, state: NetworkState) -> RoutingState:
-        """The historical path: fixpoint every prefix from scratch."""
+        """Solve every prefix from scratch."""
         table = CowRibTable()
         for prefix in sorted(self._prefixes):
-            table.own(prefix, self._converge_prefix(prefix, state))
+            table.own(prefix, self._solve_prefix(prefix, state, {}))
             self.counters.prefixes_converged += 1
-        ribs = table.mapping()
-        adj_out = self._compute_adj_out(ribs, state)
         self.counters.full_converges += 1
+        return self._routing_state(table, state)
+
+    def _routing_state(self, table: CowRibTable, state: NetworkState) -> RoutingState:
         self.rib_sharing.absorb(table.stats)
-        return RoutingState(ribs, adj_out, dict(self._prefixes))
+        ribs = table.mapping()
+        return RoutingState(
+            ribs, AdjRibOut(ribs, state, self._sessions), dict(self._prefixes)
+        )
 
     def _is_degradation_of_baseline(self, state: NetworkState) -> bool:
         """True when ``state`` only *adds* failures/filters to the baseline.
@@ -213,7 +235,7 @@ class BgpEngine:
         """Per-prefix dependency sets derived from the baseline routing.
 
         For each prefix: the inter-AS link ids its selected routes were
-        learned over (at fixpoint every AS's path is its ingress session
+        learned over (when stable, every AS's path is its ingress session
         plus its neighbour's selected path, so the union of ``ingress_link``
         over the RIB covers every link any selected route traverses), and
         the router ids whose failure could perturb the prefix (endpoints of
@@ -258,172 +280,85 @@ class BgpEngine:
                 )
             )
             if affected:
-                # Copy-on-write divergence: the prefix's routes are
-                # recomputed; the baseline's dict is never mutated.
-                table.write(prefix, self._converge_prefix(prefix, state))
+                # Copy-on-write divergence: the prefix is re-solved into a
+                # new dict; the baseline's dict is never mutated.
+                rib = self._solve_prefix(prefix, state, base_routing.rib(prefix))
+                table.write(prefix, rib)
                 self.counters.prefixes_converged += 1
             else:
                 # Shares the baseline's per-prefix RIB object (read-only).
                 table.share(prefix)
                 self.counters.prefixes_reused += 1
-        ribs = table.mapping()
-        adj_out = self._compute_adj_out(ribs, state)
         self.counters.incremental_converges += 1
-        self.rib_sharing.absorb(table.stats)
-        return RoutingState(ribs, adj_out, dict(self._prefixes))
+        return self._routing_state(table, state)
 
-    def _enumerate_sessions(self) -> Dict[int, List[Tuple[int, int, int]]]:
-        """Per-AS import sessions: asn -> [(link id, neighbor asn, own router)].
-
-        Sorted by link id for determinism.
-        """
-        sessions: Dict[int, List[Tuple[int, int, int]]] = {
-            autsys.asn: [] for autsys in self.net.ases()
-        }
-        for link in self.net.inter_links():
-            asn_a = self.net.asn_of_router(link.a)
-            asn_b = self.net.asn_of_router(link.b)
-            sessions[asn_a].append((link.lid, asn_b, link.a))
-            sessions[asn_b].append((link.lid, asn_a, link.b))
-        for asn in sessions:
-            sessions[asn].sort()
-        return sessions
-
-    def _converge_prefix(
-        self, prefix: str, state: NetworkState
+    def _solve_prefix(
+        self, prefix: str, state: NetworkState, reuse: Mapping[int, BgpRoute]
     ) -> Dict[int, BgpRoute]:
+        """The stable routes towards ``prefix``, in the three phases above.
+
+        An AS whose route equals its route in ``reuse`` keeps that object:
+        routes are immutable, and most survive a failure unchanged.
+        """
         origin = self._prefixes[prefix]
-        rib: Dict[int, Optional[BgpRoute]] = {
-            autsys.asn: None for autsys in self.net.ases()
+        origin_routers = self.net.autonomous_system(origin).router_ids
+        if state.failed_routers.issuperset(origin_routers):
+            return {}  # the origin is down: nobody has a route
+        down = self._sessions.down_links(state)
+        filters = state.filters
+        blocked = {
+            (f.link_id, f.at_router)
+            for f in filters
+            if policy.filtered(filters, f.link_id, f.at_router, prefix)
         }
-        if self._as_alive(origin, state):
-            rib[origin] = BgpRoute(
-                prefix=prefix,
-                as_path=(),
-                local_pref=policy.LOCAL_PREF_CUSTOMER,
-                ingress_link=None,
-                egress_router=None,
-            )
-        order = sorted(rib)
-        max_sweeps = self.net.num_ases + 5
-        for _sweep in range(max_sweeps):
-            changed = False
-            for asn in order:
-                if asn == origin:
-                    continue
-                best = self._select(asn, prefix, rib, state)
-                if best != rib[asn]:
-                    rib[asn] = best
-                    changed = True
-            if not changed:
-                logger.debug(
-                    "prefix %s converged in %d sweeps", prefix, _sweep + 1
-                )
-                return {asn: route for asn, route in rib.items() if route is not None}
-        raise ConvergenceError(
-            f"prefix {prefix} did not converge within {max_sweeps} sweeps; "
-            "the policy configuration is not Gao-Rexford safe"
-        )
+        toward = self._sessions.toward
+        rib = {origin: BgpRoute(prefix, (), policy.LOCAL_PREF_CUSTOMER, None, None)}
 
-    def _select(
-        self,
-        asn: int,
-        prefix: str,
-        rib: Dict[int, Optional[BgpRoute]],
-        state: NetworkState,
-    ) -> Optional[BgpRoute]:
-        """Best candidate route of ``asn`` given neighbours' selections."""
-        best: Optional[BgpRoute] = None
-        for link_id, nbr_asn, own_router in self._sessions[asn]:
-            candidate = self._import_over(
-                asn, prefix, link_id, nbr_asn, own_router, rib, state
-            )
-            if candidate is None:
-                continue
-            if best is None or candidate.preference_key() > best.preference_key():
-                best = candidate
-        return best
-
-    def _import_over(
-        self,
-        asn: int,
-        prefix: str,
-        link_id: int,
-        nbr_asn: int,
-        own_router: int,
-        rib: Dict[int, Optional[BgpRoute]],
-        state: NetworkState,
-    ) -> Optional[BgpRoute]:
-        """The route ``asn`` would learn over one session, or ``None``."""
-        if not self.net.link_up(link_id, state):
-            return None
-        nbr_route = rib.get(nbr_asn)
-        if nbr_route is None:
-            return None
-        # Sender-side loop prevention: never announce a path back into it.
-        if asn == nbr_asn or nbr_route.traverses(asn):
-            return None
-        learned_from = self._learned_relationship(nbr_asn, nbr_route)
-        to_rel = self.net.relationship(nbr_asn, asn)
-        assert to_rel is not None  # add_link enforced a declared relationship
-        if not policy.may_export(learned_from, to_rel):
-            return None
-        exporting_router = self.net.endpoint_in_as(link_id, nbr_asn)
-        if policy.filtered(state.filters, link_id, exporting_router, prefix):
-            return None
-        rel_to_nbr = self.net.relationship(asn, nbr_asn)
-        assert rel_to_nbr is not None
-        return BgpRoute(
-            prefix=prefix,
-            as_path=(nbr_asn,) + nbr_route.as_path,
-            local_pref=policy.local_pref(rel_to_nbr),
-            ingress_link=link_id,
-            egress_router=own_router,
-        )
-
-    def _learned_relationship(
-        self, holder_asn: int, route: BgpRoute
-    ) -> Optional[Relationship]:
-        """Relationship of the route holder towards the AS it learned from."""
-        if route.is_origin:
-            return None
-        rel = self.net.relationship(holder_asn, route.neighbor_asn)
-        assert rel is not None
-        return rel
-
-    def _compute_adj_out(
-        self, ribs: Dict[str, Dict[int, BgpRoute]], state: NetworkState
-    ) -> Dict[Tuple[int, int], FrozenSet[str]]:
-        """Per directed session, the prefixes actually advertised."""
-        adj: Dict[Tuple[int, int], set] = {}
-        for link in self.net.inter_links():
-            if not self.net.link_up(link.lid, state):
-                continue
-            asn_a = self.net.asn_of_router(link.a)
-            asn_b = self.net.asn_of_router(link.b)
-            for exporter, importer in ((asn_a, asn_b), (asn_b, asn_a)):
-                key = (link.lid, exporter)
-                adj.setdefault(key, set())
-                for prefix, per_as in ribs.items():
-                    route = per_as.get(exporter)
-                    if route is None:
-                        continue
-                    if importer == exporter or route.traverses(importer):
-                        continue
-                    learned_from = self._learned_relationship(exporter, route)
-                    to_rel = self.net.relationship(exporter, importer)
-                    assert to_rel is not None
-                    if not policy.may_export(learned_from, to_rel):
-                        continue
-                    exporting_router = self.net.endpoint_in_as(link.lid, exporter)
-                    if policy.filtered(
-                        state.filters, link.lid, exporting_router, prefix
+        def spread(exporters: List[int], rel: Relationship, pref: int) -> List[int]:
+            """Route each unrouted AS behind a ``rel`` session of ``exporters``
+            over its best offer: min (length, neighbour ASN, link id)."""
+            best: Dict[int, tuple] = {}
+            sessions_of = toward[rel]
+            for exporter in exporters:
+                path = rib[exporter].as_path
+                for link, importer, router, egress, _ in sessions_of[exporter]:
+                    if (
+                        importer in rib
+                        or link in down
+                        or importer in path  # sender-side loop prevention
+                        or (blocked and (link, router) in blocked)
                     ):
                         continue
-                    adj[key].add(prefix)
-        return {key: frozenset(prefixes) for key, prefixes in adj.items()}
+                    offer = (len(path), exporter, link, egress)
+                    held = best.get(importer)
+                    if held is None or offer < held:
+                        best[importer] = offer
+            for importer, (_, exporter, link, egress) in best.items():
+                path = (exporter,) + rib[exporter].as_path
+                route = reuse.get(importer)
+                if route is None or route.as_path != path or route.ingress_link != link:
+                    route = BgpRoute(prefix, path, pref, link, egress)
+                rib[importer] = route
+            return list(best)
 
-    def _as_alive(self, asn: int, state: NetworkState) -> bool:
-        """True when the AS still has at least one alive router."""
-        autsys = self.net.autonomous_system(asn)
-        return any(rid not in state.failed_routers for rid in autsys.router_ids)
+        # 1. Customer routes climb the provider DAG, one path length a pass.
+        level = [origin]
+        while level:
+            level = spread(
+                level, Relationship.CUSTOMER_PROVIDER, policy.LOCAL_PREF_CUSTOMER
+            )
+        # 2. One peering hop.  3. Provider routes descend, one path length a
+        # pass, each pass also fed the ASes routed at that length before.
+        spread(list(rib), Relationship.PEER, policy.LOCAL_PREF_PEER)
+        buckets: Dict[int, List[int]] = {}
+        for asn, route in rib.items():
+            buckets.setdefault(len(route.as_path), []).append(asn)
+        length = 0
+        while level or buckets:
+            level = spread(
+                level + buckets.pop(length, []),
+                Relationship.PROVIDER_CUSTOMER,
+                policy.LOCAL_PREF_PROVIDER,
+            )
+            length += 1
+        return rib

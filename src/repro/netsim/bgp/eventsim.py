@@ -1,19 +1,20 @@
 """Event-driven (message-level) BGP simulation.
 
-The production engine (:mod:`repro.netsim.bgp.engine`) computes converged
-states directly with a Gauss-Seidel fixpoint — fast, but an abstraction.
-This module is the *validator*: a C-BGP-style discrete-event simulator
-that exchanges individual UPDATE messages (announcements and withdrawals)
-over per-session FIFO channels until the network quiesces.
+The production engine (:mod:`repro.netsim.bgp.engine`) builds converged
+states directly with a three-phase Gao-Rexford computation — fast, but an
+abstraction.  This module is the *validator*: a C-BGP-style discrete-event
+simulator that exchanges individual UPDATE messages (announcements and
+withdrawals) over per-session FIFO channels until the network quiesces.
 
 For Gao-Rexford-compliant policies the stable state is unique (Gao &
-Rexford 2001), so the event-driven outcome must match the fixpoint
-exactly — for *any* message timing.  The property tests drive both
-engines over randomized topologies and delay schedules and require
-identical RIBs; this is the strongest evidence the substitution of C-BGP
-by a fixpoint preserves every observable the paper's evaluation consumes.
+Rexford 2001), so the event-driven outcome must match the engine exactly —
+for *any* message timing.  The property tests require identical RIBs and
+Adj-RIB-Outs from both engines and the retired sweep fixpoint (a test
+oracle) over randomized topologies, failures, filters and delays; this is
+the strongest evidence the substitution of C-BGP preserves every
+observable the paper's evaluation consumes.
 
-The simulator also exposes what the fixpoint cannot: the *message log*,
+The simulator also exposes what the engine cannot: the *message log*,
 used by tests to sanity-check the withdrawal semantics of
 :mod:`repro.netsim.bgp.messages` (e.g. "an explicit withdrawal is only
 ever received over a session that is still up").
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConvergenceError, RoutingError
 from repro.netsim.bgp import policy
-from repro.netsim.bgp.rib import RoutingState
+from repro.netsim.bgp.rib import RoutingState, SessionTable
 from repro.netsim.bgp.route import BgpRoute
 from repro.netsim.topology import Internetwork, NetworkState
 
@@ -90,21 +91,8 @@ class EventDrivenBgp:
                 raise RoutingError(
                     f"prefix {prefix} is not the allocated prefix of AS {asn}"
                 )
-        self._sessions = self._enumerate_sessions()
+        self._sessions = SessionTable(net)
         self.message_log: List[BgpMessage] = []
-
-    def _enumerate_sessions(self) -> Dict[int, List[Tuple[int, int, int]]]:
-        sessions: Dict[int, List[Tuple[int, int, int]]] = {
-            autsys.asn: [] for autsys in self.net.ases()
-        }
-        for link in self.net.inter_links():
-            asn_a = self.net.asn_of_router(link.a)
-            asn_b = self.net.asn_of_router(link.b)
-            sessions[asn_a].append((link.lid, asn_b, link.a))
-            sessions[asn_b].append((link.lid, asn_a, link.b))
-        for asn in sessions:
-            sessions[asn].sort()
-        return sessions
 
     # ----------------------------------------------------------------- run
 
@@ -114,7 +102,7 @@ class EventDrivenBgp:
         ribs: Dict[str, Dict[int, BgpRoute]] = {}
         adj_out: Dict[Tuple[int, int], set] = {}
         for prefix in sorted(self._prefixes):
-            speakers = self._converge_prefix(prefix, state)
+            speakers = self._simulate_prefix(prefix, state)
             ribs[prefix] = {
                 asn: speaker.best
                 for asn, speaker in speakers.items()
@@ -132,7 +120,7 @@ class EventDrivenBgp:
 
     # ------------------------------------------------------------ internals
 
-    def _converge_prefix(
+    def _simulate_prefix(
         self, prefix: str, state: NetworkState
     ) -> Dict[int, _Speaker]:
         origin = self._prefixes[prefix]
@@ -160,15 +148,20 @@ class EventDrivenBgp:
             heapq.heappush(queue, (deliver, seq[0], message))
             self.message_log.append(message)
 
-        def alive(link_id: int) -> bool:
-            return self.net.link_up(link_id, state)
+        down = self._sessions.down_links(state)
 
         def exports_of(speaker: _Speaker) -> None:
             """Send updates wherever our advertisement must change."""
-            for link_id, nbr_asn, _own_router in self._sessions[speaker.asn]:
-                if not alive(link_id):
+            route = speaker.best
+            for session in self._sessions.of_as[speaker.asn]:
+                link_id, nbr_asn = session.link, session.neighbour
+                if link_id in down:
                     continue
-                wanted = self._export_path(speaker, prefix, link_id, nbr_asn, state)
+                wanted = None
+                if route is not None and self._sessions.exports(
+                    route, speaker.asn, session, state.filters
+                ):
+                    wanted = (speaker.asn,) + route.as_path
                 key = (link_id, nbr_asn)
                 if speaker.adj_out.get(key) == wanted:
                     continue
@@ -211,57 +204,27 @@ class EventDrivenBgp:
                 receiver.rib_in.pop(key, None)
             else:
                 receiver.rib_in[key] = message.route
-            receiver.best = self._select(receiver, prefix)
+            receiver.best = self._decide(receiver, prefix)
             # Recompute exports unconditionally: adj_out diffing suppresses
             # the no-op messages, so this stays cheap and obviously right.
             exports_of(receiver)
         return speakers
 
-    def _select(self, speaker: _Speaker, prefix: str) -> Optional[BgpRoute]:
+    def _decide(self, speaker: _Speaker, prefix: str) -> Optional[BgpRoute]:
         if speaker.asn == self._prefixes[prefix]:
             return speaker.best  # the origin never changes its mind
         best: Optional[BgpRoute] = None
-        for (link_id, nbr_asn), as_path in sorted(speaker.rib_in.items()):
+        for (link_id, _nbr), as_path in sorted(speaker.rib_in.items()):
             if speaker.asn in as_path:
                 continue  # receiver-side loop prevention
-            rel = self.net.relationship(speaker.asn, nbr_asn)
-            assert rel is not None
+            session = self._sessions.by_key[(link_id, speaker.asn)]
             candidate = BgpRoute(
                 prefix=prefix,
                 as_path=as_path,
-                local_pref=policy.local_pref(rel),
+                local_pref=policy.local_pref(session.relationship),
                 ingress_link=link_id,
-                egress_router=self.net.endpoint_in_as(link_id, speaker.asn),
+                egress_router=session.router,
             )
             if best is None or candidate.preference_key() > best.preference_key():
                 best = candidate
         return best
-
-    def _export_path(
-        self,
-        speaker: _Speaker,
-        prefix: str,
-        link_id: int,
-        nbr_asn: int,
-        state: NetworkState,
-    ) -> Optional[Tuple[int, ...]]:
-        """What we should currently advertise over one session (None = nothing)."""
-        route = speaker.best
-        if route is None:
-            return None
-        # Sender-side loop prevention.
-        if nbr_asn == speaker.asn or route.traverses(nbr_asn):
-            return None
-        learned_from = (
-            None
-            if route.is_origin
-            else self.net.relationship(speaker.asn, route.neighbor_asn)
-        )
-        to_rel = self.net.relationship(speaker.asn, nbr_asn)
-        assert to_rel is not None
-        if not policy.may_export(learned_from, to_rel):
-            return None
-        exporting_router = self.net.endpoint_in_as(link_id, speaker.asn)
-        if policy.filtered(state.filters, link_id, exporting_router, prefix):
-            return None
-        return (speaker.asn,) + route.as_path

@@ -2,9 +2,9 @@
 
 Section 3.3 of the paper has AS-X log the BGP withdrawal messages its border
 routers receive after a failure event, and use them to exonerate links
-upstream of the session the withdrawal arrived on.  With a fixpoint engine
-the messages are recovered by diffing the per-session Adj-RIB-Out between
-the pre-failure and post-failure converged states.
+upstream of the session the withdrawal arrived on.  With a converged-state
+engine the messages are recovered by diffing the per-session Adj-RIB-Out
+between the pre-failure and post-failure converged states.
 
 Only *explicit* withdrawals are modelled: if the session link itself died,
 the routes over it vanish because the session reset, and no message saying

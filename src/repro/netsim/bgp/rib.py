@@ -12,6 +12,10 @@ questions the rest of the system asks of BGP:
 * ``advertised(link_id, exporter_asn)`` — which prefixes flow over this
   eBGP session (diffing two states yields the withdrawal messages of §3.3)?
 
+**Lazy Adj-RIB-Out.**  :class:`AdjRibOut` computes one session's
+advertisements on first read: callers read a handful of sessions (AS-X's
+inbound ones, one misconfigured session), the rest are never computed.
+
 **Copy-on-write RIB sharing.**  The incremental engine derives many
 failure states from one baseline; a failure perturbs few prefixes, so
 most per-prefix RIB dicts are *shared by object* between the baseline
@@ -26,13 +30,111 @@ copy-on-write divergence for a re-converged prefix.  The resulting
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import RoutingError
+from repro.netsim.bgp import policy
 from repro.netsim.bgp.route import BgpRoute
+from repro.netsim.topology import Internetwork, NetworkState, Relationship
 
-__all__ = ["CowRibTable", "RibSharingStats", "RoutingState"]
+__all__ = [
+    "AdjRibOut",
+    "CowRibTable",
+    "RibSharingStats",
+    "RoutingState",
+    "Session",
+    "SessionTable",
+]
+
+
+class Session(NamedTuple):
+    """One directed eBGP session, seen from the AS owning ``router``;
+    ``relationship`` is that AS's relationship towards ``neighbour``."""
+
+    link: int
+    neighbour: int
+    router: int
+    neighbour_router: int
+    relationship: Relationship
+
+
+class SessionTable:
+    """Every directed eBGP session of a topology, resolved once:
+    ``of_as[asn]`` in link-id order, ``toward[rel][asn]`` split by
+    relationship, ``by_key[(link id, asn)]`` one session."""
+
+    def __init__(self, net: Internetwork) -> None:
+        self.of_as: Dict[int, List[Session]] = {a.asn: [] for a in net.ases()}
+        self.toward = {rel: {asn: [] for asn in self.of_as} for rel in Relationship}
+        self.by_key: Dict[Tuple[int, int], Session] = {}
+        self._router_links: Dict[int, List[int]] = {}
+        for link in net.inter_links():
+            for own, other in ((link.a, link.b), (link.b, link.a)):
+                asn, nbr = net.asn_of_router(own), net.asn_of_router(other)
+                rel = net.relationship(asn, nbr)  # declared: add_link checks
+                session = Session(link.lid, nbr, own, other, rel)
+                self.of_as[asn].append(session)
+                self.toward[rel][asn].append(session)
+                self.by_key[(link.lid, asn)] = session
+                self._router_links.setdefault(own, []).append(link.lid)
+
+    def down_links(self, state: NetworkState) -> FrozenSet[int]:
+        """Links whose session is down: the link or an endpoint failed."""
+        down = set(state.failed_links)
+        for rid in state.failed_routers:
+            down.update(self._router_links.get(rid, ()))
+        return frozenset(down)
+
+    def exports(
+        self, route: BgpRoute, exporter: int, session: Session, filters
+    ) -> bool:
+        """True when ``exporter`` announces ``route`` over the up ``session``."""
+        # Sender-side loop prevention: never announce a path back into it.
+        if route.traverses(session.neighbour):
+            return False
+        learned_from = None
+        if not route.is_origin:
+            learned_from = self.by_key[(route.ingress_link, exporter)].relationship
+        return policy.may_export(
+            learned_from, session.relationship
+        ) and not policy.filtered(filters, session.link, session.router, route.prefix)
+
+
+class AdjRibOut(Mapping):
+    """``(link id, exporter asn) -> prefixes advertised``, memoized on
+    first read.  Keys are every session up in the state, silent ones
+    included, so equality compares the full content."""
+
+    def __init__(self, ribs, state: NetworkState, sessions: SessionTable) -> None:
+        self._ribs: Dict[str, Dict[int, BgpRoute]] = ribs
+        self._state = state
+        self._sessions = sessions
+        self._down = sessions.down_links(state)
+        self._memo: Dict[Tuple[int, int], FrozenSet[str]] = {}
+
+    def __getitem__(self, key: Tuple[int, int]) -> FrozenSet[str]:
+        if key not in self._memo:
+            session = self._sessions.by_key.get(key)
+            if session is None or session.link in self._down:
+                raise KeyError(key)
+            exporter, filters = key[1], self._state.filters
+            self._memo[key] = frozenset(
+                prefix
+                for prefix, rib in self._ribs.items()
+                if exporter in rib
+                and self._sessions.exports(rib[exporter], exporter, session, filters)
+            )
+        return self._memo[key]
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for key, session in self._sessions.by_key.items():
+            if session.link not in self._down:
+                yield key
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 @dataclass
@@ -123,7 +225,7 @@ class RoutingState:
     def __init__(
         self,
         ribs: Dict[str, Dict[int, BgpRoute]],
-        adj_out: Dict[Tuple[int, int], FrozenSet[str]],
+        adj_out: Mapping[Tuple[int, int], FrozenSet[str]],
         prefixes: Dict[str, int],
     ) -> None:
         # prefix -> asn -> selected route
@@ -211,4 +313,4 @@ class RoutingState:
 
     def reachable_ases(self, prefix: str) -> FrozenSet[int]:
         """ASes holding at least one route towards ``prefix``."""
-        return frozenset(self._ribs[prefix])
+        return frozenset(self.rib(prefix))

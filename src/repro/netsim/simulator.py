@@ -45,7 +45,7 @@ class Simulator:
     destination_asns:
         ASes whose prefixes routing must be converged for — the sensor ASes
         (and AS-X).  Restricting convergence to the prefixes measurements
-        actually target keeps the fixpoint cheap without changing any
+        actually target keeps convergence cheap without changing any
         observable (see :class:`~repro.netsim.bgp.engine.BgpEngine`).
     trace_cache_capacity:
         Traceroutes kept in the LRU cache (``0`` = unbounded).
@@ -58,10 +58,10 @@ class Simulator:
     validate:
         Run :func:`~repro.netsim.validate.validate_gao_rexford` on the
         topology up front and raise a
-        :class:`~repro.errors.TopologyError` naming the offending
-        AS/link instead of failing later with a
-        :class:`~repro.errors.ConvergenceError` deep inside an
-        experiment.  Disable only for deliberately unsafe test fixtures.
+        :class:`~repro.errors.TopologyError` listing every offending
+        AS/link.  Without it a provider cycle still fails fast, with the
+        engine's :class:`~repro.errors.ConvergenceError`; disable only for
+        deliberately unsafe test fixtures.
     """
 
     def __init__(

@@ -1,12 +1,12 @@
 """Topology validation: is this configuration safe to converge?
 
-The fixpoint engine is only guaranteed to terminate for Gao-Rexford-safe
+The BGP engine's route computation is only exact for Gao-Rexford-safe
 configurations: the customer→provider digraph must be acyclic (no AS is,
 transitively, its own provider).  The generators always produce safe
-hierarchies, but hand-built topologies can violate it — and the failure
-mode (a :class:`~repro.errors.ConvergenceError` deep inside an experiment)
-is unpleasant to debug.  :func:`validate_gao_rexford` gives the immediate,
-named answer up front.
+hierarchies, but hand-built topologies can violate it.  The engine rejects
+a provider cycle with a :class:`~repro.errors.ConvergenceError` when it is
+built; :func:`validate_gao_rexford` reports every hazard at once, as named
+issues, and shares the cycle finder :func:`_find_cycle` with the engine.
 """
 
 from __future__ import annotations

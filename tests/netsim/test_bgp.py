@@ -160,6 +160,37 @@ class TestEngineOnFigure2:
         with pytest.raises(RoutingError):
             BgpEngine(fig.net, {"192.168.0.0/24": fig.asn("A")})
 
+    def test_unknown_prefix_raises_routing_error_everywhere(self, converged):
+        fig, _engine, routing = converged
+        unknown = "192.168.0.0/24"
+        queries = [
+            lambda: routing.best(fig.asn("A"), unknown),
+            lambda: routing.rib(unknown),
+            lambda: routing.origin_of(unknown),
+            lambda: routing.reachable_ases(unknown),
+        ]
+        for query in queries:
+            with pytest.raises(RoutingError, match="not part of this convergence"):
+                query()
+
+    def test_adj_rib_out_is_lazy_and_covers_every_up_session(self, converged):
+        fig, engine, routing = converged
+        link = fig.link_between("a2", "x1")
+        adj_out = routing._adj_out
+        assert not adj_out._memo  # nothing computed before the first read
+        routing.advertised(link.lid, fig.asn("A"))
+        assert set(adj_out._memo) == {(link.lid, fig.asn("A"))}
+        expected = {
+            (inter.lid, asn)
+            for inter in fig.net.inter_links()
+            for asn in fig.net.link_asns(inter.lid)
+        }
+        assert set(adj_out) == expected and len(adj_out) == len(expected)
+        # A failed session drops out of the mapping (and reads as empty).
+        failed = engine.converge(NetworkState.nominal().with_failed_links([link.lid]))
+        assert (link.lid, fig.asn("A")) not in failed._adj_out
+        assert failed.advertised(link.lid, fig.asn("A")) == frozenset()
+
 
 class TestMultihomingFailover:
     @pytest.fixture

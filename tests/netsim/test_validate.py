@@ -2,10 +2,27 @@
 
 import pytest
 
+from repro.errors import ConvergenceError, TopologyError
+from repro.netsim.bgp import BgpEngine
 from repro.netsim.builders import TopologyBuilder
 from repro.netsim.gen.internet import research_internet
+from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Relationship, Tier
 from repro.netsim.validate import validate_gao_rexford
+
+
+def provider_cycle():
+    """A pays B, B pays C, C pays A: everyone is their own provider."""
+    b = TopologyBuilder()
+    for name in ("A", "B", "C"):
+        b.autonomous_system(name, Tier.TIER2, routers=1)
+    b.customer_of("A", "B")
+    b.customer_of("B", "C")
+    b.customer_of("C", "A")
+    b.link("a1", "b1")
+    b.link("b1", "c1")
+    b.link("c1", "a1")
+    return b
 
 
 class TestValidator:
@@ -17,21 +34,28 @@ class TestValidator:
         assert validate_gao_rexford(fig2.net) == []
 
     def test_provider_cycle_detected(self):
-        b = TopologyBuilder()
-        for name in ("A", "B", "C"):
-            b.autonomous_system(name, Tier.TIER2, routers=1)
-        # A pays B, B pays C, C pays A: everyone is their own provider.
-        b.customer_of("A", "B")
-        b.customer_of("B", "C")
-        b.customer_of("C", "A")
-        b.link("a1", "b1")
-        b.link("b1", "c1")
-        b.link("c1", "a1")
+        b = provider_cycle()
         issues = validate_gao_rexford(b.net)
         kinds = {i.kind for i in issues}
         assert "provider-cycle" in kinds
         cycle = next(i for i in issues if i.kind == "provider-cycle")
         assert "AS" in cycle.detail
+
+    def test_engine_rejects_provider_cycle_by_name(self):
+        b = provider_cycle()
+        asns = [b.asn(name) for name in ("A", "B", "C")]
+        with pytest.raises(ConvergenceError, match="provider cycle AS") as info:
+            BgpEngine.for_sensor_ases(b.net, asns)
+        for asn in asns:
+            assert f"AS{asn}" in str(info.value)
+
+    def test_unvalidated_simulator_raises_convergence_error(self):
+        b = provider_cycle()
+        asns = [b.asn(name) for name in ("A", "B", "C")]
+        with pytest.raises(ConvergenceError, match="provider cycle AS"):
+            Simulator(b.net, asns, validate=False)
+        with pytest.raises(TopologyError, match="provider-cycle"):
+            Simulator(b.net, asns)
 
     def test_isolated_as_detected(self):
         b = TopologyBuilder()
