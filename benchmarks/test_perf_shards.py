@@ -1,7 +1,7 @@
 """Sharded-engine scale benchmark: events/sec, latency, shed at overload.
 
 The tentpole question of the sharding work: what does the
-:class:`~repro.stream.router.ShardedStreamEngine` sustain, and how does
+:class:`~repro.stream.StreamEngine` sustain per shard count, and how does
 it behave when tenants exceed their admission contracts?  This bench
 replays a **seeded synthetic load** — millions of per-pair reachability
 events with deterministic failure waves sweeping across destination
@@ -21,7 +21,7 @@ fabric itself, not diagnoser algebra (that is ``test_perf_stream.py``'s
 job).  Scale knobs: ``REPRO_BENCH_SHARD_EVENTS`` (default 1_000_000)
 and ``REPRO_BENCH_SHARDS`` (default 4).
 
-Run directly (the shard-smoke CI lane does)::
+Run directly (the stream-smoke CI lane does)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_shards.py -q \
         --benchmark-disable
@@ -37,7 +37,7 @@ from repro.experiments.stats import percentile, ratio
 from repro.perf import peak_rss_mb, write_bench_artifact
 from repro.stream import (
     ReachabilityEvent,
-    ShardedStreamEngine,
+    StreamEngine,
     TenantConfig,
     source_tenant_of,
 )
@@ -86,8 +86,8 @@ def _dst_failing(dst: str, tick: int) -> bool:
     return (prefix_index + wave) % (N_DESTS // WAVE_WIDTH) == 0
 
 
-def _make_engine(shards: int, tenants=(), tenant_of=None) -> ShardedStreamEngine:
-    return ShardedStreamEngine(
+def _make_engine(shards: int, tenants=(), tenant_of=None) -> StreamEngine:
+    return StreamEngine(
         asn_of=_no_asn,
         diagnosers={},
         shards=shards,
@@ -101,7 +101,7 @@ def _make_engine(shards: int, tenants=(), tenant_of=None) -> ShardedStreamEngine
     )
 
 
-def _drive(engine: ShardedStreamEngine, n_events: int):
+def _drive(engine: StreamEngine, n_events: int):
     """Stream ``n_events`` synthetic reachability events, tick by tick."""
     pairs = _pairs()
     per_tick = len(pairs)

@@ -6,7 +6,7 @@ of the run is cheap per-pair reachability checks derived from the
 seeded outage schedule — a pair is up at a tick unless a link on its
 baseline path is scheduled down, its destination AS is blocking
 probes, or measurement noise lies about it.  Those observations stream
-through the ordinary engine (serial, sharded or supervised, chosen by
+through the ordinary engine (laid out serial, sharded or supervised by
 :func:`~repro.stream.replay.build_engine`), which runs its episode
 detection exactly as in an incident replay; the
 :class:`~repro.monitor.recorder.FlightRecorder` consumes the same
@@ -58,10 +58,11 @@ from repro.stream.replay import (
     ReplaySetup,
     build_engine,
     make_replay_setup,
+    result_layout_stats,
     run_replay,
 )
-from repro.stream.router import ShardedStreamEngine, TenantConfig
-from repro.stream.supervise import SupervisedStreamEngine, SupervisionConfig
+from repro.stream.router import TenantConfig
+from repro.stream.supervise import SupervisionConfig
 
 __all__ = [
     "MonitorRunResult",
@@ -332,6 +333,7 @@ def run_monitor(
     started = time.perf_counter()
     reports = run_replay(log, engine, journal=journal)
     wall = time.perf_counter() - started
+    shard_stats, supervision = result_layout_stats(engine)
 
     # Score against the seeded ground truth, then classify from LG
     # evidence only — the comparison of the two is the headline metric.
@@ -372,15 +374,7 @@ def run_monitor(
         window_counters=engine.window_counters(),
         detector_counters=engine.detector_counters(),
         stage_seconds=engine.stage_seconds(),
-        shard_stats=(
-            engine.shard_stats()
-            if isinstance(engine, ShardedStreamEngine)
-            else None
-        ),
-        supervision=(
-            engine.supervision_stats()
-            if isinstance(engine, SupervisedStreamEngine)
-            else None
-        ),
+        shard_stats=shard_stats,
+        supervision=supervision,
         observations_skipped=thinned,
     )

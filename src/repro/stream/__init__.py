@@ -13,25 +13,23 @@ This package is that online layer over the existing batch machinery:
   by :class:`~repro.netsim.cache.LruCache`;
 * :mod:`repro.stream.episodes` — debounced, hysteretic failure-episode
   detection (no diagnosis storms on transient loss);
-* :mod:`repro.stream.engine` — the orchestrator: bounded work queue,
-  explicit backpressure, per-episode diagnosis with every configured
-  :class:`~repro.core.diagnoser.NetDiagnoser` variant, bit-identical
-  serial/parallel output;
+* :mod:`repro.stream.engine` — :class:`StreamEngine`, the one engine
+  (``shards=1`` is the serial one): bounded work queue, explicit
+  backpressure, per-episode diagnosis, output bit-identical across shard
+  and worker counts;
 * :mod:`repro.stream.replay` — deterministic replay of recorded rounds
   and fault plans (same log + seed ⇒ identical episode reports);
-* :mod:`repro.stream.router` — consistent-hash sharding, per-tenant
-  admission control, and the :class:`ShardedStreamEngine` scale-out
-  engine (bit-identical to serial replay with admission disabled);
+* :mod:`repro.stream.router` — consistent-hash shard routing, the
+  per-shard ingest state and per-tenant admission control;
 * :mod:`repro.stream.merge` — cross-shard snapshot/control/episode
   merging in global ``(tick, seq)`` order;
 * :mod:`repro.stream.serve` — the asyncio ingest front end with bounded
   per-tenant queues, round-robin fair pumping, and graceful shutdown;
 * :mod:`repro.stream.checkpoint` — per-shard checkpoints in the fsync'd
   torn-tail-tolerant journal format, for crash recovery;
-* :mod:`repro.stream.supervise` — the self-healing layer: shard
-  supervision with checkpointed restart and replay, per-variant circuit
-  breakers, a dead-letter queue, and deterministic chaos injection via
-  the :mod:`repro.faults` chaos modes.
+* :mod:`repro.stream.supervise` — the self-healing layer a supervised
+  engine calls: checkpointed shard restart and replay, per-variant
+  circuit breakers, a dead-letter queue, seeded chaos injection.
 
 CLI: ``python -m repro stream`` replays a configured stream (optionally
 sharded via ``--shards`` / multi-tenant via ``--tenants`` / under
@@ -51,7 +49,6 @@ from repro.stream.episodes import (
     OPEN,
     UPDATE,
     Episode,
-    EpisodeDetector,
     EpisodeLifecycle,
     EpisodeTransition,
     PairAlarmTracker,
@@ -81,7 +78,6 @@ from repro.stream.merge import (
 )
 from repro.stream.router import (
     AdmissionController,
-    ShardedStreamEngine,
     ShardRouter,
     StreamShard,
     TenantConfig,
@@ -94,7 +90,6 @@ from repro.stream.supervise import (
     CircuitBreaker,
     DeadLetterQueue,
     ShardSupervisor,
-    SupervisedStreamEngine,
     SupervisionConfig,
     load_dead_letters,
 )
@@ -135,14 +130,12 @@ __all__ = [
     "EpisodeTransition",
     "PairAlarmTracker",
     "EpisodeLifecycle",
-    "EpisodeDetector",
     "stable_hash",
     "ShardRouter",
     "TenantConfig",
     "AdmissionController",
     "source_tenant_of",
     "StreamShard",
-    "ShardedStreamEngine",
     "CrossShardMerger",
     "merged_snapshot",
     "merged_control_view",
@@ -153,7 +146,6 @@ __all__ = [
     "CircuitBreaker",
     "DeadLetterQueue",
     "ShardSupervisor",
-    "SupervisedStreamEngine",
     "SupervisionConfig",
     "load_dead_letters",
     "StaticAsnMap",

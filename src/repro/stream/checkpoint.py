@@ -27,7 +27,7 @@ from repro.experiments.journal import append_pickle_record, iter_pickle_records
 
 __all__ = ["CheckpointStore", "ShardCheckpoint"]
 
-_FORMAT = "repro-shard-checkpoint-v1"
+_FORMAT = "repro-shard-checkpoint-v2"
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,37 @@
-"""The streaming diagnosis engine: episodes in, diagnosis reports out.
+"""The streaming diagnosis engine: events in, episode reports out.
 
-:class:`StreamEngine` wires the stream pieces into the shape the batch
-pipeline has always had — screen, assemble, diagnose — but continuously:
+:class:`StreamEngine` is the one engine for every process layout; the
+serial engine is ``shards=1``.  It keeps the batch pipeline's shape —
+screen, assemble, diagnose — but continuously:
 
-1. :meth:`offer` screens one event (:class:`~repro.stream.ingest.StreamIngestor`),
-   folds it into the sliding window, and feeds the episode detector;
-2. :meth:`advance` closes a logical tick: stale observations are
-   evicted and the detector emits episode transitions, which become
-   **diagnosis work** on a bounded queue;
-3. :meth:`drain` retires queued work: for each transition it assembles
-   the window's snapshot and runs every configured diagnoser, emitting
-   one :class:`EpisodeReport` per transition in schedule order.
+1. :meth:`offer` routes one event: pair-scoped events pass tenant
+   admission onto their :class:`~repro.stream.router.StreamShard`
+   (screening, window, alarm debounce); control-plane and liveness
+   events are screened once here and broadcast to every shard;
+2. :meth:`advance` closes a logical tick: shard windows evict stale
+   state and the :class:`~repro.stream.merge.CrossShardMerger` turns the
+   shards' alarms into episode transitions, queued as diagnosis work;
+3. :meth:`drain` diagnoses queued transitions against the merged
+   snapshot and control view (global, never per shard), emitting one
+   :class:`EpisodeReport` per transition in schedule order.
 
-Backpressure is explicit, never silent.  The work queue holds at most
-``max_pending`` transitions; an ``update`` for an episode already queued
-is **coalesced** into the queued entry (``episodes_coalesced``), a
-transition arriving at a full queue is **deferred** to the next drain
-(``transitions_deferred``), and a deferral buffer past ``overflow_limit``
-raises :class:`~repro.errors.EpisodeOverflowError` — the engine refuses
-to shed diagnosis work without telling anyone.
+Backpressure is explicit, never silent: an ``update`` for a queued
+episode is **coalesced** into it, a transition meeting a full
+``max_pending`` queue is **deferred** to the next drain, and a deferral
+buffer past ``overflow_limit`` raises
+:class:`~repro.errors.EpisodeOverflowError`.
 
-Determinism: reports depend only on the event stream and the
-configuration.  With ``workers > 1`` the per-variant diagnoses of each
-drained transition run in a process pool — payloads are made picklable
-by snapshotting ``asn_of`` into a :class:`StaticAsnMap` — and results
-are merged back in (transition, variant) order, so parallel output is
-bit-identical to serial.  ``nd-lg`` closures are not picklable and
-always run inline in the parent, in the same merge order.
+Passing any of ``plan``, ``supervision``, ``checkpoints`` or
+``dead_letters`` attaches a
+:class:`~repro.stream.supervise.ShardSupervisor`, which the engine calls
+at its hook points (listed on that class).
+
+Determinism: with admission disabled and unbounded window capacity,
+every ``shards`` count replays bit-identically (per-shard LRU caps may
+shed different cold pairs).  With ``workers > 1`` the per-variant
+diagnoses run in a process pool on :class:`StaticAsnMap` payloads and
+merge back in (transition, variant) order, bit-identical to serial;
+``nd-lg`` closures are not picklable and always run inline.
 """
 
 from __future__ import annotations
@@ -34,30 +39,35 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.control_plane import ControlPlaneView
 from repro.core.protocol import Diagnoser
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE, MeasurementSnapshot
 from repro.empathy.ensemble import EnsembleDisagreement
 from repro.errors import EpisodeOverflowError, StreamError
-from repro.faults import DegradationReport
-from repro.stream.episodes import (
-    CLOSE,
-    OPEN,
-    UPDATE,
-    EpisodeDetector,
-    EpisodeTransition,
-)
-from repro.stream.events import (
-    ProbeEvent,
-    ReachabilityEvent,
-    SensorDropoutEvent,
-    StreamEvent,
-)
+from repro.faults import DegradationReport, FaultPlan
+from repro.stream.checkpoint import CheckpointStore
+from repro.stream.episodes import CLOSE, UPDATE, EpisodeTransition
+from repro.stream.events import StreamEvent
 from repro.stream.ingest import StreamIngestor
-from repro.stream.window import SlidingWindow
+from repro.stream.merge import (
+    CrossShardMerger,
+    merged_control_view,
+    merged_snapshot,
+)
+from repro.stream.router import (
+    AdmissionController,
+    ShardRouter,
+    StreamShard,
+    TenantConfig,
+)
+from repro.stream.supervise import (
+    DeadLetterQueue,
+    ShardSupervisor,
+    SupervisionConfig,
+)
 
 __all__ = [
     "StaticAsnMap",
@@ -179,13 +189,16 @@ def _diagnose_payload(payload) -> EpisodeDiagnosis:
 
 
 class StreamEngine:
-    """Continuous diagnosis over an event stream.
+    """Continuous diagnosis over an event stream, on one or more shards.
 
     Parameters mirror the batch runner where a counterpart exists:
     ``diagnosers`` is the same label →
     :class:`~repro.core.protocol.Diagnoser` mapping, ``asx`` the
     cooperating ISP, ``lg_lookup`` the Looking Glass callback for
     ``nd-lg``, ``policy`` a :mod:`repro.validate` policy name.
+    ``tenants``/``tenant_of`` enable per-tenant admission; ``plan``
+    (seeded chaos), ``supervision``, ``checkpoints`` and
+    ``dead_letters`` configure the optional supervisor.
     """
 
     def __init__(
@@ -205,6 +218,13 @@ class StreamEngine:
         degradation: Optional[DegradationReport] = None,
         on_report: Optional[Callable[[EpisodeReport], None]] = None,
         cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
+        shards: int = 1,
+        tenants: Sequence[TenantConfig] = (),
+        tenant_of: Optional[Callable[[StreamEvent], Optional[str]]] = None,
+        plan: Optional[FaultPlan] = None,
+        supervision: Optional[SupervisionConfig] = None,
+        checkpoints: Optional[CheckpointStore] = None,
+        dead_letters: Optional[DeadLetterQueue] = None,
     ) -> None:
         if max_pending < 1:
             raise StreamError(f"max_pending must be >= 1, got {max_pending}")
@@ -216,16 +236,43 @@ class StreamEngine:
         self.diagnosers = dict(diagnosers)
         self.asx = asx
         self.lg_lookup = lg_lookup
-        self.ingestor = StreamIngestor(
+        self.router = ShardRouter(shards, asn_of=asn_of)
+        self.shards = [
+            StreamShard(
+                index,
+                asn_of,
+                policy=policy,
+                window_width=window_width,
+                window_capacity=window_capacity,
+                open_after=open_after,
+                close_after=close_after,
+                degradation=degradation,
+            )
+            for index in range(shards)
+        ]
+        # Broadcast events are screened once, here, before fan-out; the
+        # global feed-dedup state must not be forked per shard.
+        self.control_ingestor = StreamIngestor(
             asn_of,
             policy,
             expected_epochs=(EPOCH_PRE, EPOCH_POST),
             degradation=degradation,
         )
-        self.window = SlidingWindow(window_width, capacity=window_capacity)
-        self.detector = EpisodeDetector(
-            open_after=open_after, close_after=close_after
+        self.merger = CrossShardMerger()
+        self.admission = AdmissionController(tenants)
+        self.tenant_of = tenant_of
+        supervised = any(
+            part is not None
+            for part in (plan, supervision, checkpoints, dead_letters)
         )
+        self.supervisor = ShardSupervisor(
+            self.shards,
+            config=supervision,
+            plan=plan,
+            checkpoints=checkpoints,
+            dead_letters=dead_letters,
+            variants=list(self.diagnosers),
+        ) if supervised else None
         self.max_pending = max_pending
         self.overflow_limit = overflow_limit
         self.workers = workers
@@ -238,6 +285,7 @@ class StreamEngine:
         # accounting
         self.events_offered = 0
         self.events_admitted = 0
+        self.events_broadcast = 0
         self.transitions_scheduled = 0
         self.episodes_coalesced = 0
         self.transitions_deferred = 0
@@ -245,58 +293,99 @@ class StreamEngine:
         self.diagnoses_failed = 0
         self.ensemble_verdicts = EnsembleDisagreement()
         self.latencies: List[int] = []
-        self.seconds = {
-            "ingest": 0.0,
-            "window": 0.0,
-            "detect": 0.0,
-            "diagnose": 0.0,
-        }
+        # Engine-side stage time; the shards time their own ingest,
+        # window and detect work and stage_seconds() adds the two.
+        self.seconds = dict.fromkeys(
+            ("ingest", "window", "detect", "diagnose"), 0.0
+        )
 
     # --------------------------------------------------------------- intake
 
     def offer(self, event: StreamEvent) -> bool:
-        """Screen one event and fold it into the engine's state.
+        """Admit, route and fold one event.
 
-        Returns ``True`` when the event was admitted, ``False`` when the
-        screening quarantined it.
+        Control-plane and liveness events bypass admission (shedding the
+        ISP's own feed would corrupt every shard's view).  A dark
+        shard's share is buffered — a pair event raw, screened on
+        replay.  Returns ``False`` when admission shed the event,
+        screening quarantined it or a full darkness buffer
+        dead-lettered it.
         """
         self.events_offered += 1
-        started = time.perf_counter()
-        admitted = self.ingestor.ingest(event)
-        self.seconds["ingest"] += time.perf_counter() - started
-        if admitted is None:
+        supervisor = self.supervisor
+        shard_index = self.router.route(event)
+        if shard_index is None:
+            self.events_broadcast += 1
+            started = time.perf_counter()
+            admitted = self.control_ingestor.ingest(event)
+            self.seconds["ingest"] += time.perf_counter() - started
+            if admitted is None:
+                return False
+            for shard in self.shards:
+                if supervisor is None:
+                    shard.observe_broadcast(admitted)
+                elif supervisor.is_dark(shard.index):
+                    supervisor.buffer_event(shard.index, "bcast", admitted)
+                else:
+                    shard.observe_broadcast(admitted)
+                    supervisor.record_tail(shard.index, "bcast", admitted)
+            self.events_admitted += 1
+            return True
+        if self.admission.enabled:
+            tenant = self.tenant_of(event) if self.tenant_of else None
+            if not self.admission.admit(tenant):
+                return False
+        if supervisor is not None and supervisor.is_dark(shard_index):
+            return supervisor.buffer_event(shard_index, "pair", event)
+        if not self.shards[shard_index].offer(event):
             return False
+        if supervisor is not None:
+            supervisor.record_tail(shard_index, "pair", event)
         self.events_admitted += 1
-        started = time.perf_counter()
-        self.window.observe(admitted)
-        self.seconds["window"] += time.perf_counter() - started
-        started = time.perf_counter()
-        if isinstance(admitted, ProbeEvent):
-            if admitted.path.epoch == EPOCH_POST:
-                self.detector.observe(admitted.path.pair, admitted.path.reached)
-        elif isinstance(admitted, ReachabilityEvent):
-            self.detector.observe(
-                (admitted.src, admitted.dst), admitted.reached
-            )
-        elif isinstance(admitted, SensorDropoutEvent):
-            self.detector.forget(admitted.address)
-        self.seconds["detect"] += time.perf_counter() - started
         return True
 
     # ---------------------------------------------------------------- ticks
 
     def advance(self, tick: int) -> List[EpisodeTransition]:
-        """Close a logical tick: evict stale state, detect transitions,
-        schedule the resulting diagnosis work."""
+        """Close a logical tick: refill admission buckets, evict every
+        shard window, merge the shards' alarms into episode transitions,
+        and schedule the resulting diagnosis work."""
+        self.admission.on_tick(tick)
+        supervisor = self.supervisor
+        if supervisor is not None:
+            self.events_admitted += supervisor.begin_tick(tick)
         started = time.perf_counter()
-        self.window.evict(tick)
-        transitions = self.detector.advance(tick)
+        for shard in self.shards:
+            shard.window.evict(tick)
+        if supervisor is None:
+            alarms = [shard.alarms.alarmed_pairs() for shard in self.shards]
+        else:
+            # Dark or slow shards contribute their held (stale) view.
+            alarms = [
+                supervisor.alarm_view(shard.index, tick)
+                for shard in self.shards
+            ]
+        transitions = self.merger.advance(tick, alarms)
         self.seconds["detect"] += time.perf_counter() - started
         for transition in transitions:
             self._schedule(transition)
+        if supervisor is not None:
+            supervisor.end_tick(tick)
         return transitions
 
+    def _owner_shard(self, transition: EpisodeTransition) -> Optional[int]:
+        """The shard owning a transition's first pair, if sharded."""
+        if len(self.shards) == 1 or not transition.pairs:
+            return None
+        return self.router.shard_for_destination(transition.pairs[0][1])
+
     def _schedule(self, transition: EpisodeTransition) -> None:
+        if self.supervisor is not None and self.supervisor.divert(
+            transition, self._owner_shard(transition)
+        ):
+            # Parking further work of a struck-out episode beats wedging
+            # the queue with diagnoses that will hard-fail again.
+            return
         self.transitions_scheduled += 1
         if transition.kind == UPDATE:
             for work in self._pending + self._deferred:
@@ -320,11 +409,15 @@ class StreamEngine:
             return
         self.transitions_deferred += 1
         if len(self._deferred) >= self.overflow_limit:
+            # Name the owning shard before the overflow crosses any
+            # worker/process boundary: a bare BrokenProcessPool tells an
+            # operator nothing about *which* shard's episode wedged it.
             raise EpisodeOverflowError(
                 f"diagnosis queue full ({self.max_pending} pending, "
                 f"{len(self._deferred)} deferred >= overflow_limit="
                 f"{self.overflow_limit}); drain more often or widen the "
-                "queue"
+                "queue",
+                shard=self._owner_shard(transition),
             )
         self._deferred.append(_PendingWork(transition))
 
@@ -361,6 +454,10 @@ class StreamEngine:
 
     def flush(self, now: int) -> List[EpisodeReport]:
         """Drain until no work remains (end-of-stream)."""
+        if self.supervisor is not None:
+            # Nothing buffered may stay dark, or its events would
+            # silently vanish from the final verdicts.
+            self.events_admitted += self.supervisor.force_recover(now)
         reports: List[EpisodeReport] = []
         while not self.idle:
             reports.extend(self.drain(now))
@@ -370,6 +467,8 @@ class StreamEngine:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        if self.supervisor is not None:
+            self.supervisor.close()
 
     # ---------------------------------------------------------- diagnosis
 
@@ -391,23 +490,14 @@ class StreamEngine:
             {address: self.asn_of(address) for address in sorted(addresses)}
         )
 
-    def _assemble(
-        self,
-    ) -> Tuple[Optional[MeasurementSnapshot], Optional[ControlPlaneView]]:
-        snapshot = self.window.snapshot(self.asn_of)
-        control = (
-            self.window.control_view(self.asx) if self.asx is not None else None
-        )
-        return snapshot, control
-
     def _diagnose_batch(
         self, batch: List[_PendingWork], now: int
     ) -> List[EpisodeReport]:
         """Diagnose a drained batch, serial or via the worker pool.
 
         Every transition in the batch sees the same window state (the
-        window only changes in :meth:`offer`/:meth:`advance`), so the
-        snapshot is assembled once per drain.
+        windows only change in :meth:`offer`/:meth:`advance`), so the
+        merged snapshot and control view are assembled once per drain.
         """
         next_index = len(self.reports)
         cached: Dict[int, EpisodeReport] = {}
@@ -420,27 +510,20 @@ class StreamEngine:
             else:
                 live.append((index, work.transition))
 
-        snapshot, control = (None, None)
-        if any(t.kind != CLOSE for _i, t in live):
-            snapshot, control = self._assemble()
-        diagnosable = (
-            snapshot is not None and snapshot.any_failure()
-        )
+        open_work = [(index, t) for index, t in live if t.kind != CLOSE]
+        snapshot = control = None
+        if open_work:
+            windows = [shard.window for shard in self.shards]
+            snapshot = merged_snapshot(windows, self.asn_of)
+            if self.asx is not None:
+                control = merged_control_view(windows, self.asx)
+        diagnosable = snapshot is not None and snapshot.any_failure()
 
         labels = list(self.diagnosers)
-        use_pool = self.workers > 1 and diagnosable and any(
-            t.kind != CLOSE for _i, t in live
-        )
         pooled: Dict[Tuple[int, str], EpisodeDiagnosis] = {}
-        if use_pool:
-            jobs = []
-            for index, transition in live:
-                if transition.kind == CLOSE:
-                    continue
-                for label in labels:
-                    if not self._pool_allowed(label, transition):
-                        continue
-                    jobs.append((index, label, transition))
+        if self.workers > 1 and diagnosable:
+            pool_labels = [lbl for lbl in labels if self._pool_allowed(lbl)]
+            jobs = [(i, label) for i, _t in open_work for label in pool_labels]
             if jobs:
                 if self._pool is None:
                     self._pool = ProcessPoolExecutor(max_workers=self.workers)
@@ -463,7 +546,7 @@ class StreamEngine:
                             ),
                         ),
                     )
-                    for index, label, _transition in jobs
+                    for index, label in jobs
                 ]
                 for key, future in futures:
                     pooled[key] = future.result()
@@ -473,13 +556,11 @@ class StreamEngine:
             diagnoses: List[EpisodeDiagnosis] = []
             if transition.kind != CLOSE and diagnosable:
                 for label in labels:
-                    diagnoser = self.diagnosers[label]
                     if (index, label) in pooled:
                         verdict = pooled[(index, label)]
                     else:
                         verdict = self._diagnose_inline(
-                            label, diagnoser, snapshot, control,
-                            transition=transition,
+                            label, snapshot, control, transition, now
                         )
                     if verdict.error is not None:
                         self.diagnoses_failed += 1
@@ -497,45 +578,57 @@ class StreamEngine:
             )
         return [reports[next_index + offset] for offset in range(len(batch))]
 
-    def _pool_allowed(self, label: str, transition: EpisodeTransition) -> bool:
-        """May this diagnoser's work for this transition use the pool?
-
-        ``nd-lg`` closures are never picklable (``poolable`` is False);
-        the supervised engine further excludes variants whose circuit
-        breaker is not closed and poison-injected work (those must run
-        inline, where the breaker observes the outcome
-        deterministically).
-        """
-        return bool(getattr(self.diagnosers[label], "poolable", True))
+    def _pool_allowed(self, label: str) -> bool:
+        """May this diagnoser's work use the process pool?  Never for
+        unpicklable ``nd-lg`` closures, nor when the supervisor wants
+        the outcome inline."""
+        if not getattr(self.diagnosers[label], "poolable", True):
+            return False
+        return self.supervisor is None or self.supervisor.pool_allowed(label)
 
     def _diagnose_inline(
         self,
         label: str,
-        diagnoser: Diagnoser,
         snapshot: MeasurementSnapshot,
         control: Optional[ControlPlaneView],
-        transition: Optional[EpisodeTransition] = None,
+        transition: EpisodeTransition,
+        now: int,
     ) -> EpisodeDiagnosis:
-        try:
-            return _summarise(
-                diagnoser.diagnose(
-                    snapshot, control=control, lg_lookup=self.lg_lookup
+        diagnoser = self.diagnosers[label]
+        supervisor = self.supervisor
+        refusal = None
+        if supervisor is not None:
+            refusal = supervisor.gate_diagnosis(
+                label, diagnoser, transition.episode_id, now
+            )
+        if refusal is not None:
+            verdict = _empty_diagnosis(label, error=refusal)
+        else:
+            try:
+                verdict = _summarise(
+                    diagnoser.diagnose(
+                        snapshot, control=control, lg_lookup=self.lg_lookup
+                    )
                 )
+            except Exception as exc:  # best-effort: degrade, never crash
+                logger.debug(
+                    "%s failed on window inputs (%s: %s); emitting an empty "
+                    "verdict",
+                    label, type(exc).__name__, exc,
+                )
+                verdict = _empty_diagnosis(label, error=type(exc).__name__)
+        if supervisor is not None:
+            supervisor.record_diagnosis(
+                label, transition.episode_id, now, verdict.error
             )
-        except Exception as exc:  # best-effort: degrade, never crash
-            logger.debug(
-                "%s failed on window inputs (%s: %s); emitting an empty "
-                "verdict",
-                label, type(exc).__name__, exc,
-            )
-            return _empty_diagnosis(label, error=type(exc).__name__)
+        return verdict
 
     # ------------------------------------------------------------- counters
 
     def counters(self) -> Dict[str, int]:
-        """The engine's own accounting (window/detector/ingest counters
-        are reported by their components)."""
-        return {
+        """The engine's own accounting, plus admission, merge and (when
+        supervised) supervision counters."""
+        counts = {
             "events_offered": self.events_offered,
             "events_admitted": self.events_admitted,
             "transitions_scheduled": self.transitions_scheduled,
@@ -547,20 +640,68 @@ class StreamEngine:
             "ensemble_agree": self.ensemble_verdicts.agree,
             "ensemble_partial": self.ensemble_verdicts.partial,
             "ensemble_conflict": self.ensemble_verdicts.conflict,
+            "events_broadcast": self.events_broadcast,
+            "shards": len(self.shards),
         }
-
-    # The accessor quartet below is the engine protocol the replay and
-    # report layers consume; ShardedStreamEngine implements the same
-    # four by aggregating across shards.
+        counts.update(self.admission.counters())
+        counts["cross_shard_episodes"] = self.merger.cross_shard_episodes
+        if self.supervisor is not None:
+            counts.update(self.supervisor.engine_counters())
+        return counts
 
     def ingest_counters(self) -> Dict[str, int]:
-        return self.ingestor.counters()
+        """Summed screening accounting: every shard plus the control
+        ingestor (each event is screened exactly once somewhere)."""
+        return _summed(
+            [shard.ingestor.counters() for shard in self.shards]
+            + [self.control_ingestor.counters()]
+        )
 
     def window_counters(self) -> Dict[str, int]:
-        return self.window.counters()
+        """Window accounting summed over the shards; broadcast copies
+        (dark sensors, evicted feed entries) count once."""
+        windows = [shard.window for shard in self.shards]
+        counts = [window.counters() for window in windows]
+        totals = _summed(counts)
+        feed = [window.feed_evictions for window in windows]
+        totals["stale_evictions"] -= sum(feed) - max(feed)
+        totals["dark_sensors"] = max(c["dark_sensors"] for c in counts)
+        return totals
 
     def detector_counters(self) -> Dict[str, int]:
-        return self.detector.counters()
+        counts = {
+            "pairs_tracked": sum(
+                shard.alarms.pairs_tracked() for shard in self.shards
+            ),
+            "pairs_alarmed": sum(
+                len(shard.alarms.alarmed_pairs()) for shard in self.shards
+            ),
+        }
+        counts.update(self.merger.lifecycle.counters())
+        return counts
 
     def stage_seconds(self) -> Dict[str, float]:
-        return dict(self.seconds)
+        totals = dict(self.seconds)
+        for shard in self.shards:
+            for key, value in shard.seconds.items():
+                totals[key] += value
+        return totals
+
+    def shard_stats(self) -> List[Dict[str, int]]:
+        """Per-shard balance view for the report and the benchmarks."""
+        return [shard.stats() for shard in self.shards]
+
+    def supervision_stats(self) -> Optional[Dict[str, Any]]:
+        """The supervision block for reports and benchmark artifacts
+        (``None`` when the engine is not supervised)."""
+        if self.supervisor is None:
+            return None
+        return self.supervisor.supervision_stats()
+
+
+def _summed(counters: List[Dict[str, int]]) -> Dict[str, int]:
+    totals: Dict[str, int] = {}
+    for counts in counters:
+        for key, value in counts.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals

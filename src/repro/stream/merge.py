@@ -6,8 +6,8 @@ identifiability literature (Bartolini et al., arXiv:1903.10636; Ma et
 al., arXiv:1509.06333) is blunt about what happens if each shard then
 diagnoses alone: a shard that sees only a slice of the probe paths
 crossing the suspect links can neither localise the failure nor even
-know its verdict is under-determined.  So the sharded engine never
-diagnoses per shard.  Shards own the *ingest-side* state (window slots,
+know its verdict is under-determined.  So the engine never diagnoses
+per shard.  Shards own the *ingest-side* state (window slots,
 pair alarm debounce — both cleanly per-pair); everything that needs the
 global picture is merged here:
 
@@ -98,7 +98,7 @@ def merged_control_view(
 class CrossShardMerger:
     """One global episode lifecycle fed by every shard's alarms.
 
-    Each tick the sharded engine hands over the per-shard alarmed-pair
+    Each tick the engine hands over the per-shard alarmed-pair
     tuples; the merger unions them (disjoint by construction — a pair
     alarms only on its owning shard) and advances the single lifecycle.
     Because :class:`PairAlarmTracker` partitions losslessly, the union

@@ -1,36 +1,28 @@
-"""Sharded, multi-tenant front of the streaming engine.
+"""Sharding and multi-tenant admission for the streaming engine.
 
 The ROADMAP's north star is a troubleshooter absorbing traffic from
-millions of sensor pairs; one :class:`~repro.stream.engine.StreamEngine`
-serialises all of that on a single window.  This module is the standard
-scale-out shape for the workload:
+millions of sensor pairs; one sliding window serialises all of that.
+This module holds the standard scale-out pieces the
+:class:`~repro.stream.engine.StreamEngine` is built from:
 
 * :class:`ShardRouter` — consistent hashing over destination origin AS
   (falling back to the destination /24 prefix when the AS is unknown),
   so every probe and reachability bit for one pair lands on the same
-  shard, and re-sharding moves only ``~1/N`` of the key space;
+  shard, and re-sharding moves only ``~1/N`` of the key space.  With a
+  single shard routing is a constant: no key, no hash;
 * :class:`StreamShard` — one shard's ingest-side state: screening,
   sliding window, pair-alarm debounce.  All cleanly per-pair, which is
   why sharding them loses nothing;
 * :class:`AdmissionController` — deterministic per-tenant token buckets
   refilled on logical ticks.  Overload sheds *accountably*: every
-  dropped event lands in a per-tenant counter, never on the floor;
-* :class:`ShardedStreamEngine` — the drop-in engine: routes pair events
-  to shards, broadcasts control-plane and sensor-liveness events to all
-  of them, merges alarms through one global
-  :class:`~repro.stream.merge.CrossShardMerger`, and funnels episode
-  transitions into a single bounded diagnosis queue whose snapshots are
-  assembled by :func:`~repro.stream.merge.merged_snapshot`.
+  dropped event lands in a per-tenant counter, never on the floor.
 
-**Determinism contract.**  With admission disabled (no tenants) and
-unbounded window capacity, ``shards=K, workers=W`` replay is
-bit-identical to serial single-shard replay: pairs partition
-losslessly, broadcasts are screened once, the merged snapshot and
-control view reproduce the single-window assembly order, and episode
-lifecycle + diagnosis queue are global.  Per-shard LRU capacity bounds
-(``window_capacity > 0``) are the one documented deviation: each shard
-caps its own caches, so *which* cold pairs are shed can differ from the
-single-window order.
+The engine routes pair events to shards, broadcasts control-plane and
+sensor-liveness events to all of them, merges alarms through one global
+:class:`~repro.stream.merge.CrossShardMerger`, and funnels episode
+transitions into a single bounded diagnosis queue whose snapshots are
+assembled by :func:`~repro.stream.merge.merged_snapshot`; its module
+docstring states the determinism contract across shard counts.
 """
 
 from __future__ import annotations
@@ -39,28 +31,19 @@ import hashlib
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.control_plane import ControlPlaneView
-from repro.core.diagnoser import NetDiagnoser
-from repro.core.pathset import EPOCH_POST, EPOCH_PRE, MeasurementSnapshot
-from repro.errors import EpisodeOverflowError, StreamError
+from repro.core.pathset import EPOCH_POST, EPOCH_PRE
+from repro.errors import StreamError
 from repro.faults import DegradationReport
-from repro.stream.engine import EpisodeReport, StreamEngine
-from repro.stream.episodes import EpisodeTransition, PairAlarmTracker
+from repro.stream.episodes import PairAlarmTracker
 from repro.stream.events import (
     ProbeEvent,
     ReachabilityEvent,
     SensorDropoutEvent,
-    SensorHeartbeatEvent,
     StreamEvent,
 )
 from repro.stream.ingest import StreamIngestor
-from repro.stream.merge import (
-    CrossShardMerger,
-    merged_control_view,
-    merged_snapshot,
-)
 from repro.stream.window import SlidingWindow
 
 __all__ = [
@@ -70,7 +53,6 @@ __all__ = [
     "AdmissionController",
     "source_tenant_of",
     "StreamShard",
-    "ShardedStreamEngine",
 ]
 
 Pair = Tuple[str, str]
@@ -166,6 +148,9 @@ class ShardRouter:
 
     def route(self, event: StreamEvent) -> Optional[int]:
         """Shard index for a pair-scoped event, ``None`` for broadcast."""
+        if self.n_shards == 1:
+            pair_scoped = isinstance(event, (ProbeEvent, ReachabilityEvent))
+            return 0 if pair_scoped else None
         key = self.key_of(event)
         if key is None:
             return None
@@ -376,7 +361,7 @@ class StreamShard:
     def observe_broadcast(self, event: StreamEvent) -> None:
         """Fold one already-screened broadcast event.
 
-        Broadcasts are screened exactly once, at the router's control
+        Broadcasts are screened exactly once, at the engine's control
         ingestor — re-screening here would double-count the validation
         report and fork the feed-dedup state.
         """
@@ -440,290 +425,3 @@ class StreamShard:
             }
         )
         return counts
-
-
-class _MergeEngine(StreamEngine):
-    """The global half of the sharded engine.
-
-    Inherits the bounded diagnosis queue, coalescing/deferral
-    backpressure, worker pool, journal hooks and cached-report resume
-    from :class:`StreamEngine` unchanged — only *where state comes
-    from* differs: ticks evict every shard window, transitions come
-    from the cross-shard merger, and snapshots/control views are merged
-    across the shard windows.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[StreamShard],
-        merger: CrossShardMerger,
-        router: Optional[ShardRouter] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        self._shards = list(shards)
-        self._merger = merger
-        self._router = router
-
-    def advance(self, tick: int) -> List[EpisodeTransition]:
-        for shard in self._shards:
-            shard.window.evict(tick)
-        transitions = self._merger.advance(tick, self._shard_alarms(tick))
-        for transition in transitions:
-            self._schedule(transition)
-        return transitions
-
-    def _shard_alarms(self, tick: int) -> List[Tuple[Pair, ...]]:
-        """Each shard's alarmed-pair contribution for this tick's merge.
-
-        Overridable: the supervised engine substitutes held/stale views
-        for shards that are dark or running behind.
-        """
-        return [shard.alarms.alarmed_pairs() for shard in self._shards]
-
-    def _schedule(self, transition: EpisodeTransition) -> None:
-        try:
-            super()._schedule(transition)
-        except EpisodeOverflowError as exc:
-            # Name the owning shard before the overflow crosses any
-            # worker/process boundary — a bare BrokenProcessPool tells
-            # an operator nothing about *which* shard's episode wedged
-            # the queue.
-            if exc.shard is None and self._router is not None and transition.pairs:
-                exc.shard = self._router.shard_for_destination(
-                    transition.pairs[0][1]
-                )
-            raise
-
-    def _assemble(
-        self,
-    ) -> Tuple[Optional[MeasurementSnapshot], Optional[ControlPlaneView]]:
-        windows = [shard.window for shard in self._shards]
-        snapshot = merged_snapshot(windows, self.asn_of)
-        control = (
-            merged_control_view(windows, self.asx)
-            if self.asx is not None
-            else None
-        )
-        return snapshot, control
-
-
-class ShardedStreamEngine:
-    """N ingest shards behind one router, one merger, one work queue.
-
-    Implements the same protocol as :class:`StreamEngine` (``offer`` /
-    ``advance`` / ``drain`` / ``flush`` / ``close`` plus the counter
-    accessors), so :func:`~repro.stream.replay.run_replay` and the CLI
-    drive either interchangeably.  See the module docstring for the
-    determinism contract.
-    """
-
-    def __init__(
-        self,
-        asn_of: Callable[[str], Optional[int]],
-        diagnosers: Mapping[str, NetDiagnoser],
-        shards: int = 2,
-        asx: Optional[int] = None,
-        lg_lookup: Optional[Callable] = None,
-        window_width: int = 4,
-        window_capacity: int = 0,
-        open_after: int = 2,
-        close_after: int = 2,
-        policy: str = "quarantine",
-        max_pending: int = 8,
-        overflow_limit: int = 32,
-        workers: int = 0,
-        tenants: Sequence[TenantConfig] = (),
-        tenant_of: Optional[Callable[[StreamEvent], Optional[str]]] = None,
-        replicas: int = 32,
-        degradation: Optional[DegradationReport] = None,
-        on_report: Optional[Callable[[EpisodeReport], None]] = None,
-        cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
-    ) -> None:
-        self.router = ShardRouter(shards, asn_of=asn_of, replicas=replicas)
-        self.shards = [
-            StreamShard(
-                index,
-                asn_of,
-                policy=policy,
-                window_width=window_width,
-                window_capacity=window_capacity,
-                open_after=open_after,
-                close_after=close_after,
-                degradation=degradation,
-            )
-            for index in range(shards)
-        ]
-        # Broadcast events are screened once, here, before fan-out; the
-        # global feed-dedup state must not be forked per shard.
-        self.control_ingestor = StreamIngestor(
-            asn_of,
-            policy,
-            expected_epochs=(EPOCH_PRE, EPOCH_POST),
-            degradation=degradation,
-        )
-        self.merger = CrossShardMerger()
-        self.admission = AdmissionController(tenants)
-        self.tenant_of = tenant_of
-        self._engine = self._make_merge_engine(
-            asn_of=asn_of,
-            diagnosers=diagnosers,
-            asx=asx,
-            lg_lookup=lg_lookup,
-            window_width=window_width,
-            open_after=open_after,
-            close_after=close_after,
-            policy=policy,
-            max_pending=max_pending,
-            overflow_limit=overflow_limit,
-            workers=workers,
-            degradation=None,
-            on_report=on_report,
-            cached_reports=cached_reports,
-        )
-        self.events_offered = 0
-        self.events_admitted = 0
-        self.events_broadcast = 0
-
-    def _make_merge_engine(self, **kwargs) -> _MergeEngine:
-        """Build the global merge engine; the supervised engine overrides
-        this to slot in its breaker/poison-aware variant."""
-        return _MergeEngine(
-            self.shards, self.merger, router=self.router, **kwargs
-        )
-
-    # ----------------------------------------------------- engine protocol
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def lg_lookup(self):
-        return self._engine.lg_lookup
-
-    @lg_lookup.setter
-    def lg_lookup(self, value) -> None:
-        self._engine.lg_lookup = value
-
-    @property
-    def on_report(self):
-        return self._engine.on_report
-
-    @on_report.setter
-    def on_report(self, hook) -> None:
-        self._engine.on_report = hook
-
-    @property
-    def reports(self) -> List[EpisodeReport]:
-        return self._engine.reports
-
-    @property
-    def latencies(self) -> List[int]:
-        return self._engine.latencies
-
-    @property
-    def idle(self) -> bool:
-        return self._engine.idle
-
-    def offer(self, event: StreamEvent) -> bool:
-        """Admit, route and fold one event.
-
-        Pair-scoped events pass tenant admission, then route to their
-        shard; control-plane and sensor-liveness events bypass admission
-        (shedding the ISP's own feed or a dropout notice would corrupt
-        every shard's view) and broadcast to all shards after a single
-        screening pass.
-        """
-        self.events_offered += 1
-        shard_index = self.router.route(event)
-        if shard_index is None:
-            self.events_broadcast += 1
-            started = time.perf_counter()
-            admitted = self.control_ingestor.ingest(event)
-            self._engine.seconds["ingest"] += time.perf_counter() - started
-            if admitted is None:
-                return False
-            for shard in self.shards:
-                shard.observe_broadcast(admitted)
-            self.events_admitted += 1
-            return True
-        if self.admission.enabled:
-            tenant = self.tenant_of(event) if self.tenant_of else None
-            if not self.admission.admit(tenant):
-                return False
-        if self.shards[shard_index].offer(event):
-            self.events_admitted += 1
-            return True
-        return False
-
-    def advance(self, tick: int) -> List[EpisodeTransition]:
-        """Close a logical tick: refill admission buckets, evict every
-        shard window, merge alarms, schedule diagnosis work."""
-        self.admission.on_tick(tick)
-        return self._engine.advance(tick)
-
-    def drain(self, now: int) -> List[EpisodeReport]:
-        return self._engine.drain(now)
-
-    def flush(self, now: int) -> List[EpisodeReport]:
-        return self._engine.flush(now)
-
-    def close(self) -> None:
-        self._engine.close()
-
-    # ------------------------------------------------------------ counters
-
-    def counters(self) -> Dict[str, int]:
-        counts = self._engine.counters()
-        counts["events_offered"] = self.events_offered
-        counts["events_admitted"] = self.events_admitted
-        counts["events_broadcast"] = self.events_broadcast
-        counts["shards"] = self.n_shards
-        counts.update(self.admission.counters())
-        counts["cross_shard_episodes"] = self.merger.cross_shard_episodes
-        return counts
-
-    def ingest_counters(self) -> Dict[str, int]:
-        """Summed screening accounting: every shard plus the control
-        ingestor (each event is screened exactly once somewhere)."""
-        totals: Dict[str, int] = {}
-        for ingestor in [shard.ingestor for shard in self.shards] + [
-            self.control_ingestor
-        ]:
-            for key, value in ingestor.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def window_counters(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.window.counters().items():
-                if key == "dark_sensors":
-                    # Dark sensors broadcast to every shard; summing the
-                    # identical copies would over-count a single outage.
-                    totals[key] = max(totals.get(key, 0), value)
-                else:
-                    totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def detector_counters(self) -> Dict[str, int]:
-        counts = self.merger.counters()
-        counts["pairs_tracked"] = sum(
-            shard.alarms.pairs_tracked() for shard in self.shards
-        )
-        counts["pairs_alarmed"] = sum(
-            len(shard.alarms.alarmed_pairs()) for shard in self.shards
-        )
-        return counts
-
-    def stage_seconds(self) -> Dict[str, float]:
-        totals = self._engine.stage_seconds()
-        for shard in self.shards:
-            for key, value in shard.seconds.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
-    def shard_stats(self) -> List[Dict[str, int]]:
-        """Per-shard balance view for the report and the benchmarks."""
-        return [shard.stats() for shard in self.shards]

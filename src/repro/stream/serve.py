@@ -41,9 +41,8 @@ DEFAULT_TENANT = "default"
 class StreamServer:
     """Bounded, tenant-fair asyncio ingress for a stream engine.
 
-    ``engine`` is any engine-protocol object
-    (:class:`~repro.stream.engine.StreamEngine` or
-    :class:`~repro.stream.router.ShardedStreamEngine`); ``tenant_of``
+    ``engine`` is a :class:`~repro.stream.engine.StreamEngine` of any
+    layout (serial, sharded or supervised); ``tenant_of``
     maps an event to its tenant name (``None`` → the shared
     ``"default"`` queue); ``queue_depth`` bounds each tenant queue;
     ``max_events_per_tick`` caps how many queued events one

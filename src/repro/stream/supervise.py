@@ -1,12 +1,14 @@
-"""Self-healing supervision over the sharded streaming engine.
+"""Self-healing supervision for the streaming engine's shards.
 
 A service meant to run for months will lose shards: processes crash,
 GC pauses stall them, a hot shard falls behind.  This module is the
 recovery layer that turns those failures from silent wrong answers into
-*accounted degradation*:
+*accounted degradation*.  It is one object, :class:`ShardSupervisor`,
+which a :class:`~repro.stream.engine.StreamEngine` holds and calls at
+its hook points (see the class docstring for the list):
 
-* :class:`ShardSupervisor` tracks per-shard liveness on the logical
-  clock.  Failures are injected deterministically by the chaos modes of
+* the supervisor tracks per-shard liveness on the logical clock.
+  Failures are injected deterministically by the chaos modes of
   :class:`~repro.faults.FaultPlan` (``shard-crash``, ``shard-stall``,
   ``slow-shard``) — each decision hashes ``(seed, mode, shard, tick)``,
   so a chaos run is bit-identical across replays and identical whether
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -52,10 +53,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import StreamError, SupervisionError
 from repro.faults import FaultPlan
 from repro.stream.checkpoint import CheckpointStore
-from repro.stream.engine import EpisodeDiagnosis, _empty_diagnosis
 from repro.stream.episodes import CLOSE, EpisodeTransition
 from repro.stream.events import StreamEvent, stream_event_to_dict
-from repro.stream.router import ShardedStreamEngine, StreamShard, _MergeEngine
+from repro.stream.router import StreamShard
 
 __all__ = [
     "DLQ_FORMAT",
@@ -64,7 +64,6 @@ __all__ = [
     "DeadLetterQueue",
     "load_dead_letters",
     "ShardSupervisor",
-    "SupervisedStreamEngine",
 ]
 
 logger = logging.getLogger(__name__)
@@ -316,13 +315,21 @@ def load_dead_letters(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 class ShardSupervisor:
-    """Liveness tracking, darkness buffering and checkpointed restart.
+    """The self-healing layer the engine calls at its hook points.
 
-    The supervisor is driven from the engine's tick loop: ``begin_tick``
-    (before the merge) restarts shards whose darkness has run its
-    course, ``end_tick`` (after the merge) rolls the chaos dice for the
-    next tick and checkpoints healthy shards.  Both run on the logical
-    clock, so every decision replays.
+    It owns everything supervision adds to a
+    :class:`~repro.stream.engine.StreamEngine`: shard liveness, darkness
+    buffers and replay tails, checkpointed restart, the per-variant
+    :class:`CircuitBreaker` instances (one per label in ``variants``),
+    worker poison, episode strikes and the :class:`DeadLetterQueue`.
+    The engine calls :meth:`is_dark` / :meth:`buffer_event` /
+    :meth:`record_tail` in ``offer``; :meth:`begin_tick` (restarts),
+    :meth:`alarm_view` (held views) and :meth:`end_tick` (chaos dice,
+    checkpoints) around the merge in ``advance``; :meth:`divert` when
+    scheduling; :meth:`pool_allowed`,
+    :meth:`gate_diagnosis` and :meth:`record_diagnosis` around
+    diagnosis; :meth:`force_recover` in ``flush``.  Everything runs on
+    the logical clock, so every decision replays.
 
     Crash semantics: the failure is *detected* at the end of the tick it
     fires on; the shard then serves its last-known (stale) window and
@@ -332,6 +339,11 @@ class ShardSupervisor:
     post-checkpoint tail plus the darkness buffer replayed through the
     normal screening path, which provably reconstructs the undisturbed
     state (the chaos tests assert byte-identical final verdicts).
+
+    Diagnoses of a variant whose breaker is not closed — and all of
+    them when worker poison can fire — stay out of the process pool:
+    pooled workers swallow exceptions, and the breaker must observe
+    every outcome in deterministic (transition, variant) order.
     """
 
     def __init__(
@@ -341,12 +353,22 @@ class ShardSupervisor:
         plan: Optional[FaultPlan] = None,
         checkpoints: Optional[CheckpointStore] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
+        variants: Sequence[str] = (),
     ) -> None:
         self.shards = list(shards)
         self.config = config or SupervisionConfig()
         self.plan = plan
         self.checkpoints = checkpoints or CheckpointStore()
-        self.dead_letters = dead_letters
+        self.dead_letters = (
+            dead_letters if dead_letters is not None else DeadLetterQueue()
+        )
+        self.breakers: Dict[str, CircuitBreaker] = {
+            label: CircuitBreaker(
+                threshold=self.config.breaker_threshold,
+                cooldown=self.config.breaker_cooldown,
+            )
+            for label in variants
+        }
         n = len(self.shards)
         self._status = [RUNNING] * n
         self._darkened_at: List[Optional[int]] = [None] * n
@@ -360,6 +382,9 @@ class ShardSupervisor:
         # Last-known alarmed set per shard: what the merger sees while
         # the shard is dark or late.
         self._hold: List[Tuple[Pair, ...]] = [() for _ in range(n)]
+        # Hard-failed diagnoses per episode, and the struck-out episodes.
+        self._episode_failures: Dict[int, int] = {}
+        self._dead_episodes: set = set()
         # accounting
         self.shard_crashes = 0
         self.shard_stalls = 0
@@ -372,6 +397,9 @@ class ShardSupervisor:
         self.episodes_delayed = 0
         self.ticks_to_recover: List[int] = []
         self.incidents: List[Dict[str, Any]] = []
+        self.diagnoses_short_circuited = 0
+        self.diagnoses_poisoned = 0
+        self.transitions_dead_lettered = 0
 
     # ------------------------------------------------------------- liveness
 
@@ -391,19 +419,20 @@ class ShardSupervisor:
 
     def buffer_event(
         self, shard_index: int, kind: str, event: StreamEvent
-    ) -> None:
+    ) -> bool:
         """Hold one event for a dark shard, or dead-letter it when the
-        buffer is full — bounded memory, accounted loss."""
+        buffer is full — bounded memory, accounted loss.  Returns
+        ``True`` when the event was buffered."""
         buffer = self._buffers[shard_index]
         if len(buffer) >= self.config.buffer_limit:
             self.events_dead_lettered += 1
-            if self.dead_letters is not None:
-                self.dead_letters.put_event(
-                    event, reason="dark-shard-buffer-overflow", shard=shard_index
-                )
-            return
+            self.dead_letters.put_event(
+                event, reason="dark-shard-buffer-overflow", shard=shard_index
+            )
+            return False
         buffer.append((kind, event))
         self.events_buffered += 1
+        return True
 
     # ---------------------------------------------------------------- merge
 
@@ -553,6 +582,64 @@ class ShardSupervisor:
                 # Everything in the tail is inside the checkpoint now.
                 self._tails[index] = []
 
+    # ------------------------------------------------------------ dead work
+
+    def divert(
+        self, transition: EpisodeTransition, shard: Optional[int]
+    ) -> bool:
+        """Dead-letter the transition if its episode used up its strikes
+        (a close always goes through: the episode must end cleanly).
+        Returns ``True`` when it was diverted from the queue."""
+        if (
+            transition.episode_id not in self._dead_episodes
+            or transition.kind == CLOSE
+        ):
+            return False
+        self.transitions_dead_lettered += 1
+        self.dead_letters.put_episode(
+            transition, reason="episode-strikes", shard=shard
+        )
+        return True
+
+    # ------------------------------------------------------------ diagnosis
+
+    def pool_allowed(self, label: str) -> bool:
+        """May ``label``'s work leave the engine for the worker pool?"""
+        if self.breakers[label].state != BREAKER_CLOSED:
+            return False
+        return self.plan is None or self.plan.config.worker_poison_rate <= 0
+
+    def gate_diagnosis(
+        self, label: str, diagnoser, episode_id: int, tick: int
+    ) -> Optional[str]:
+        """``None`` lets an inline diagnosis run; otherwise the error name
+        of the empty verdict replacing it: ``CircuitOpen`` when the
+        breaker short-circuits, ``JobTimeoutError`` when chaos poisons
+        the worker (modelled as the timeout the runner would see)."""
+        if not self.breakers[label].allow(tick):
+            self.diagnoses_short_circuited += 1
+            return "CircuitOpen"
+        if self.plan is not None and self.plan.worker_poisoned(
+            diagnoser.variant, str(episode_id)
+        ):
+            self.diagnoses_poisoned += 1
+            return "JobTimeoutError"
+        return None
+
+    def record_diagnosis(
+        self, label: str, episode_id: int, tick: int, error: Optional[str]
+    ) -> None:
+        """Feed one inline diagnosis outcome to its breaker and to the
+        episode's strike count."""
+        if error in HARD_FAILURES:
+            self.breakers[label].record_failure(tick)
+            failures = self._episode_failures.get(episode_id, 0) + 1
+            self._episode_failures[episode_id] = failures
+            if failures >= self.config.episode_strikes:
+                self._dead_episodes.add(episode_id)
+        elif error is None:
+            self.breakers[label].record_success()
+
     # ------------------------------------------------------------- counters
 
     def counters(self) -> Dict[str, int]:
@@ -570,281 +657,39 @@ class ShardSupervisor:
         counts.update(self.checkpoints.counters())
         return counts
 
-
-class _SupervisedMergeEngine(_MergeEngine):
-    """The merge engine with breakers, poison awareness and stale holds.
-
-    Diagnosis work for a variant whose breaker is not closed — and *all*
-    work when worker poison can fire — runs inline rather than in the
-    process pool: pooled workers swallow exceptions, and the breaker
-    must observe every outcome in deterministic (transition, variant)
-    order for chaos replays to be bit-identical.
-    """
-
-    def __init__(
-        self,
-        *args,
-        plan: Optional[FaultPlan] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self._plan = plan
-        self._supervision = supervision or SupervisionConfig()
-        self._dead_letters = dead_letters
-        self.supervisor: Optional[ShardSupervisor] = None
-        self.breakers: Dict[str, CircuitBreaker] = {
-            label: CircuitBreaker(
-                threshold=self._supervision.breaker_threshold,
-                cooldown=self._supervision.breaker_cooldown,
-            )
-            for label in self.diagnosers
+    def engine_counters(self) -> Dict[str, int]:
+        """Everything supervision adds to the engine's ``counters()``."""
+        breakers = self.breakers.values()
+        counts = {
+            "diagnoses_short_circuited": self.diagnoses_short_circuited,
+            "diagnoses_poisoned": self.diagnoses_poisoned,
+            "transitions_dead_lettered": self.transitions_dead_lettered,
+            "breaker_opened": sum(b.times_opened for b in breakers),
+            "breaker_reclosed": sum(b.times_reclosed for b in breakers),
+            "breaker_short_circuits": sum(b.short_circuits for b in breakers),
+            "breaker_probes": sum(b.probes for b in breakers),
         }
-        self._drain_tick = 0
-        self._episode_failures: Dict[int, int] = {}
-        self._dead_episodes: set = set()
-        self.diagnoses_short_circuited = 0
-        self.diagnoses_poisoned = 0
-        self.transitions_dead_lettered = 0
-
-    # ----------------------------------------------------------- merge view
-
-    def _shard_alarms(self, tick: int) -> List[Tuple[Pair, ...]]:
-        if self.supervisor is None:
-            return super()._shard_alarms(tick)
-        return [
-            self.supervisor.alarm_view(shard.index, tick)
-            for shard in self._shards
-        ]
-
-    # ------------------------------------------------------------ dead work
-
-    def _schedule(self, transition: EpisodeTransition) -> None:
-        if (
-            transition.episode_id in self._dead_episodes
-            and transition.kind != CLOSE
-        ):
-            # Struck-out episode: parking further work beats wedging the
-            # queue with diagnoses that will hard-fail again.
-            self.transitions_dead_lettered += 1
-            if self._dead_letters is not None:
-                shard = None
-                if self._router is not None and transition.pairs:
-                    shard = self._router.shard_for_destination(
-                        transition.pairs[0][1]
-                    )
-                self._dead_letters.put_episode(
-                    transition, reason="episode-strikes", shard=shard
-                )
-            return
-        super()._schedule(transition)
-
-    # ------------------------------------------------------------ diagnosis
-
-    def drain(self, now: int):
-        self._drain_tick = now
-        return super().drain(now)
-
-    def _pool_allowed(self, label: str, transition) -> bool:
-        if not super()._pool_allowed(label, transition):
-            return False
-        if self.breakers[label].state != BREAKER_CLOSED:
-            return False
-        if self._plan is not None and self._plan.config.worker_poison_rate > 0:
-            return False
-        return True
-
-    def _diagnose_inline(
-        self,
-        label,
-        diagnoser,
-        snapshot,
-        control,
-        transition=None,
-    ) -> EpisodeDiagnosis:
-        breaker = self.breakers[label]
-        tick = self._drain_tick
-        if not breaker.allow(tick):
-            self.diagnoses_short_circuited += 1
-            return _empty_diagnosis(label, error="CircuitOpen")
-        if (
-            self._plan is not None
-            and transition is not None
-            and self._plan.worker_poisoned(
-                diagnoser.variant, str(transition.episode_id)
-            )
-        ):
-            # The injected worker loss: the diagnoser "process" dies on
-            # this input.  Modelled as the timeout the runner would see.
-            self.diagnoses_poisoned += 1
-            verdict = _empty_diagnosis(label, error="JobTimeoutError")
-        else:
-            verdict = super()._diagnose_inline(
-                label, diagnoser, snapshot, control, transition=transition
-            )
-        if verdict.error in HARD_FAILURES:
-            breaker.record_failure(tick)
-            if transition is not None:
-                failures = self._episode_failures.get(
-                    transition.episode_id, 0
-                ) + 1
-                self._episode_failures[transition.episode_id] = failures
-                if failures >= self._supervision.episode_strikes:
-                    self._dead_episodes.add(transition.episode_id)
-        elif verdict.error is None:
-            breaker.record_success()
-        return verdict
-
-    # ------------------------------------------------------------- counters
-
-    def counters(self) -> Dict[str, int]:
-        counts = super().counters()
-        counts["diagnoses_short_circuited"] = self.diagnoses_short_circuited
-        counts["diagnoses_poisoned"] = self.diagnoses_poisoned
-        counts["transitions_dead_lettered"] = self.transitions_dead_lettered
-        counts["breaker_opened"] = sum(
-            b.times_opened for b in self.breakers.values()
-        )
-        counts["breaker_reclosed"] = sum(
-            b.times_reclosed for b in self.breakers.values()
-        )
-        counts["breaker_short_circuits"] = sum(
-            b.short_circuits for b in self.breakers.values()
-        )
-        counts["breaker_probes"] = sum(
-            b.probes for b in self.breakers.values()
-        )
-        return counts
-
-
-class SupervisedStreamEngine(ShardedStreamEngine):
-    """The sharded engine wrapped in the self-healing layer.
-
-    Same engine protocol as :class:`ShardedStreamEngine`; the additions
-    are a :class:`ShardSupervisor` in the tick loop, per-variant
-    :class:`CircuitBreaker` instances around diagnosis, and a
-    :class:`DeadLetterQueue` behind both.  Built by
-    :func:`~repro.stream.replay.run_stream_replay` when chaos or
-    supervision is requested.
-    """
-
-    def __init__(
-        self,
-        *args,
-        plan: Optional[FaultPlan] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        checkpoints: Optional[CheckpointStore] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        **kwargs,
-    ) -> None:
-        # _make_merge_engine runs inside super().__init__ and reads these.
-        self._plan = plan
-        self._supervision = supervision or SupervisionConfig()
-        self._checkpoints = checkpoints or CheckpointStore()
-        self.dead_letters = dead_letters or DeadLetterQueue()
-        super().__init__(*args, **kwargs)
-        self.supervisor = ShardSupervisor(
-            self.shards,
-            config=self._supervision,
-            plan=plan,
-            checkpoints=self._checkpoints,
-            dead_letters=self.dead_letters,
-        )
-        self._engine.supervisor = self.supervisor
-
-    def _make_merge_engine(self, **kwargs) -> _SupervisedMergeEngine:
-        return _SupervisedMergeEngine(
-            self.shards,
-            self.merger,
-            router=self.router,
-            plan=self._plan,
-            supervision=self._supervision,
-            dead_letters=self.dead_letters,
-            **kwargs,
-        )
-
-    # ----------------------------------------------------- engine protocol
-
-    def offer(self, event: StreamEvent) -> bool:
-        """Route one event, diverting a dark shard's share to its buffer.
-
-        Broadcasts are still screened exactly once; live shards fold the
-        screened event immediately, dark shards get it buffered (and the
-        tail records it for every live shard, for a later crash's
-        replay).  A dark shard's pair event is buffered raw — it will be
-        screened on replay, which keeps screening counters exact.
-        """
-        self.events_offered += 1
-        shard_index = self.router.route(event)
-        if shard_index is None:
-            self.events_broadcast += 1
-            started = time.perf_counter()
-            admitted = self.control_ingestor.ingest(event)
-            self._engine.seconds["ingest"] += time.perf_counter() - started
-            if admitted is None:
-                return False
-            for shard in self.shards:
-                if self.supervisor.is_dark(shard.index):
-                    self.supervisor.buffer_event(shard.index, "bcast", admitted)
-                else:
-                    shard.observe_broadcast(admitted)
-                    self.supervisor.record_tail(shard.index, "bcast", admitted)
-            self.events_admitted += 1
-            return True
-        if self.admission.enabled:
-            tenant = self.tenant_of(event) if self.tenant_of else None
-            if not self.admission.admit(tenant):
-                return False
-        if self.supervisor.is_dark(shard_index):
-            self.supervisor.buffer_event(shard_index, "pair", event)
-            return True
-        if self.shards[shard_index].offer(event):
-            self.supervisor.record_tail(shard_index, "pair", event)
-            self.events_admitted += 1
-            return True
-        return False
-
-    def advance(self, tick: int):
-        self.admission.on_tick(tick)
-        self.events_admitted += self.supervisor.begin_tick(tick)
-        transitions = self._engine.advance(tick)
-        self.supervisor.end_tick(tick)
-        return transitions
-
-    def flush(self, now: int):
-        # End-of-stream: nothing buffered may stay dark, or its events
-        # would silently vanish from the final verdicts.
-        self.events_admitted += self.supervisor.force_recover(now)
-        return super().flush(now)
-
-    def close(self) -> None:
-        super().close()
-        self.dead_letters.close()
-
-    # ------------------------------------------------------------- counters
-
-    def counters(self) -> Dict[str, int]:
-        counts = super().counters()
-        counts.update(self.supervisor.counters())
+        counts.update(self.counters())
         counts["dead_lettered"] = (
-            self.supervisor.events_dead_lettered
-            + self._engine.transitions_dead_lettered
+            self.events_dead_lettered + self.transitions_dead_lettered
         )
         return counts
 
     def supervision_stats(self) -> Dict[str, Any]:
         """The supervision block for reports and benchmark artifacts."""
         return {
-            "counters": self.supervisor.counters(),
-            "ticks_to_recover": list(self.supervisor.ticks_to_recover),
-            "incidents": list(self.supervisor.incidents),
+            "counters": self.counters(),
+            "ticks_to_recover": list(self.ticks_to_recover),
+            "incidents": list(self.incidents),
             "breakers": {
                 label: dict(breaker.counters(), state=breaker.state)
-                for label, breaker in self._engine.breakers.items()
+                for label, breaker in self.breakers.items()
             },
-            "diagnoses_short_circuited": self._engine.diagnoses_short_circuited,
-            "diagnoses_poisoned": self._engine.diagnoses_poisoned,
-            "transitions_dead_lettered": self._engine.transitions_dead_lettered,
+            "diagnoses_short_circuited": self.diagnoses_short_circuited,
+            "diagnoses_poisoned": self.diagnoses_poisoned,
+            "transitions_dead_lettered": self.transitions_dead_lettered,
             "dead_letters": len(self.dead_letters),
         }
+
+    def close(self) -> None:
+        self.dead_letters.close()

@@ -80,6 +80,10 @@ class SlidingWindow:
         self._igp_downs: List[Tuple[int, int, IgpLinkDownObservation]] = []
         self._dark_sensors: Set[str] = set()
         self.stale_evictions = 0
+        # The share of stale_evictions that were feed entries: every
+        # shard window holds a copy of each, so the engine counts them
+        # once across shards.
+        self.feed_evictions = 0
         self.probes_ignored = 0
 
     # ------------------------------------------------------------- updates
@@ -127,6 +131,7 @@ class SlidingWindow:
         for name in ("_withdrawals", "_igp_downs"):
             entries = getattr(self, name)
             kept = [entry for entry in entries if entry[0] > horizon]
+            self.feed_evictions += len(entries) - len(kept)
             dropped += len(entries) - len(kept)
             setattr(self, name, kept)
         self.stale_evictions += dropped
@@ -150,9 +155,6 @@ class SlidingWindow:
                 continue
             pairs.append(pair)
         return tuple(sorted(pairs))
-
-    # Backwards-compatible private alias.
-    _usable_pairs = usable_pairs
 
     def baseline_for(self, pair: Pair) -> Optional[Tuple[int, ProbePath]]:
         """The live baseline slot for ``pair`` (counts as a lookup)."""
@@ -186,7 +188,7 @@ class SlidingWindow:
         The invariants :class:`MeasurementSnapshot` enforces (same pairs
         both rounds, all baselines reached) hold by construction.
         """
-        pairs = self._usable_pairs()
+        pairs = self.usable_pairs()
         if not pairs:
             return None
         before, after = PathStore(), PathStore()
@@ -230,6 +232,7 @@ class SlidingWindow:
             "igp_downs": list(self._igp_downs),
             "dark_sensors": sorted(self._dark_sensors),
             "stale_evictions": self.stale_evictions,
+            "feed_evictions": self.feed_evictions,
             "probes_ignored": self.probes_ignored,
             "lru_counters": tuple(
                 (cache.hits, cache.misses, cache.evictions)
@@ -250,6 +253,7 @@ class SlidingWindow:
         self._igp_downs = list(state["igp_downs"])
         self._dark_sensors = set(state["dark_sensors"])
         self.stale_evictions = state["stale_evictions"]
+        self.feed_evictions = state["feed_evictions"]
         self.probes_ignored = state["probes_ignored"]
         for cache, counters in zip(
             (self._baseline, self._current), state["lru_counters"]
@@ -262,7 +266,7 @@ class SlidingWindow:
         """Usable pairs whose current probe did not reach."""
         return tuple(
             pair
-            for pair in self._usable_pairs()
+            for pair in self.usable_pairs()
             if not self._current.get(pair)[1].reached
         )
 

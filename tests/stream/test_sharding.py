@@ -16,8 +16,8 @@ from repro.stream import (
     SensorDropoutEvent,
     SensorHeartbeatEvent,
     ShardRouter,
-    ShardedStreamEngine,
     SlidingWindow,
+    StreamEngine,
     TenantConfig,
     make_replay_setup,
     merged_control_view,
@@ -87,6 +87,15 @@ class TestShardRouter:
         router = ShardRouter(1, asn_of=asn_of)
         for i in range(50):
             assert router.shard_for_key(f"pfx198.51.{i}") == 0
+
+    def test_single_shard_routes_without_hashing(self):
+        """The serial engine's router: pair events go to shard 0 and
+        broadcasts stay broadcasts, with no routing key ever computed."""
+        router = ShardRouter(1, asn_of=asn_of)
+        assert router.route(probe(A, B, EPOCH_POST)) == 0
+        assert router.route(reach(A, C)) == 0
+        assert router.route(SensorHeartbeatEvent(tick=0, seq=0, address=A)) is None
+        assert router._key_cache == {}
 
     def test_all_shards_reachable(self):
         router = ShardRouter(4, asn_of=None)
@@ -276,7 +285,7 @@ class TestShardedEngineUnits:
         kwargs.setdefault("asn_of", asn_of)
         kwargs.setdefault("diagnosers", {})
         kwargs.setdefault("shards", 2)
-        return ShardedStreamEngine(**kwargs)
+        return StreamEngine(**kwargs)
 
     def test_broadcast_screened_once_and_fanned_out(self):
         engine = self._engine()
@@ -349,6 +358,24 @@ class TestShardedDeterminism:
             sharded.detector_counters["episodes_total"]
             == serial_result.detector_counters["episodes_total"]
         )
+
+    def test_sharded_window_counters_equal_serial(self):
+        """Every shard window holds its own copy of each broadcast feed
+        entry; the summed window accounting must still count each
+        evicted entry once, so the totals equal the serial engine's."""
+        config = ReplayConfig(
+            kind="link-1",
+            episodes=4,
+            incident_rounds=2,
+            recovery_rounds=6,
+            seed=0,
+        )
+        serial = run_stream_replay(make_replay_setup(seed=0, n_sensors=6), config)
+        sharded = run_stream_replay(
+            make_replay_setup(seed=0, n_sensors=6), config, shards=4
+        )
+        assert sharded.reports == serial.reports
+        assert sharded.window_counters == serial.window_counters
 
     def test_serial_journal_resumes_a_sharded_run(self, tmp_path, serial_result):
         """The journal fingerprint deliberately excludes the shard count:
