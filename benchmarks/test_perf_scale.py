@@ -8,10 +8,10 @@ ASes — plus a 20k tier under ``-m slow`` — recording per-tier diagnosis
 throughput and peak RSS into ``results/BENCH_scale.json`` (the slow tier
 merges into the same file).
 
-At the 5k tier it also times the greedy hitting-set solver both ways on
-one large snapshot and asserts the vectorized path is at least
-:data:`SPEEDUP_FLOOR` times faster than the set-based reference while
-returning a bit-identical result.
+At the 5k tier it also times the greedy hitting-set solver against the
+set-based oracle (``tests/core/greedy_oracle.py``) on one large snapshot
+and asserts the vectorized solver is at least :data:`SPEEDUP_FLOOR` times
+faster while returning a bit-identical result.
 """
 
 import json
@@ -20,12 +20,8 @@ import time
 
 import pytest
 
-from repro.core.bitsets import numpy_available
 from repro.core.diagnoser import NetDiagnoser
-from repro.core.hitting_set import (
-    _greedy_hitting_set_numpy,
-    _greedy_hitting_set_python,
-)
+from repro.core.hitting_set import greedy_hitting_set
 from repro.core.nd_edge import build_edge_inputs
 from repro.experiments.runner import make_session
 from repro.measurement.collector import take_snapshot
@@ -33,6 +29,7 @@ from repro.measurement.sensors import random_stub_placement
 from repro.netsim.gen.internet import research_internet
 from repro.netsim.gen.powerlaw import powerlaw_internet
 from repro.perf import peak_rss_mb, write_bench_artifact
+from tests.core.greedy_oracle import _greedy_hitting_set_python
 
 from conftest import REPO_ROOT, RESULTS_DIR
 
@@ -107,7 +104,8 @@ def _measure_tier(label, build, n_sensors, n_diagnoses):
 
 
 def _measure_greedy_speedup(topo, session, reps=20):
-    """Time both greedy implementations on one large 5k-tier snapshot."""
+    """Time the greedy solver and its set-based oracle on one large
+    5k-tier snapshot."""
     net = topo.net
     hub = _hubs_by_degree(topo)[0]
     failed = [link.lid for link in net.inter_links_of_as(hub)[:4]]
@@ -121,7 +119,7 @@ def _measure_greedy_speedup(topo, session, reps=20):
     kwargs = dict(excluded=inputs.excluded(), cluster_of=inputs.cluster_of)
 
     reference = _greedy_hitting_set_python(failures, reroutes, **kwargs)
-    vectorized = _greedy_hitting_set_numpy(failures, reroutes, **kwargs)
+    vectorized = greedy_hitting_set(failures, reroutes, **kwargs)
     assert vectorized == reference, "vectorized greedy is not bit-identical"
 
     started = time.perf_counter()
@@ -130,7 +128,7 @@ def _measure_greedy_speedup(topo, session, reps=20):
     python_ms = (time.perf_counter() - started) / reps * 1000.0
     started = time.perf_counter()
     for _ in range(reps):
-        _greedy_hitting_set_numpy(failures, reroutes, **kwargs)
+        greedy_hitting_set(failures, reroutes, **kwargs)
     numpy_ms = (time.perf_counter() - started) / reps * 1000.0
     return {
         "failure_sets": len(failures),
@@ -174,12 +172,7 @@ def test_perf_scale(benchmark):
                 label, build, n_sensors, n_diagnoses
             )
             tiers.append(row)
-        greedy = (
-            _measure_greedy_speedup(topo, session)
-            if numpy_available()
-            else None
-        )
-        return _merge_results(tiers, greedy)
+        return _merge_results(tiers, _measure_greedy_speedup(topo, session))
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -193,8 +186,7 @@ def test_perf_scale(benchmark):
     for row in sized:
         assert row["diagnoses_per_second"] > 0
         assert row["peak_rss_mb"] > 0
-    if numpy_available():
-        assert data["greedy_5k"]["speedup"] >= SPEEDUP_FLOOR
+    assert data["greedy_5k"]["speedup"] >= SPEEDUP_FLOOR
 
 
 @pytest.mark.slow

@@ -12,12 +12,7 @@ provides the shared dense representation:
   :func:`~repro.core.linkspace.sort_key` so that column order *is*
   deterministic tie-break order;
 * :meth:`TokenUniverse.membership_matrix` encodes a family of token
-  sets as one ``(n_sets, n_tokens)`` boolean matrix;
-* :func:`vectorize_enabled` gates every vectorized hot path: it is off
-  when numpy is unavailable and when ``REPRO_NO_VECTORIZE=1`` is set in
-  the environment (the escape hatch — the set-based reference
-  implementations are kept callable forever and produce bit-identical
-  results).
+  sets as one ``(n_sets, n_tokens)`` boolean matrix.
 
 Encodings are memoised in a small LRU keyed by the input family, the
 same way :meth:`repro.netsim.traceroute.TraceResult.addresses` memoises
@@ -28,16 +23,12 @@ twice.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.linkspace import LinkToken, sort_key
-
-try:  # numpy is a declared dependency, but the set-based paths never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 __all__ = [
     "TokenUniverse",
@@ -45,8 +36,6 @@ __all__ = [
     "CountingLru",
     "intern_family",
     "intern_universe",
-    "vectorize_enabled",
-    "numpy_available",
     "encoding_cache_counters",
     "clear_encoding_cache",
 ]
@@ -58,30 +47,13 @@ TokenSet = FrozenSet[LinkToken]
 _ENCODING_CACHE_CAPACITY = 128
 
 
-def numpy_available() -> bool:
-    """True when numpy imported successfully."""
-    return _np is not None
-
-
-def vectorize_enabled() -> bool:
-    """True when the vectorized hot paths should run.
-
-    Checked at call time (like ``REPRO_FULL_CONVERGE``): setting
-    ``REPRO_NO_VECTORIZE=1`` in the environment forces the historical
-    set-based implementations, which are bit-identical but slower.
-    """
-    if _np is None:
-        return False
-    return os.environ.get("REPRO_NO_VECTORIZE", "") in ("", "0")
-
-
 class TokenUniverse:
     """An interned, ordered token universe with dense set encodings.
 
     ``tokens`` holds every token in :func:`sort_key` order;
     ``column_of`` maps a token to its column index.  Matrices built
-    against the universe therefore agree on tie-break order with the
-    set-based algorithms, which sort winners by ``sort_key``.
+    against the universe therefore agree on tie-break order with every
+    algorithm that sorts winners by ``sort_key``.
     """
 
     __slots__ = ("tokens", "column_of", "token_set", "_set_columns")
@@ -111,9 +83,7 @@ class TokenUniverse:
         Tokens outside the universe are ignored (callers build the
         universe from the same family, so none are in practice).
         """
-        if _np is None:  # pragma: no cover - guarded by vectorize_enabled
-            raise RuntimeError("numpy is unavailable; use the set-based path")
-        matrix = _np.zeros((len(sets), len(self.tokens)), dtype=bool)
+        matrix = np.zeros((len(sets), len(self.tokens)), dtype=bool)
         column_of = self.column_of
         for row, tokens in enumerate(sets):
             for token in tokens:

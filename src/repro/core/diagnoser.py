@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.bitsets import vectorize_enabled
 from repro.core.control_plane import ControlPlaneView
 from repro.core.nd_bgpigp import nd_bgpigp
 from repro.core.nd_edge import nd_edge
@@ -126,7 +125,4 @@ class NetDiagnoser:
                 failure_weight=self.failure_weight,
                 reroute_weight=self.reroute_weight,
             )
-        # Provenance only — details are never golden-pinned, and the two
-        # hitting-set paths are bit-identical by contract.
-        result.details["vectorized"] = vectorize_enabled()
         return result

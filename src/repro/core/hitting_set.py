@@ -15,15 +15,11 @@ Cover); :func:`greedy_hitting_set` implements the paper's greedy heuristic
 * **link clusters** (§3.4): an unidentified link scores — and explains —
   the failure sets of every cluster member.
 
-Two implementations of the greedy loop exist and return bit-identical
-results: the historical set-based one
-(:func:`_greedy_hitting_set_python`) and a vectorized one
-(:func:`_greedy_hitting_set_numpy`) that encodes the family as a numpy
-boolean matrix over an interned token universe
-(:mod:`repro.core.bitsets`) and replaces the per-candidate
-cover-counting inner loop with column sums.  The public entry point
-dispatches on :func:`~repro.core.bitsets.vectorize_enabled`
-(``REPRO_NO_VECTORIZE=1`` forces the set-based path).
+The greedy loop encodes the family as a numpy boolean matrix over an
+interned token universe (:mod:`repro.core.bitsets`) and scores every
+candidate with column sums instead of per-candidate cover counting.  The
+historical set-based loop survives as the oracle the property tests
+compare it against (``tests/core/greedy_oracle.py``).
 
 :func:`exact_hitting_set` is a branch-and-bound exact solver used by the
 optimality-gap ablation; it is exponential and guarded by an expansion
@@ -48,14 +44,11 @@ from typing import (
     Tuple,
 )
 
-from repro.core.bitsets import CountingLru, intern_family, vectorize_enabled
+import numpy as np
+
+from repro.core.bitsets import CountingLru, intern_family
 from repro.core.linkspace import LinkToken, sort_key
 from repro.errors import DiagnosisError
-
-try:  # gated: every set-based path works without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "GreedyResult",
@@ -94,6 +87,18 @@ class GreedyResult:
         return not (self.unexplained_failures or self.unexplained_reroutes)
 
 
+def _normalise(
+    failure_sets: Sequence[Iterable[LinkToken]],
+    reroute_sets: Sequence[Iterable[LinkToken]],
+) -> Tuple[List[TokenSet], List[TokenSet]]:
+    """Freeze the input families and reject empty sets."""
+    failures = [frozenset(s) for s in failure_sets]
+    reroutes = [frozenset(s) for s in reroute_sets]
+    if any(not s for s in failures) or any(not s for s in reroutes):
+        raise DiagnosisError("empty failure/reroute set: a failed path with no links")
+    return failures, reroutes
+
+
 def greedy_hitting_set(
     failure_sets: Sequence[Iterable[LinkToken]],
     reroute_sets: Sequence[Iterable[LinkToken]] = (),
@@ -109,167 +114,13 @@ def greedy_hitting_set(
     module docstring.  ``cluster_of`` maps a candidate link to the set of
     links clustered with it (§3.4); links absent from any cluster should
     map to an empty set.
-    """
-    impl = (
-        _greedy_hitting_set_numpy
-        if vectorize_enabled()
-        else _greedy_hitting_set_python
-    )
-    return impl(
-        failure_sets,
-        reroute_sets=reroute_sets,
-        excluded=excluded,
-        preseed=preseed,
-        failure_weight=failure_weight,
-        reroute_weight=reroute_weight,
-        cluster_of=cluster_of,
-    )
 
-
-def _normalise(
-    failure_sets: Sequence[Iterable[LinkToken]],
-    reroute_sets: Sequence[Iterable[LinkToken]],
-) -> Tuple[List[TokenSet], List[TokenSet]]:
-    """Freeze the input families and reject empty sets."""
-    failures = [frozenset(s) for s in failure_sets]
-    reroutes = [frozenset(s) for s in reroute_sets]
-    if any(not s for s in failures) or any(not s for s in reroutes):
-        raise DiagnosisError("empty failure/reroute set: a failed path with no links")
-    return failures, reroutes
-
-
-def _greedy_hitting_set_python(
-    failure_sets: Sequence[Iterable[LinkToken]],
-    reroute_sets: Sequence[Iterable[LinkToken]] = (),
-    excluded: Iterable[LinkToken] = (),
-    preseed: Iterable[LinkToken] = (),
-    failure_weight: int = 1,
-    reroute_weight: int = 1,
-    cluster_of: Optional[Callable[[LinkToken], TokenSet]] = None,
-) -> GreedyResult:
-    """The set-based reference implementation of Algorithm 1."""
-    failures, reroutes = _normalise(failure_sets, reroute_sets)
-    excluded_set: TokenSet = frozenset(excluded)
-    preseed_set: TokenSet = frozenset(preseed)
-
-    # Inverted index: token -> ids of the sets containing it.  Reroute set
-    # ids are offset past the failure ids so one id space covers both.
-    index: Dict[LinkToken, Set[int]] = {}
-    for set_id, s in enumerate(failures + reroutes):
-        for token in s:
-            index.setdefault(token, set()).add(set_id)
-    n_failures = len(failures)
-
-    def ids_hit_by(token: LinkToken) -> Set[int]:
-        """Set ids hit by the token or anything clustered with it."""
-        hit = set(index.get(token, ()))
-        if cluster_of is not None:
-            cluster = cluster_of(token)
-            if cluster:
-                cached = cluster_hits.get(cluster)
-                if cached is None:
-                    cached = set()
-                    for member in cluster:
-                        cached |= index.get(member, set())
-                    cluster_hits[cluster] = cached
-                hit |= cached
-        return hit
-
-    cluster_hits: Dict[TokenSet, Set[int]] = {}
-    hypothesis: Set[LinkToken] = set(preseed_set)
-    unexplained: Set[int] = set(range(len(failures) + len(reroutes)))
-    for token in preseed_set:
-        unexplained -= ids_hit_by(token)
-
-    candidates: Set[LinkToken] = set(index)
-    candidates -= excluded_set
-    candidates -= hypothesis
-
-    iterations = 0
-    while unexplained and candidates:
-        iterations += 1
-        best_score = 0
-        scores: Dict[LinkToken, int] = {}
-        hit_sets: Dict[LinkToken, FrozenSet[int]] = {}
-        for token in candidates:
-            hit = ids_hit_by(token) & unexplained
-            if not hit:
-                continue
-            score = 0
-            for set_id in hit:
-                score += failure_weight if set_id < n_failures else reroute_weight
-            scores[token] = score
-            # Equivalence class on *scored* evidence only: a set whose
-            # weight is zero contributes nothing to the ranking, so it
-            # must not make two otherwise-identical winners look
-            # distinguishable either.
-            hit_sets[token] = frozenset(
-                set_id
-                for set_id in hit
-                if (failure_weight if set_id < n_failures else reroute_weight)
-            )
-            if score > best_score:
-                best_score = score
-        if best_score <= 0:
-            break  # remaining sets have no admissible candidate
-        # Algorithm 1 lines 13-17: add *every* maximum-score link.  Tied
-        # winners with the *same* hit-set are indistinguishable on the
-        # evidence and are all blamed (that is the point of the all-ties
-        # rule: the true link must not be dropped in favour of a peer of
-        # its equivalence class).  But a tied winner whose sets were all
-        # explained by *distinguishably different* earlier winners of the
-        # same iteration carries no evidence of its own — re-scored, it
-        # would no longer win — so adding it would inflate |H| beyond
-        # Algorithm 1's intent.
-        winners = sorted(
-            (t for t, score in scores.items() if score == best_score),
-            key=sort_key,
-        )
-        added_classes: Set[FrozenSet[int]] = set()
-        for token in winners:
-            explains_new = bool(ids_hit_by(token) & unexplained)
-            if not explains_new and hit_sets[token] not in added_classes:
-                continue
-            hypothesis.add(token)
-            candidates.discard(token)
-            unexplained -= ids_hit_by(token)
-            added_classes.add(hit_sets[token])
-
-    all_sets = failures + reroutes
-    leftover_f = [
-        all_sets[set_id] for set_id in sorted(unexplained) if set_id < n_failures
-    ]
-    leftover_r = [
-        all_sets[set_id] for set_id in sorted(unexplained) if set_id >= n_failures
-    ]
-    return GreedyResult(
-        hypothesis=frozenset(hypothesis),
-        unexplained_failures=tuple(leftover_f),
-        unexplained_reroutes=tuple(leftover_r),
-        iterations=iterations,
-        preseeded=preseed_set,
-    )
-
-
-def _greedy_hitting_set_numpy(
-    failure_sets: Sequence[Iterable[LinkToken]],
-    reroute_sets: Sequence[Iterable[LinkToken]] = (),
-    excluded: Iterable[LinkToken] = (),
-    preseed: Iterable[LinkToken] = (),
-    failure_weight: int = 1,
-    reroute_weight: int = 1,
-    cluster_of: Optional[Callable[[LinkToken], TokenSet]] = None,
-) -> GreedyResult:
-    """Vectorized Algorithm 1 over an interned universe.
-
-    Bit-identical to :func:`_greedy_hitting_set_python`: columns are
-    ordered by :func:`~repro.core.linkspace.sort_key`, so iterating
-    winner columns in ascending order *is* the set-based tie-break, and
-    the tie-equivalence classes are compared as boolean evidence vectors
+    Columns of the interned universe are ordered by
+    :func:`~repro.core.linkspace.sort_key`, so iterating winner columns in
+    ascending order *is* the deterministic tie-break, and the
+    tie-equivalence classes are compared as boolean evidence vectors
     masked to nonzero-weight sets.
     """
-    if np is None:  # pragma: no cover - dispatcher prevents this
-        raise DiagnosisError("vectorized path requested but numpy is missing")
     failures, reroutes = _normalise(failure_sets, reroute_sets)
     excluded_set: TokenSet = frozenset(excluded)
     preseed_set: TokenSet = frozenset(preseed)
@@ -346,7 +197,7 @@ def _greedy_hitting_set_numpy(
         if best_score <= 0:
             break  # remaining sets have no admissible candidate
         # Ascending column order == sort_key order: the all-ties rule with
-        # per-evidence-class dedup, exactly as in the set-based path.
+        # per-evidence-class dedup, exactly as the set-based oracle does.
         winner_cols = np.nonzero(scored & (scores == best_score))[0]
         at_scoring = unexplained.copy()
         added_classes: Set[bytes] = set()

@@ -9,24 +9,15 @@ The matrix is immutable after construction, so the derived views (sorted
 pairs, sensor list, the dense matrix itself) are computed once and
 memoised — at internet scale (:mod:`repro.netsim.gen.powerlaw`) a full
 mesh holds thousands of pairs and the diagnosis variants iterate them
-repeatedly.  The dense view is assembled through numpy when
-:func:`~repro.core.bitsets.vectorize_enabled` allows (bit-identical to
-the list-of-lists construction; ``REPRO_NO_VECTORIZE=1`` forces the
-historical loop).
+repeatedly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bitsets import vectorize_enabled
 from repro.core.pathset import Pair, PathStore
 from repro.errors import DiagnosisError
-
-try:  # gated: the set-based path never needs numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = ["ReachabilityMatrix"]
 
@@ -81,16 +72,10 @@ class ReachabilityMatrix:
         if self._dense_memo is None:
             sensors = self.sensors()
             index = {address: k for k, address in enumerate(sensors)}
-            if vectorize_enabled():
-                matrix = np.ones((len(sensors), len(sensors)), dtype=np.int64)
-                for (src, dst), up in self._status.items():
-                    matrix[index[src], index[dst]] = 1 if up else 0
-                self._dense_memo = matrix.tolist()
-            else:
-                rows = [[1] * len(sensors) for _ in sensors]
-                for (src, dst), up in self._status.items():
-                    rows[index[src]][index[dst]] = 1 if up else 0
-                self._dense_memo = rows
+            rows = [[1] * len(sensors) for _ in sensors]
+            for (src, dst), up in self._status.items():
+                rows[index[src]][index[dst]] = 1 if up else 0
+            self._dense_memo = rows
         return self._dense_memo
 
     def __len__(self) -> int:

@@ -184,21 +184,6 @@ def render_runner_stats(stats: "RunnerStats") -> str:
             f"serial fallbacks={stats.serial_fallbacks}  "
             f"resumed={stats.placements_resumed}"
         )
-    breakers = (
-        stats.breaker_opened,
-        stats.breaker_reclosed,
-        stats.breaker_short_circuits,
-        stats.breaker_probes,
-        stats.dead_lettered,
-    )
-    if any(breakers):
-        lines.append(
-            f"   breakers: opened={stats.breaker_opened}  "
-            f"reclosed={stats.breaker_reclosed}  "
-            f"short-circuited={stats.breaker_short_circuits}  "
-            f"probes={stats.breaker_probes}  "
-            f"dead-lettered={stats.dead_lettered}"
-        )
     return "\n".join(lines)
 
 

@@ -25,10 +25,9 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (
-    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -53,7 +52,13 @@ from repro.core.linkspace import PhysicalLink, physical_link
 from repro.core.metrics import MetricPair, as_projection, sensitivity, specificity
 from repro.core.result import DiagnosisResult
 from repro.errors import ControlPlaneFeedError, JobTimeoutError, ScenarioError
-from repro.faults import DegradationReport, FaultConfig, FaultPlan
+from repro.faults import (
+    DegradationCounters,
+    DegradationReport,
+    FaultConfig,
+    FaultPlan,
+)
+from repro.faults.report import add_counters
 from repro.measurement.collector import (
     collect_control_plane,
     make_lg_lookup,
@@ -77,6 +82,7 @@ __all__ = [
     "RunRecord",
     "PlacementJob",
     "PlacementResult",
+    "BatchCounters",
     "PlacementStats",
     "RunnerStats",
     "make_session",
@@ -481,19 +487,19 @@ def _score(
 
 
 @dataclass
-class PlacementStats:
-    """Timing and accounting of one placement job.
+class BatchCounters(DegradationCounters):
+    """What one placement records and a batch sums.
 
-    ``setup_seconds``/``scenario_seconds`` are CPU-phase time measured
-    inside the (possibly child) process running the placement.  The cache
-    and convergence counters mirror
+    The per-run :class:`~repro.faults.report.DegradationCounters`, the
+    scenario counters, the cache and convergence counters (the keys of
     :meth:`~repro.netsim.simulator.Simulator.cache_stats`:
-    ``prefixes_converged`` counts expensive per-prefix fixpoint runs,
+    ``prefixes_converged`` counts per-prefix route computations,
     ``prefixes_reused`` counts baseline RIBs shared by the engine's
-    incremental path.
+    incremental path) and the two phase times.  ``setup_seconds`` and
+    ``scenario_seconds`` are CPU-phase time measured inside the (possibly
+    child) process running a placement.
     """
 
-    placement_index: int
     records: int = 0
     scenarios_sampled: int = 0
     scenarios_rejected: int = 0
@@ -513,44 +519,19 @@ class PlacementStats:
     rib_prefixes_owned: int = 0
     rib_prefixes_shared: int = 0
     rib_cow_copies: int = 0
-    probes_dropped: int = 0
-    probes_truncated: int = 0
-    hops_anonymized: int = 0
-    sensors_down: int = 0
-    pairs_discarded: int = 0
-    masked_failures: int = 0
-    lg_failures: int = 0
-    lg_retries: int = 0
-    lg_exhausted: int = 0
-    lg_rate_limited: int = 0
-    withdrawals_lost: int = 0
-    withdrawals_delayed: int = 0
-    igp_lost: int = 0
-    igp_delayed: int = 0
-    feed_outages: int = 0
-    degraded_diagnoses: int = 0
-    hops_forged: int = 0
-    hops_duplicated: int = 0
-    loops_injected: int = 0
-    reach_bits_flipped: int = 0
-    stale_replays: int = 0
-    feed_messages_duplicated: int = 0
-    feed_messages_misordered: int = 0
-    lg_stale_answers: int = 0
-    invariant_violations: int = 0
-    traces_repaired: int = 0
-    traces_quarantined: int = 0
-    stale_rounds_dropped: int = 0
-    feed_messages_repaired: int = 0
-    feed_messages_quarantined: int = 0
-    lg_paths_quarantined: int = 0
-    sensors_excluded: int = 0
-    rediagnoses: int = 0
-    ensemble_agreements: int = 0
-    ensemble_partials: int = 0
-    ensemble_conflicts: int = 0
     setup_seconds: float = 0.0
     scenario_seconds: float = 0.0
+
+
+#: Every field a placement records and a batch sums.
+BATCH_COUNTERS = tuple(f.name for f in fields(BatchCounters))
+
+
+@dataclass
+class PlacementStats(BatchCounters):
+    """Timing and accounting of one placement job."""
+
+    placement_index: int = 0
 
     def record_cache_stats(self, cache_stats: Mapping[str, int]) -> None:
         """Copy a simulator's ``cache_stats()`` snapshot into the fields."""
@@ -560,14 +541,12 @@ class PlacementStats:
 
     def record_degradation(self, report: Optional[DegradationReport]) -> None:
         """Add one run's fault accounting into the placement counters."""
-        if report is None:
-            return
-        for key, value in report.as_dict().items():
-            setattr(self, key, getattr(self, key) + value)
+        if report is not None:
+            add_counters(self, report)
 
 
 @dataclass
-class RunnerStats:
+class RunnerStats(BatchCounters):
     """Aggregated accounting of one :func:`run_kind_batch` call.
 
     ``setup_seconds``/``scenario_seconds`` are **aggregate CPU seconds**:
@@ -583,184 +562,19 @@ class RunnerStats:
     (``jobs_retried``), exhausted their retry budget (``jobs_failed``),
     were replayed from a resume journal (``placements_resumed``), and
     whole batches that degraded to serial because the jobs were not
-    picklable (``serial_fallbacks``).  The ``breaker_*`` and
-    ``dead_lettered`` counters mirror a supervised stream run's circuit
-    breakers and dead-letter queue (folded in via
-    :meth:`absorb_supervision`), so mixed batch + stream harnesses
-    report one resilience block.
+    picklable (``serial_fallbacks``).
     """
 
     workers: int = 1
     placements: int = 0
-    records: int = 0
-    scenarios_sampled: int = 0
-    scenarios_rejected: int = 0
-    budget_exhaustions: int = 0
-    trace_cache_entries: int = 0
-    trace_cache_hits: int = 0
-    trace_cache_misses: int = 0
-    trace_cache_evictions: int = 0
-    routing_cache_entries: int = 0
-    routing_cache_hits: int = 0
-    routing_cache_misses: int = 0
-    routing_cache_evictions: int = 0
-    full_converges: int = 0
-    incremental_converges: int = 0
-    prefixes_converged: int = 0
-    prefixes_reused: int = 0
-    rib_prefixes_owned: int = 0
-    rib_prefixes_shared: int = 0
-    rib_cow_copies: int = 0
-    probes_dropped: int = 0
-    probes_truncated: int = 0
-    hops_anonymized: int = 0
-    sensors_down: int = 0
-    pairs_discarded: int = 0
-    masked_failures: int = 0
-    lg_failures: int = 0
-    lg_retries: int = 0
-    lg_exhausted: int = 0
-    lg_rate_limited: int = 0
-    withdrawals_lost: int = 0
-    withdrawals_delayed: int = 0
-    igp_lost: int = 0
-    igp_delayed: int = 0
-    feed_outages: int = 0
-    degraded_diagnoses: int = 0
-    hops_forged: int = 0
-    hops_duplicated: int = 0
-    loops_injected: int = 0
-    reach_bits_flipped: int = 0
-    stale_replays: int = 0
-    feed_messages_duplicated: int = 0
-    feed_messages_misordered: int = 0
-    lg_stale_answers: int = 0
-    invariant_violations: int = 0
-    traces_repaired: int = 0
-    traces_quarantined: int = 0
-    stale_rounds_dropped: int = 0
-    feed_messages_repaired: int = 0
-    feed_messages_quarantined: int = 0
-    lg_paths_quarantined: int = 0
-    sensors_excluded: int = 0
-    rediagnoses: int = 0
-    ensemble_agreements: int = 0
-    ensemble_partials: int = 0
-    ensemble_conflicts: int = 0
     jobs_timed_out: int = 0
     jobs_crashed: int = 0
     jobs_retried: int = 0
     jobs_failed: int = 0
     serial_fallbacks: int = 0
     placements_resumed: int = 0
-    breaker_opened: int = 0
-    breaker_reclosed: int = 0
-    breaker_short_circuits: int = 0
-    breaker_probes: int = 0
-    dead_lettered: int = 0
-    setup_seconds: float = 0.0
-    scenario_seconds: float = 0.0
     wall_seconds: float = 0.0
     per_placement: List[PlacementStats] = field(default_factory=list)
-
-    _SUMMED_FIELDS = (
-        "records",
-        "scenarios_sampled",
-        "scenarios_rejected",
-        "budget_exhaustions",
-        "trace_cache_entries",
-        "trace_cache_hits",
-        "trace_cache_misses",
-        "trace_cache_evictions",
-        "routing_cache_entries",
-        "routing_cache_hits",
-        "routing_cache_misses",
-        "routing_cache_evictions",
-        "full_converges",
-        "incremental_converges",
-        "prefixes_converged",
-        "prefixes_reused",
-        "rib_prefixes_owned",
-        "rib_prefixes_shared",
-        "rib_cow_copies",
-        "probes_dropped",
-        "probes_truncated",
-        "hops_anonymized",
-        "sensors_down",
-        "pairs_discarded",
-        "masked_failures",
-        "lg_failures",
-        "lg_retries",
-        "lg_exhausted",
-        "lg_rate_limited",
-        "withdrawals_lost",
-        "withdrawals_delayed",
-        "igp_lost",
-        "igp_delayed",
-        "feed_outages",
-        "degraded_diagnoses",
-        "hops_forged",
-        "hops_duplicated",
-        "loops_injected",
-        "reach_bits_flipped",
-        "stale_replays",
-        "feed_messages_duplicated",
-        "feed_messages_misordered",
-        "lg_stale_answers",
-        "invariant_violations",
-        "traces_repaired",
-        "traces_quarantined",
-        "stale_rounds_dropped",
-        "feed_messages_repaired",
-        "feed_messages_quarantined",
-        "lg_paths_quarantined",
-        "sensors_excluded",
-        "rediagnoses",
-        "ensemble_agreements",
-        "ensemble_partials",
-        "ensemble_conflicts",
-        "setup_seconds",
-        "scenario_seconds",
-    )
-
-    _CORRUPTION_FIELDS = (
-        "hops_forged",
-        "hops_duplicated",
-        "loops_injected",
-        "reach_bits_flipped",
-        "stale_replays",
-        "feed_messages_duplicated",
-        "feed_messages_misordered",
-        "lg_stale_answers",
-    )
-
-    _VALIDATION_FIELDS = (
-        "invariant_violations",
-        "traces_repaired",
-        "traces_quarantined",
-        "stale_rounds_dropped",
-        "feed_messages_repaired",
-        "feed_messages_quarantined",
-        "lg_paths_quarantined",
-        "sensors_excluded",
-        "rediagnoses",
-    )
-
-    def any_faults_seen(self) -> bool:
-        """True when any fault-injection counter is non-zero."""
-        return any(
-            getattr(self, name)
-            for name in DegradationReport._COUNTER_FIELDS
-            if name not in DegradationReport._ENSEMBLE_FIELDS
-        )
-
-    def any_ensemble_seen(self) -> bool:
-        """True when any ensemble diagnosis graded its members."""
-        return bool(
-            self.ensemble_agreements
-            + self.ensemble_partials
-            + self.ensemble_conflicts
-        )
 
     def ensemble_disagreement(self):
         """The typed agree/partial/conflict tally of this batch."""
@@ -772,39 +586,11 @@ class RunnerStats:
             conflict=self.ensemble_conflicts,
         )
 
-    def any_corruption_seen(self) -> bool:
-        """True when any corruption-injection counter is non-zero."""
-        return any(getattr(self, name) for name in self._CORRUPTION_FIELDS)
-
-    def any_validation_seen(self) -> bool:
-        """True when input screening detected or acted on anything."""
-        return any(getattr(self, name) for name in self._VALIDATION_FIELDS)
-
     def absorb(self, stats: PlacementStats) -> None:
         """Fold one placement's accounting into the aggregate."""
         self.placements += 1
-        for name in self._SUMMED_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(stats, name))
+        add_counters(self, stats, BATCH_COUNTERS)
         self.per_placement.append(stats)
-
-    def absorb_supervision(self, supervision: Mapping[str, Any]) -> None:
-        """Fold a supervised stream run's breaker/DLQ accounting in.
-
-        Accepts the dict shape produced by
-        :meth:`repro.stream.ShardSupervisor.supervision_stats`, so
-        harnesses that drive both batch placements and supervised stream
-        replays report one consolidated resilience block.
-        """
-        for breaker in supervision.get("breakers", {}).values():
-            self.breaker_opened += breaker["times_opened"]
-            self.breaker_reclosed += breaker["times_reclosed"]
-            self.breaker_short_circuits += breaker["short_circuits"]
-            self.breaker_probes += breaker["probes"]
-        counters = supervision.get("counters", {})
-        self.dead_lettered += (
-            counters.get("events_dead_lettered", 0)
-            + supervision.get("transitions_dead_lettered", 0)
-        )
 
 
 @dataclass

@@ -8,7 +8,8 @@ supplies:
 * :class:`FaultConfig` — per-mode fault rates;
 * :class:`FaultPlan` — a seeded, order-independent fault schedule
   (parallel sweeps inject bit-for-bit the same faults as serial ones);
-* :class:`DegradationReport` — per-run accounting of what was missing.
+* :class:`DegradationReport` — per-run accounting of what was missing,
+  over the counters :class:`DegradationCounters` declares.
 
 Beyond *omission* faults (data goes missing), the plan also drives
 *corruption* modes (:data:`CORRUPTION_MODES`): forged and duplicated
@@ -36,7 +37,7 @@ from repro.faults.plan import (
     FaultConfig,
     FaultPlan,
 )
-from repro.faults.report import DegradationReport
+from repro.faults.report import DegradationCounters, DegradationReport
 
 __all__ = [
     "CHAOS_MODES",
@@ -45,5 +46,6 @@ __all__ = [
     "FORGED_ADDRESS_PREFIX",
     "FaultConfig",
     "FaultPlan",
+    "DegradationCounters",
     "DegradationReport",
 ]

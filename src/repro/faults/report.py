@@ -12,13 +12,117 @@ rendering surfaces the totals next to the accuracy numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
-__all__ = ["DegradationReport"]
+__all__ = [
+    "CORRUPTION_COUNTERS",
+    "DegradationCounters",
+    "DegradationReport",
+    "ENSEMBLE_COUNTERS",
+    "RUN_COUNTERS",
+    "VALIDATION_COUNTERS",
+    "add_counters",
+]
+
+
+def _counter(group: str):
+    """A per-run counter field rendered in accounting ``group``."""
+    return field(default=0, metadata={"group": group})
 
 
 @dataclass
-class DegradationReport:
+class DegradationCounters:
+    """Every per-run counter, declared once.
+
+    Each counter is tagged with its group: ``fault`` (a measurement the
+    plan took away), ``corruption`` (the measurement plane lied),
+    ``validation`` (what :mod:`repro.validate` detected or did about it)
+    and ``ensemble`` (hitting-set vs empathy agreement: observations, not
+    faults).  :class:`DegradationReport` adds one run's free-form detail;
+    the runner's placement and batch statistics extend the same
+    declaration to sum the counters over a batch.
+    """
+
+    probes_dropped: int = _counter("fault")
+    probes_truncated: int = _counter("fault")
+    hops_anonymized: int = _counter("fault")
+    sensors_down: int = _counter("fault")
+    pairs_discarded: int = _counter("fault")
+    masked_failures: int = _counter("fault")
+    lg_failures: int = _counter("fault")
+    lg_retries: int = _counter("fault")
+    lg_exhausted: int = _counter("fault")
+    lg_rate_limited: int = _counter("fault")
+    withdrawals_lost: int = _counter("fault")
+    withdrawals_delayed: int = _counter("fault")
+    igp_lost: int = _counter("fault")
+    igp_delayed: int = _counter("fault")
+    feed_outages: int = _counter("fault")
+    degraded_diagnoses: int = _counter("fault")
+    hops_forged: int = _counter("corruption")
+    hops_duplicated: int = _counter("corruption")
+    loops_injected: int = _counter("corruption")
+    reach_bits_flipped: int = _counter("corruption")
+    stale_replays: int = _counter("corruption")
+    feed_messages_duplicated: int = _counter("corruption")
+    feed_messages_misordered: int = _counter("corruption")
+    lg_stale_answers: int = _counter("corruption")
+    invariant_violations: int = _counter("validation")
+    traces_repaired: int = _counter("validation")
+    traces_quarantined: int = _counter("validation")
+    stale_rounds_dropped: int = _counter("validation")
+    feed_messages_repaired: int = _counter("validation")
+    feed_messages_quarantined: int = _counter("validation")
+    lg_paths_quarantined: int = _counter("validation")
+    sensors_excluded: int = _counter("validation")
+    rediagnoses: int = _counter("validation")
+    ensemble_agreements: int = _counter("ensemble")
+    ensemble_partials: int = _counter("ensemble")
+    ensemble_conflicts: int = _counter("ensemble")
+
+    def any_faults_seen(self) -> bool:
+        """True when any counter but the ensemble verdicts is non-zero:
+        an agreeing ensemble is not a degraded run."""
+        return any(
+            getattr(self, name)
+            for name in RUN_COUNTERS
+            if name not in ENSEMBLE_COUNTERS
+        )
+
+    def any_corruption_seen(self) -> bool:
+        """True when any corruption-injection counter is non-zero."""
+        return any(getattr(self, name) for name in CORRUPTION_COUNTERS)
+
+    def any_validation_seen(self) -> bool:
+        """True when input screening detected or acted on anything."""
+        return any(getattr(self, name) for name in VALIDATION_COUNTERS)
+
+    def any_ensemble_seen(self) -> bool:
+        """True when any ensemble diagnosis graded its members."""
+        return any(getattr(self, name) for name in ENSEMBLE_COUNTERS)
+
+
+def _group(name: str):
+    return tuple(
+        f.name for f in fields(DegradationCounters) if f.metadata["group"] == name
+    )
+
+
+#: Every per-run counter name, in declaration order.
+RUN_COUNTERS = tuple(f.name for f in fields(DegradationCounters))
+CORRUPTION_COUNTERS = _group("corruption")
+VALIDATION_COUNTERS = _group("validation")
+ENSEMBLE_COUNTERS = _group("ensemble")
+
+
+def add_counters(into, other, names: Iterable[str] = RUN_COUNTERS) -> None:
+    """``into.<name> += other.<name>`` for every counter in ``names``."""
+    for name in names:
+        setattr(into, name, getattr(into, name) + getattr(other, name))
+
+
+@dataclass
+class DegradationReport(DegradationCounters):
     """What one diagnosis run had to live without.
 
     ``diagnoser_errors`` maps algorithm label to the number of times its
@@ -27,103 +131,12 @@ class DegradationReport:
     feed outage") for humans reading a single run.
     """
 
-    probes_dropped: int = 0
-    probes_truncated: int = 0
-    hops_anonymized: int = 0
-    sensors_down: int = 0
-    pairs_discarded: int = 0
-    masked_failures: int = 0
-    lg_failures: int = 0
-    lg_retries: int = 0
-    lg_exhausted: int = 0
-    lg_rate_limited: int = 0
-    withdrawals_lost: int = 0
-    withdrawals_delayed: int = 0
-    igp_lost: int = 0
-    igp_delayed: int = 0
-    feed_outages: int = 0
-    degraded_diagnoses: int = 0
-    # -- corruption injection (the measurement plane lied)
-    hops_forged: int = 0
-    hops_duplicated: int = 0
-    loops_injected: int = 0
-    reach_bits_flipped: int = 0
-    stale_replays: int = 0
-    feed_messages_duplicated: int = 0
-    feed_messages_misordered: int = 0
-    lg_stale_answers: int = 0
-    # -- validation screening (what repro.validate detected/did about it)
-    invariant_violations: int = 0
-    traces_repaired: int = 0
-    traces_quarantined: int = 0
-    stale_rounds_dropped: int = 0
-    feed_messages_repaired: int = 0
-    feed_messages_quarantined: int = 0
-    lg_paths_quarantined: int = 0
-    sensors_excluded: int = 0
-    rediagnoses: int = 0
-    # -- ensemble verdicts (hitting-set vs empathy agreement, not faults)
-    ensemble_agreements: int = 0
-    ensemble_partials: int = 0
-    ensemble_conflicts: int = 0
     diagnoser_errors: Dict[str, int] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
-    _COUNTER_FIELDS = (
-        "probes_dropped",
-        "probes_truncated",
-        "hops_anonymized",
-        "sensors_down",
-        "pairs_discarded",
-        "masked_failures",
-        "lg_failures",
-        "lg_retries",
-        "lg_exhausted",
-        "lg_rate_limited",
-        "withdrawals_lost",
-        "withdrawals_delayed",
-        "igp_lost",
-        "igp_delayed",
-        "feed_outages",
-        "degraded_diagnoses",
-        "hops_forged",
-        "hops_duplicated",
-        "loops_injected",
-        "reach_bits_flipped",
-        "stale_replays",
-        "feed_messages_duplicated",
-        "feed_messages_misordered",
-        "lg_stale_answers",
-        "invariant_violations",
-        "traces_repaired",
-        "traces_quarantined",
-        "stale_rounds_dropped",
-        "feed_messages_repaired",
-        "feed_messages_quarantined",
-        "lg_paths_quarantined",
-        "sensors_excluded",
-        "rediagnoses",
-        "ensemble_agreements",
-        "ensemble_partials",
-        "ensemble_conflicts",
-    )
-
-    # Ensemble verdict tallies ride the same merge/as_dict machinery but
-    # are *observations*, not degradation: an agreeing ensemble must not
-    # flip is_degraded().
-    _ENSEMBLE_FIELDS = (
-        "ensemble_agreements",
-        "ensemble_partials",
-        "ensemble_conflicts",
-    )
-
     def is_degraded(self) -> bool:
         """True when any fault actually fired on this run."""
-        return any(
-            getattr(self, name)
-            for name in self._COUNTER_FIELDS
-            if name not in self._ENSEMBLE_FIELDS
-        ) or bool(self.diagnoser_errors)
+        return self.any_faults_seen() or bool(self.diagnoser_errors)
 
     def record_ensemble_verdict(self, verdict: str) -> None:
         """One ensemble diagnosis graded its members' agreement."""
@@ -150,8 +163,7 @@ class DegradationReport:
 
     def merge(self, other: "DegradationReport") -> None:
         """Fold another report's counters into this one."""
-        for name in self._COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        add_counters(self, other)
         for label, count in other.diagnoser_errors.items():
             self.diagnoser_errors[label] = (
                 self.diagnoser_errors.get(label, 0) + count
@@ -160,5 +172,5 @@ class DegradationReport:
             self.note(message)
 
     def as_dict(self) -> Dict[str, int]:
-        """Flat counter snapshot (the fields RunnerStats accumulates)."""
-        return {name: getattr(self, name) for name in self._COUNTER_FIELDS}
+        """Flat counter snapshot."""
+        return {name: getattr(self, name) for name in RUN_COUNTERS}

@@ -3,7 +3,7 @@
 from repro.netsim.bgp.engine import BgpEngine
 from repro.netsim.bgp.eventsim import BgpMessage, EventDrivenBgp
 from repro.netsim.bgp.messages import BgpWithdrawal, withdrawals_observed_by
-from repro.netsim.bgp.rib import CowRibTable, RibSharingStats, RoutingState
+from repro.netsim.bgp.rib import RoutingState
 from repro.netsim.bgp.route import BgpRoute
 
 __all__ = [
@@ -11,9 +11,7 @@ __all__ = [
     "BgpMessage",
     "BgpRoute",
     "BgpWithdrawal",
-    "CowRibTable",
     "EventDrivenBgp",
-    "RibSharingStats",
     "RoutingState",
     "withdrawals_observed_by",
 ]

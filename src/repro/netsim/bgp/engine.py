@@ -34,24 +34,18 @@ its baseline routes were learned over (plus their endpoint routers and
 the origin AS's routers) and re-solves only prefixes whose set meets a
 newly failed or filtered element; the rest share the baseline's RIB dict.
 IGP weight overrides never enter the BGP decision process.
-``REPRO_FULL_CONVERGE=1`` forces a full recomputation for every state.
+``BgpEngine(incremental=False)`` recomputes every state in full: the
+reference the incremental path is tested against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import ConvergenceError, RoutingError
 from repro.netsim.bgp import policy
-from repro.netsim.bgp.rib import (
-    AdjRibOut,
-    CowRibTable,
-    RibSharingStats,
-    RoutingState,
-    SessionTable,
-)
+from repro.netsim.bgp.rib import AdjRibOut, RoutingState, SessionTable
 from repro.netsim.bgp.route import BgpRoute
 from repro.netsim.cache import LruCache
 from repro.netsim.topology import Internetwork, NetworkState, Relationship
@@ -62,11 +56,6 @@ __all__ = ["BgpEngine", "ConvergenceCounters", "DEFAULT_ROUTING_CACHE_CAPACITY"]
 #: Converged states kept per engine; one baseline plus the live working set
 #: of failure states of a batch fit comfortably.
 DEFAULT_ROUTING_CACHE_CAPACITY = 256
-
-
-def full_converge_forced() -> bool:
-    """True when ``REPRO_FULL_CONVERGE`` disables the incremental path."""
-    return os.environ.get("REPRO_FULL_CONVERGE", "") not in ("", "0")
 
 
 @dataclass
@@ -104,8 +93,7 @@ class BgpEngine:
         baseline state is pinned outside the cache and never evicted.
     incremental:
         Enables baseline-relative incremental re-convergence (see the
-        module docstring).  ``REPRO_FULL_CONVERGE=1`` overrides this at
-        call time.
+        module docstring).
     """
 
     def __init__(
@@ -139,8 +127,6 @@ class BgpEngine:
         )
         self.incremental = incremental
         self.counters = ConvergenceCounters()
-        # Accumulated copy-on-write RIB accounting across every converge.
-        self.rib_sharing = RibSharingStats()
         # (state, routing) of the first converged state; dependency sets are
         # derived from it lazily (prefix -> (inter link ids, router ids)).
         self._baseline: Optional[Tuple[NetworkState, RoutingState]] = None
@@ -186,11 +172,7 @@ class BgpEngine:
             routing = self._full_converge(state)
             self._baseline = (state, routing)
             return routing
-        if (
-            self.incremental
-            and not full_converge_forced()
-            and self._is_degradation_of_baseline(state)
-        ):
+        if self.incremental and self._is_degradation_of_baseline(state):
             routing = self._incremental_converge(state)
         else:
             routing = self._full_converge(state)
@@ -201,16 +183,16 @@ class BgpEngine:
 
     def _full_converge(self, state: NetworkState) -> RoutingState:
         """Solve every prefix from scratch."""
-        table = CowRibTable()
+        ribs = {}
         for prefix in sorted(self._prefixes):
-            table.own(prefix, self._solve_prefix(prefix, state, {}))
+            ribs[prefix] = self._solve_prefix(prefix, state, {})
             self.counters.prefixes_converged += 1
         self.counters.full_converges += 1
-        return self._routing_state(table, state)
+        return self._routing_state(ribs, state)
 
-    def _routing_state(self, table: CowRibTable, state: NetworkState) -> RoutingState:
-        self.rib_sharing.absorb(table.stats)
-        ribs = table.mapping()
+    def _routing_state(
+        self, ribs: Dict[str, Dict[int, BgpRoute]], state: NetworkState
+    ) -> RoutingState:
         return RoutingState(
             ribs, AdjRibOut(ribs, state, self._sessions), dict(self._prefixes)
         )
@@ -268,7 +250,7 @@ class BgpEngine:
         added_filters = [f for f in state.filters if f not in base_filters]
         deps = self._dependencies()
 
-        table = CowRibTable(base=base_routing)
+        ribs = {}
         for prefix in sorted(self._prefixes):
             dep_links, dep_routers = deps[prefix]
             affected = (
@@ -282,15 +264,16 @@ class BgpEngine:
             if affected:
                 # Copy-on-write divergence: the prefix is re-solved into a
                 # new dict; the baseline's dict is never mutated.
-                rib = self._solve_prefix(prefix, state, base_routing.rib(prefix))
-                table.write(prefix, rib)
+                ribs[prefix] = self._solve_prefix(
+                    prefix, state, base_routing.rib(prefix)
+                )
                 self.counters.prefixes_converged += 1
             else:
                 # Shares the baseline's per-prefix RIB object (read-only).
-                table.share(prefix)
+                ribs[prefix] = base_routing.rib(prefix)
                 self.counters.prefixes_reused += 1
         self.counters.incremental_converges += 1
-        return self._routing_state(table, state)
+        return self._routing_state(ribs, state)
 
     def _solve_prefix(
         self, prefix: str, state: NetworkState, reuse: Mapping[int, BgpRoute]

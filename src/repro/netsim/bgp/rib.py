@@ -15,23 +15,11 @@ questions the rest of the system asks of BGP:
 **Lazy Adj-RIB-Out.**  :class:`AdjRibOut` computes one session's
 advertisements on first read: callers read a handful of sessions (AS-X's
 inbound ones, one misconfigured session), the rest are never computed.
-
-**Copy-on-write RIB sharing.**  The incremental engine derives many
-failure states from one baseline; a failure perturbs few prefixes, so
-most per-prefix RIB dicts are *shared by object* between the baseline
-state and its derivatives.  :class:`CowRibTable` makes that sharing an
-explicit structure instead of an engine-internal convention: a derived
-table starts from a baseline, :meth:`CowRibTable.share` aliases the
-baseline's per-prefix dict, and :meth:`CowRibTable.write` records a
-copy-on-write divergence for a re-converged prefix.  The resulting
-:class:`RibSharingStats` counters are surfaced through
-``Simulator.cache_stats()`` and ``RunnerStats``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import RoutingError
@@ -41,8 +29,6 @@ from repro.netsim.topology import Internetwork, NetworkState, Relationship
 
 __all__ = [
     "AdjRibOut",
-    "CowRibTable",
-    "RibSharingStats",
     "RoutingState",
     "Session",
     "SessionTable",
@@ -135,85 +121,6 @@ class AdjRibOut(Mapping):
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
-
-
-@dataclass
-class RibSharingStats:
-    """Accounting of per-prefix RIB ownership across one or more tables.
-
-    ``prefixes_owned`` counts RIBs built from scratch (full convergence),
-    ``prefixes_shared`` counts baseline dicts aliased untouched, and
-    ``cow_copies`` counts prefixes that started from a baseline but had to
-    diverge (re-converged because a failure touched their dependency set).
-    ``prefixes_shared`` mirrors the engine's ``prefixes_reused`` counter —
-    the two are cross-checked in tests.
-    """
-
-    prefixes_owned: int = 0
-    prefixes_shared: int = 0
-    cow_copies: int = 0
-
-    def absorb(self, other: "RibSharingStats") -> None:
-        """Accumulate another table's counters into this one."""
-        self.prefixes_owned += other.prefixes_owned
-        self.prefixes_shared += other.prefixes_shared
-        self.cow_copies += other.cow_copies
-
-    @property
-    def sharing_rate(self) -> float:
-        """Fraction of baseline-derived prefixes that stayed shared."""
-        derived = self.prefixes_shared + self.cow_copies
-        return self.prefixes_shared / derived if derived else 0.0
-
-
-class CowRibTable:
-    """Per-prefix RIB mapping with explicit copy-on-write bookkeeping.
-
-    Built by the engine while converging one state.  Three entry points:
-
-    * :meth:`own` — a RIB computed from scratch (no baseline involved);
-    * :meth:`share` — alias the baseline state's per-prefix dict *by
-      object* (the reader-visible contract of
-      :meth:`RoutingState.shares_rib_with`);
-    * :meth:`write` — a baseline-derived prefix whose routes had to be
-      recomputed: the new dict replaces — never mutates — the shared one.
-    """
-
-    def __init__(self, base: Optional["RoutingState"] = None) -> None:
-        self._base = base
-        self._ribs: Dict[str, Dict[int, BgpRoute]] = {}
-        self.stats = RibSharingStats()
-
-    def own(self, prefix: str, rib: Dict[int, BgpRoute]) -> None:
-        """Record a RIB this table exclusively owns."""
-        self._ribs[prefix] = rib
-        self.stats.prefixes_owned += 1
-
-    def share(self, prefix: str) -> None:
-        """Alias the baseline's RIB for ``prefix`` (same object, read-only)."""
-        if self._base is None:
-            raise RoutingError("cannot share a RIB without a baseline")
-        self._ribs[prefix] = self._base.rib(prefix)
-        self.stats.prefixes_shared += 1
-
-    def write(self, prefix: str, rib: Dict[int, BgpRoute]) -> None:
-        """Record a copy-on-write divergence from the baseline."""
-        if self._base is None:
-            raise RoutingError("cannot copy-on-write a RIB without a baseline")
-        self._ribs[prefix] = rib
-        self.stats.cow_copies += 1
-
-    def is_shared(self, prefix: str) -> bool:
-        """True when ``prefix`` still aliases the baseline's dict."""
-        return (
-            self._base is not None
-            and prefix in self._ribs
-            and self._ribs[prefix] is self._base.rib(prefix)
-        )
-
-    def mapping(self) -> Dict[str, Dict[int, BgpRoute]]:
-        """The ``prefix -> asn -> route`` mapping for :class:`RoutingState`."""
-        return self._ribs
 
 
 class RoutingState:

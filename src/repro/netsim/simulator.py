@@ -52,9 +52,6 @@ class Simulator:
     routing_cache_capacity:
         Converged routing states kept by the BGP engine (``0`` =
         unbounded; the baseline state is pinned regardless).
-    incremental:
-        Enables the engine's incremental re-convergence; overridden by
-        ``REPRO_FULL_CONVERGE=1``.
     validate:
         Run :func:`~repro.netsim.validate.validate_gao_rexford` on the
         topology up front and raise a
@@ -70,7 +67,6 @@ class Simulator:
         destination_asns: Iterable[int],
         trace_cache_capacity: int = DEFAULT_TRACE_CACHE_CAPACITY,
         routing_cache_capacity: int = DEFAULT_ROUTING_CACHE_CAPACITY,
-        incremental: bool = True,
         validate: bool = True,
     ) -> None:
         if validate:
@@ -89,7 +85,6 @@ class Simulator:
             net,
             list(self._dest_asns),
             cache_capacity=routing_cache_capacity,
-            incremental=incremental,
         )
         self.igp_cache = IgpCache(net)
         self._trace_cache: LruCache[tuple, TraceResult] = LruCache(
@@ -151,7 +146,10 @@ class Simulator:
         Keys are prefixed ``trace_cache_*`` / ``routing_cache_*`` plus the
         engine's :class:`~repro.netsim.bgp.engine.ConvergenceCounters`
         fields — the exact numbers
-        :class:`~repro.experiments.runner.PlacementStats` records.
+        :class:`~repro.experiments.runner.PlacementStats` records.  The
+        ``rib_*`` keys split the per-prefix RIBs by origin: built by a full
+        converge (owned), aliased from the baseline (shared), or re-solved
+        by an incremental converge (copy-on-write copies).
         """
         stats = {
             f"trace_cache_{key}": value
@@ -164,17 +162,15 @@ class Simulator:
             }
         )
         counters = self.engine.counters
+        owned = counters.full_converges * len(self.engine.prefixes)
         stats.update(
             full_converges=counters.full_converges,
             incremental_converges=counters.incremental_converges,
             prefixes_converged=counters.prefixes_converged,
             prefixes_reused=counters.prefixes_reused,
-        )
-        sharing = self.engine.rib_sharing
-        stats.update(
-            rib_prefixes_owned=sharing.prefixes_owned,
-            rib_prefixes_shared=sharing.prefixes_shared,
-            rib_cow_copies=sharing.cow_copies,
+            rib_prefixes_owned=owned,
+            rib_prefixes_shared=counters.prefixes_reused,
+            rib_cow_copies=counters.prefixes_converged - owned,
         )
         return stats
 

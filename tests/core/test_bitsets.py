@@ -1,15 +1,11 @@
 """Tests for the interned bitset layer and the solver caches."""
 
-import pytest
-
 from repro.core.bitsets import (
     CountingLru,
     clear_encoding_cache,
     encoding_cache_counters,
     intern_family,
     intern_universe,
-    numpy_available,
-    vectorize_enabled,
 )
 from repro.core.hitting_set import (
     clear_exact_cache,
@@ -53,7 +49,6 @@ class TestInternFamily:
         assert counters["hits"] == 1
         assert counters["misses"] == 1
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
     def test_matrix_is_shared_and_read_only(self):
         family = intern_family((frozenset({L(1)}), frozenset({L(1), L(2)})))
         matrix = family.matrix()
@@ -62,7 +57,6 @@ class TestInternFamily:
         assert matrix.shape == (2, 2)
         assert matrix.sum() == 3
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
     def test_effective_matrix_memoised_per_cluster_callable(self):
         family = intern_family((frozenset({L(1)}), frozenset({L(2)})))
         assert family.effective_matrix(None) is family.matrix()
@@ -144,19 +138,6 @@ class TestExactMemoization:
         assert truncated is None
         assert full is not None
         assert exact_cache_counters()["misses"] == 2
-
-
-class TestVectorizeGate:
-    def test_env_escape_hatch(self, monkeypatch):
-        if not numpy_available():
-            assert not vectorize_enabled()
-            return
-        monkeypatch.delenv("REPRO_NO_VECTORIZE", raising=False)
-        assert vectorize_enabled()
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", "0")
-        assert vectorize_enabled()
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", "1")
-        assert not vectorize_enabled()
 
 
 class TestPathMemoization:

@@ -100,8 +100,7 @@ class TestScfsDiagnose:
         via_facade = NetDiagnoser("scfs").diagnose(b1b2_snapshot)
         direct = scfs_diagnose(b1b2_snapshot)
         assert via_facade.hypothesis == direct.hypothesis
-        # The facade may annotate extra keys (e.g. the vectorized-substrate
-        # marker); the adapter's own details must pass through unchanged.
+        # The adapter's own details must pass through the facade unchanged.
         for key, value in direct.details.items():
             assert via_facade.details[key] == value
 

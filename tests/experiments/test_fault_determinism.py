@@ -17,7 +17,8 @@ import pytest
 from repro.core.diagnoser import NetDiagnoser
 from repro.experiments.jobs import CoreAsx, ResearchTopoFactory, StubPlacement
 from repro.experiments.runner import RunnerStats, run_kind_batch
-from repro.faults import DegradationReport, FaultConfig
+from repro.faults import FaultConfig
+from repro.faults.report import RUN_COUNTERS
 
 #: A small faulted batch exercising every fault mode at once.
 FAULTY_BATCH = dict(
@@ -60,7 +61,7 @@ class TestFaultSchedulesAreDeterministic:
                 s_report = serial_rec.degradation
                 p_report = parallel_rec.degradation
                 assert s_report is not None and p_report is not None
-                for field in DegradationReport._COUNTER_FIELDS:
+                for field in RUN_COUNTERS:
                     assert getattr(s_report, field) == getattr(
                         p_report, field
                     ), f"{field} drifted under workers=3"
@@ -81,7 +82,7 @@ class TestFaultSchedulesAreDeterministic:
         run_kind_batch(**FAULTY_BATCH, workers=1, stats=serial_stats)
         run_kind_batch(**FAULTY_BATCH, workers=3, stats=parallel_stats)
         assert serial_stats.any_faults_seen()
-        for field in DegradationReport._COUNTER_FIELDS:
+        for field in RUN_COUNTERS:
             assert getattr(serial_stats, field) == getattr(
                 parallel_stats, field
             ), f"RunnerStats.{field} differs between serial and parallel"
@@ -144,7 +145,7 @@ class TestCorruptionSchedulesAreDeterministic:
         assert serial == parallel
         assert serial_stats.any_corruption_seen()
         assert serial_stats.any_validation_seen()
-        for field in DegradationReport._COUNTER_FIELDS:
+        for field in RUN_COUNTERS:
             assert getattr(serial_stats, field) == getattr(
                 parallel_stats, field
             ), f"RunnerStats.{field} differs between serial and parallel"

@@ -65,21 +65,9 @@ def check_golden(result: FigureResult) -> None:
     )
 
 
-#: Both hitting-set paths: the vectorized default and the set-based
-#: reference behind the ``REPRO_NO_VECTORIZE`` escape hatch.  One golden
-#: file serves both — the contract is bit-for-bit identity.
-SOLVER_PATHS = pytest.mark.parametrize(
-    "no_vectorize", ["0", "1"], ids=["vectorized", "set-based"]
-)
-
-
 class TestGoldenFigures:
-    @SOLVER_PATHS
-    def test_fig6_matches_golden(self, monkeypatch, no_vectorize):
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", no_vectorize)
+    def test_fig6_matches_golden(self):
         check_golden(fig6_tomo.run(SMOKE_CONFIG))
 
-    @SOLVER_PATHS
-    def test_fig10_matches_golden(self, monkeypatch, no_vectorize):
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", no_vectorize)
+    def test_fig10_matches_golden(self):
         check_golden(fig10_bgpigp.run(SMOKE_CONFIG))

@@ -5,8 +5,8 @@ pure optimisation: for every degradation state its :class:`RoutingState`
 must be *identical* in content to the one a from-scratch fixpoint produces.
 These tests pin that equivalence over seeded random failure states on both
 a small hub-and-spoke internetwork and the research-Internet generator,
-plus the counters/sharing semantics and the ``REPRO_FULL_CONVERGE``
-escape hatch.
+plus the counters/sharing semantics and the ``incremental=False``
+reference switch.
 """
 
 import random
@@ -16,6 +16,7 @@ import pytest
 from repro.netsim.bgp import BgpEngine
 from repro.netsim.gen.hubspoke import build_hub_and_spoke
 from repro.netsim.gen.internet import research_internet
+from repro.netsim.simulator import Simulator
 from repro.netsim.topology import (
     ExportFilter,
     Internetwork,
@@ -172,17 +173,16 @@ def test_restoration_states_fall_back_to_full_converge():
     assert engine.counters.incremental_converges == 0
 
 
-def test_escape_hatch_forces_full_converge(monkeypatch):
+def test_escape_hatch_forces_full_converge():
+    """``incremental=False`` recomputes every state from scratch."""
     net, stubs = hubspoke_internetwork()
-    engine = BgpEngine.for_sensor_ases(net, stubs)
+    engine = BgpEngine.for_sensor_ases(net, stubs, incremental=False)
     engine.converge(NetworkState.nominal())
-    monkeypatch.setenv("REPRO_FULL_CONVERGE", "1")
     lid = net.inter_links()[0].lid
     forced = engine.converge(NetworkState.nominal().with_failed_links([lid]))
     assert engine.counters.full_converges == 2
     assert engine.counters.incremental_converges == 0
     # The forced result still matches what the incremental path computes.
-    monkeypatch.delenv("REPRO_FULL_CONVERGE")
     fresh = BgpEngine.for_sensor_ases(net, stubs)
     fresh.converge(NetworkState.nominal())
     assert fresh.converge(
@@ -204,3 +204,33 @@ def test_baseline_survives_cache_eviction():
     assert engine._cache.evictions > 0
     assert engine.converge(nominal) is baseline
     assert engine.counters.full_converges == 1
+
+
+def test_simulator_cache_stats_after_a_convergence_sequence():
+    """Pin the whole ``cache_stats()`` dict, RIB-sharing keys included:
+    a one-link baseline, a restoration (a second full converge), then
+    three two-link degradations of the baseline (incremental)."""
+    net, stubs = hubspoke_internetwork()
+    sim = Simulator(net, stubs)
+    inter = [link.lid for link in net.inter_links()]
+    sim.routing(NetworkState.nominal().with_failed_links([inter[0]]))
+    sim.routing(NetworkState.nominal())
+    for lid in inter[1:4]:
+        sim.routing(NetworkState.nominal().with_failed_links([inter[0], lid]))
+    assert sim.cache_stats() == {
+        "trace_cache_hits": 0,
+        "trace_cache_misses": 0,
+        "trace_cache_evictions": 0,
+        "trace_cache_entries": 0,
+        "routing_cache_hits": 0,
+        "routing_cache_misses": 5,
+        "routing_cache_evictions": 0,
+        "routing_cache_entries": 4,
+        "full_converges": 2,
+        "incremental_converges": 3,
+        "prefixes_converged": 16,
+        "prefixes_reused": 4,
+        "rib_prefixes_owned": 8,
+        "rib_prefixes_shared": 4,
+        "rib_cow_copies": 8,
+    }

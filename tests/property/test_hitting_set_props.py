@@ -1,18 +1,15 @@
 """Property-based tests for the hitting-set solvers (hypothesis)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitsets import numpy_available
 from repro.core.hitting_set import (
-    _greedy_hitting_set_numpy,
-    _greedy_hitting_set_python,
     clear_exact_cache,
     exact_hitting_set,
     greedy_hitting_set,
 )
 from repro.core.linkspace import ip_link
+from tests.core.greedy_oracle import _greedy_hitting_set_python
 
 # A small universe of link tokens.
 TOKENS = [ip_link(f"10.0.0.{i}", f"10.0.1.{i}") for i in range(12)]
@@ -96,11 +93,7 @@ def test_reroute_sets_are_also_explained(sets, reroutes):
         assert s & result.hypothesis
 
 
-# --- vectorized == set-based equivalence -------------------------------
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
+# --- vectorized == set-based oracle equivalence ------------------------
 
 
 @st.composite
@@ -121,7 +114,6 @@ def cluster_maps(draw):
     return mapping
 
 
-@needs_numpy
 @given(
     sets=token_sets,
     reroutes=st.lists(
@@ -148,11 +140,10 @@ def test_vectorized_greedy_is_bit_identical(
         cluster_of=None if clusters is None else clusters.get,
     )
     reference = _greedy_hitting_set_python(sets, reroutes, **kwargs)
-    vectorized = _greedy_hitting_set_numpy(sets, reroutes, **kwargs)
+    vectorized = greedy_hitting_set(sets, reroutes, **kwargs)
     assert reference == vectorized
 
 
-@needs_numpy
 @given(sets=token_sets, duplicates=st.integers(min_value=2, max_value=3))
 @settings(max_examples=80)
 def test_vectorized_tie_classes_match_with_duplicated_sets(sets, duplicates):
@@ -160,12 +151,11 @@ def test_vectorized_tie_classes_match_with_duplicated_sets(sets, duplicates):
     both paths must admit exactly one winner per tie-equivalence class."""
     tied = [s for s in sets for _ in range(duplicates)]
     reference = _greedy_hitting_set_python(tied)
-    vectorized = _greedy_hitting_set_numpy(tied)
+    vectorized = greedy_hitting_set(tied)
     assert reference == vectorized
     assert reference.iterations == vectorized.iterations
 
 
-@needs_numpy
 @given(
     sets=st.lists(
         st.sets(st.sampled_from(TOKENS), min_size=1, max_size=4),
@@ -185,7 +175,7 @@ def test_vectorized_zero_weight_drops_sets_from_tie_classes(sets, reroutes):
     for weights in ((0, 1), (1, 0), (0, 0)):
         kwargs = dict(failure_weight=weights[0], reroute_weight=weights[1])
         reference = _greedy_hitting_set_python(sets, reroutes, **kwargs)
-        vectorized = _greedy_hitting_set_numpy(sets, reroutes, **kwargs)
+        vectorized = greedy_hitting_set(sets, reroutes, **kwargs)
         assert reference == vectorized
 
 
