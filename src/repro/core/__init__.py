@@ -51,6 +51,7 @@ from repro.core.pathset import (
     MeasurementSnapshot,
     PathStore,
     ProbePath,
+    same_mapping,
 )
 from repro.core.reachability import ReachabilityMatrix
 from repro.core.reroute import reroute_sets
@@ -102,6 +103,7 @@ __all__ = [
     "physical_metrics",
     "physical_projection",
     "reroute_sets",
+    "same_mapping",
     "scfs",
     "sensitivity",
     "sort_key",

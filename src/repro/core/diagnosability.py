@@ -27,7 +27,7 @@ def diagnosability(graph: InferredGraph) -> float:
     """D(G) = number of distinct hitting sets / number of probed links."""
     if len(graph) == 0:
         return 0.0
-    distinct = {graph.traversed_by(token) for token in graph.tokens()}
+    distinct = {graph.traversed_by(token) for token in graph}
     return len(distinct) / len(graph)
 
 

@@ -10,7 +10,8 @@ applying the §3.1 logical-link expansion.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.core.linkspace import LinkToken, sort_key
 from repro.core.logical import logicalize
@@ -20,10 +21,17 @@ __all__ = ["InferredGraph"]
 
 
 class InferredGraph:
-    """Union of probe paths with per-link traversal sets."""
+    """Union of probe paths with per-link traversal sets.
 
-    def __init__(self) -> None:
+    A graph over a ``base`` extends it copy-on-write: reads fall through,
+    and a traversal set is copied only when a path adds a pair to it, so
+    a shared T- graph is never copied whole nor modified.
+    """
+
+    def __init__(self, base: Optional["InferredGraph"] = None) -> None:
+        self._base = base
         self._traversals: Dict[LinkToken, Set[Pair]] = {}
+        self._size = len(base) if base is not None else 0
 
     # -------------------------------------------------------------- builders
 
@@ -49,35 +57,61 @@ class InferredGraph:
 
     def add_path(self, pair: Pair, tokens: Iterable[LinkToken]) -> None:
         """Record that ``pair``'s path traverses ``tokens``."""
+        own = self._traversals
         for token in tokens:
-            self._traversals.setdefault(token, set()).add(pair)
+            pairs = own.get(token)
+            if pairs is None:
+                inherited = (
+                    self._base._pairs(token) if self._base is not None else None
+                )
+                if inherited is None:
+                    self._size += 1
+                    pairs = own[token] = set()
+                elif pair in inherited:
+                    continue
+                else:
+                    pairs = own[token] = set(inherited)
+            pairs.add(pair)
 
     def merge(self, other: "InferredGraph") -> "InferredGraph":
         """Union of two graphs (used to combine T- and T+ coverage)."""
         merged = InferredGraph()
         for graph in (self, other):
-            for token, pairs in graph._traversals.items():
-                merged._traversals.setdefault(token, set()).update(pairs)
+            for token in graph:
+                pairs = merged._traversals.setdefault(token, set())
+                pairs.update(graph._pairs(token))
+        merged._size = len(merged._traversals)
         return merged
 
     # --------------------------------------------------------------- queries
 
+    def _pairs(self, token: LinkToken) -> Optional[Set[Pair]]:
+        pairs = self._traversals.get(token)
+        if pairs is None and self._base is not None:
+            return self._base._pairs(token)
+        return pairs
+
+    def __iter__(self) -> Iterator[LinkToken]:
+        """All links, in no particular order."""
+        own = self._traversals
+        if self._base is None:
+            return iter(own)
+        return chain(own, (token for token in self._base if token not in own))
+
     def tokens(self) -> Tuple[LinkToken, ...]:
         """All links, deterministically ordered."""
-        return tuple(sorted(self._traversals, key=sort_key))
+        return tuple(sorted(self, key=sort_key))
 
     def __contains__(self, token: LinkToken) -> bool:
-        return token in self._traversals
+        return self._pairs(token) is not None
 
     def __len__(self) -> int:
-        return len(self._traversals)
+        return self._size
 
     def traversed_by(self, token: LinkToken) -> FrozenSet[Pair]:
         """The hitting set h(l): probe pairs whose path crosses ``token``."""
-        return frozenset(self._traversals.get(token, frozenset()))
+        return frozenset(self._pairs(token) or ())
 
     def hitting_sets(self) -> Tuple[FrozenSet[Pair], ...]:
         """h(l) for every link, in token order (repeats included)."""
-        return tuple(
-            frozenset(self._traversals[token]) for token in self.tokens()
-        )
+        return tuple(self.traversed_by(token) for token in self.tokens())

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Iterable, Tuple, Union
 
 __all__ = [
@@ -78,8 +79,14 @@ Endpoint = Union[str, UhNode]
 def _endpoint_key(endpoint: Endpoint) -> Tuple:
     """Total order over endpoints: identified addresses first, numerically."""
     if isinstance(endpoint, str):
-        return (0, int(ipaddress.ip_address(endpoint)))
+        return _address_key(endpoint)
     return (1, endpoint.src, endpoint.dst, endpoint.epoch, endpoint.index)
+
+
+@lru_cache(maxsize=1 << 16)
+def _address_key(address: str) -> Tuple[int, int]:
+    """Parsed once per address (bounded); a non-address raises ValueError."""
+    return (0, int(ipaddress.ip_address(address)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from repro.core.linkspace import (
     LogicalLink,
     ip_link,
 )
-from repro.core.pathset import ProbePath
+from repro.core.pathset import ProbePath, same_mapping
 
 __all__ = ["logicalize"]
 
@@ -50,9 +50,16 @@ def logicalize(
     *truncated* trace (a failed probe) the continuation is simply unknown,
     so callers pass ``UNKNOWN_TAG`` to keep untrustworthy tags out of
     exoneration sets.
+
+    Memoised on the path, one entry per terminal tag; a mapping that is
+    not the :func:`~repro.core.pathset.same_mapping` replaces the entry.
     """
     if terminal_tag is None:
         terminal_tag = ORIGIN_TAG if path.reached else UNKNOWN_TAG
+    memo = path.token_memo()
+    entry = memo.get(terminal_tag)
+    if entry is not None and same_mapping(entry[0], asn_of):
+        return entry[1]
     hops = path.hops
     hop_asns: List[Optional[int]] = [
         asn_of(hop) if isinstance(hop, str) else None for hop in hops
@@ -68,7 +75,9 @@ def logicalize(
             continue
         tag = _tag_after(hop_asns, index + 1, terminal_tag)
         tokens.append(LogicalLink(src=u, dst=v, tag=tag))
-    return tuple(tokens)
+    result = tuple(tokens)
+    memo[terminal_tag] = (asn_of, result)
+    return result
 
 
 def _tag_after(

@@ -16,7 +16,8 @@ truncated T+ trace demonstrably crossed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from repro.core.graph import InferredGraph
 from repro.core.hitting_set import greedy_hitting_set
@@ -31,20 +32,21 @@ __all__ = ["EdgeInputs", "build_edge_inputs", "nd_edge"]
 TokenSet = FrozenSet[LinkToken]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeInputs:
     """Everything the edge data contributes to a greedy run.
 
     Shared by ND-edge, ND-bgpigp and ND-LG, which differ only in the extra
-    constraints (control plane, UH clusters) they layer on top.
+    constraints (control plane, UH clusters) they layer on top.  Read-only:
+    :func:`build_edge_inputs` shares one instance per snapshot and flags.
     """
 
-    failure_sets: Dict[Pair, TokenSet]
+    failure_sets: Mapping[Pair, TokenSet]
     working_excluded: TokenSet
-    reroute_map: Dict[Pair, TokenSet]
+    reroute_map: Mapping[Pair, TokenSet]
     graph: InferredGraph
     partial_exonerated: TokenSet = frozenset()
-    logical_clusters: Dict[LinkToken, TokenSet] = None  # type: ignore[assignment]
+    logical_clusters: Optional[Mapping[LinkToken, TokenSet]] = None
 
     def excluded(self) -> TokenSet:
         """Combined exoneration set from edge data."""
@@ -98,7 +100,20 @@ def build_edge_inputs(
     ignores any unidentified link" behaviour of §5.4's comparison: failure
     sets keep identified tokens only (ND-LG keeps them and clusters them
     instead).
+
+    Built once per snapshot and flag pair, and shared.
     """
+    flags = (use_partial_traces, drop_unidentified_from_failures)
+    return snapshot.derived(
+        ("edge-inputs",) + flags, lambda: _edge_inputs(snapshot, *flags)
+    )
+
+
+def _edge_inputs(
+    snapshot: MeasurementSnapshot,
+    use_partial_traces: bool,
+    drop_unidentified_from_failures: bool,
+) -> EdgeInputs:
     asn_of = snapshot.asn_of
 
     failure_sets: Dict[Pair, TokenSet] = {}
@@ -136,21 +151,23 @@ def build_edge_inputs(
                     continue
                 partial.add(token)
 
-    graph = InferredGraph.from_logical_paths(
-        snapshot.before.paths(), asn_of
-    ).merge(InferredGraph.from_logical_paths(snapshot.after.paths(), asn_of))
+    # The union of both rounds: the T- graph (built once per round) plus
+    # the T+ paths that are not hop-identical to their T- path.
+    graph = InferredGraph(base=snapshot.before.logical_graph(asn_of))
+    for pair in snapshot.changed_pairs():
+        graph.add_path(pair, logicalize(snapshot.after.get(pair), asn_of))
 
     reroute_map = reroute_sets(snapshot, logical=True)
     clusters = physical_clusters(
         list(failure_sets.values()) + list(reroute_map.values())
     )
     return EdgeInputs(
-        failure_sets=failure_sets,
+        failure_sets=MappingProxyType(failure_sets),
         working_excluded=frozenset(working),
-        reroute_map=reroute_map,
+        reroute_map=MappingProxyType(reroute_map),
         graph=graph,
         partial_exonerated=frozenset(partial),
-        logical_clusters=clusters,
+        logical_clusters=MappingProxyType(clusters),
     )
 
 

@@ -7,15 +7,22 @@ answered.  A :class:`PathStore` holds one full-mesh measurement round; a
 :class:`MeasurementSnapshot` pairs the round taken before a failure event
 (``T-``) with the one taken after (``T+``) plus the IP-to-AS mapping
 callable — the complete edge-data input of every NetDiagnoser variant.
+
+Each derives its diagnosis inputs once (a path its tokens, a store its
+graphs, a snapshot its edge inputs); the stores are frozen by the time a
+diagnosis reads them, and no memo travels in a pickle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.linkspace import Endpoint, IpLink, ip_link
 from repro.errors import DiagnosisError
+
+if TYPE_CHECKING:
+    from repro.core.graph import InferredGraph
 
 __all__ = [
     "EPOCH_PRE",
@@ -23,6 +30,7 @@ __all__ = [
     "ProbePath",
     "PathStore",
     "MeasurementSnapshot",
+    "same_mapping",
 ]
 
 EPOCH_PRE = "pre"
@@ -30,6 +38,13 @@ EPOCH_POST = "post"
 
 #: A probe pair: (source sensor address, destination sensor address).
 Pair = Tuple[str, str]
+
+
+def same_mapping(a: Callable, b: Callable) -> bool:
+    """Whether a memo built under IP-to-AS mapping ``a`` serves ``b``: by
+    equality, as each snapshot gets a fresh bound ``mapper.asn_of``, and
+    never by hash, as a worker's ``StaticAsnMap`` has none."""
+    return a is b or a == b
 
 
 @dataclass(frozen=True)
@@ -63,6 +78,15 @@ class ProbePath:
         # through object.__setattr__ (same trick TraceResult.addresses uses).
         object.__setattr__(self, "_links_memo", None)
 
+    #: logicalize()'s memo slot, set on first use: most paths never need it.
+    _tokens_memo = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Memos never travel: a warm path pickles to a cold path's bytes.
+        state = dict(self.__dict__, _links_memo=None)
+        state.pop("_tokens_memo", None)
+        return state
+
     @property
     def pair(self) -> Pair:
         return (self.src, self.dst)
@@ -81,6 +105,16 @@ class ProbePath:
             object.__setattr__(self, "_links_memo", memo)
         return memo
 
+    def token_memo(self) -> Dict[int, tuple]:
+        """:func:`~repro.core.logical.logicalize`'s memo, by terminal tag
+        (shared with a hop-identical T- path, see
+        :class:`MeasurementSnapshot`)."""
+        memo = self._tokens_memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_tokens_memo", memo)
+        return memo
+
     def has_unidentified_hops(self) -> bool:
         """True when at least one hop is a star."""
         return any(not isinstance(hop, str) for hop in self.hops)
@@ -92,8 +126,12 @@ class PathStore:
     def __init__(self, paths: Optional[Dict[Pair, ProbePath]] = None) -> None:
         self._paths: Dict[Pair, ProbePath] = {}
         self._pairs_memo: Optional[Tuple[Pair, ...]] = None
+        self._graphs: Dict[str, Any] = {}
         for path in (paths or {}).values():
             self.add(path)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return dict(self.__dict__, _pairs_memo=None, _graphs={})
 
     def add(self, path: ProbePath) -> None:
         """Insert one probe path (pairs must be unique)."""
@@ -101,6 +139,7 @@ class PathStore:
             raise DiagnosisError(f"duplicate probe for pair {path.pair}")
         self._paths[path.pair] = path
         self._pairs_memo = None
+        self._graphs = {}
 
     def get(self, pair: Pair) -> ProbePath:
         try:
@@ -138,6 +177,26 @@ class PathStore:
         """Pairs whose probe did not reach the destination."""
         return tuple(p for p in self.pairs() if not self._paths[p].reached)
 
+    def physical_graph(self) -> "InferredGraph":
+        """This round's physical graph, built once: a session's T- round
+        serves Tomo, the runner's ``before_graph`` and diagnosability."""
+        if "physical" not in self._graphs:
+            from repro.core.graph import InferredGraph  # imports this module
+
+            self._graphs["physical"] = InferredGraph.from_paths(self.paths())
+        return self._graphs["physical"]
+
+    def logical_graph(self, asn_of: Callable) -> "InferredGraph":
+        """This round's logical graph, built once; one slot, replaced when
+        the mapping is not the :func:`same_mapping`."""
+        memo = self._graphs.get("logical")
+        if memo is None or not same_mapping(memo[0], asn_of):
+            from repro.core.graph import InferredGraph
+
+            graph = InferredGraph.from_logical_paths(self.paths(), asn_of)
+            memo = self._graphs["logical"] = (asn_of, graph)
+        return memo[1]
+
 
 @dataclass
 class MeasurementSnapshot:
@@ -158,13 +217,43 @@ class MeasurementSnapshot:
             raise DiagnosisError(
                 "before/after measurement rounds cover different probe pairs"
             )
+        changed = []
         for pair in self.before.pairs():
-            if not self.before.get(pair).reached:
+            old = self.before.get(pair)
+            if not old.reached:
                 raise DiagnosisError(
                     f"pre-failure probe for pair {pair} did not reach; the "
                     "troubleshooter is only invoked on previously-working pairs"
                 )
+            new = self.after.get(pair)
+            if new.reached and new.hops == old.hops:
+                # Same hops, same tokens: the T+ path reads and fills the
+                # T- path's memo instead of logicalizing again.
+                object.__setattr__(new, "_tokens_memo", old.token_memo())
+            else:
+                changed.append(pair)
+        self._changed: Tuple[Pair, ...] = tuple(changed)
         self._rerouted_memo: Optional[Tuple[Pair, ...]] = None
+        self._derived: Dict[tuple, Any] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"before": self.before, "after": self.after, "asn_of": self.asn_of}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def derived(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """``build()`` once per ``key`` (a bounded set of flags, never
+        data); every diagnoser shares the result, so it must be read-only."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def changed_pairs(self) -> Tuple[Pair, ...]:
+        """Pairs whose T+ path is not hop-identical to their T- path
+        (failed pairs included): only these add to the rounds' union."""
+        return self._changed
 
     def failed_pairs(self) -> Tuple[Pair, ...]:
         """Pairs that became unreachable (R_ij = 0)."""

@@ -61,7 +61,7 @@ class DiagnosisResult:
 
     def physical_universe(self) -> FrozenSet[PhysicalLink]:
         """E projected to undirected physical links."""
-        return undirected_projection(self.graph.tokens())
+        return undirected_projection(self.graph)
 
     def hypothesis_size(self) -> int:
         """|H| at the algorithm's native granularity."""

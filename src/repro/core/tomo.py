@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.core.graph import InferredGraph
 from repro.core.hitting_set import greedy_hitting_set
 from repro.core.linkspace import LinkToken
 from repro.core.pathset import MeasurementSnapshot
@@ -40,11 +39,10 @@ def tomo(snapshot: MeasurementSnapshot) -> DiagnosisResult:
         working.update(snapshot.before.get(pair).links())
 
     outcome = greedy_hitting_set(failure_sets, excluded=working)
-    graph = InferredGraph.from_paths(snapshot.before.paths())
     return DiagnosisResult(
         algorithm="tomo",
         hypothesis=outcome.hypothesis,
-        graph=graph,
+        graph=snapshot.before.physical_graph(),
         excluded=frozenset(working),
         unexplained_failures=outcome.unexplained_failures,
         details={

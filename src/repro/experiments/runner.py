@@ -50,6 +50,7 @@ from repro.core.diagnoser import NetDiagnoser
 from repro.core.graph import InferredGraph
 from repro.core.linkspace import PhysicalLink, physical_link
 from repro.core.metrics import MetricPair, as_projection, sensitivity, specificity
+from repro.core.pathset import EPOCH_PRE, PathStore
 from repro.core.result import DiagnosisResult
 from repro.errors import ControlPlaneFeedError, JobTimeoutError, ScenarioError
 from repro.faults import (
@@ -64,6 +65,7 @@ from repro.measurement.collector import (
     make_lg_lookup,
     take_snapshot,
 )
+from repro.measurement.probing import probe_mesh
 from repro.measurement.sensors import Sensor, deploy_sensors
 from repro.netsim.events import Event
 from repro.netsim.gen.internet import ResearchInternet
@@ -107,17 +109,38 @@ DEFAULT_RETRY_BACKOFF_SECONDS = 0.5
 
 @dataclass
 class Session:
-    """One sensor deployment ready to take failures."""
+    """One sensor deployment ready to take failures.
+
+    What depends on the base state alone is derived once, on first use.
+    """
 
     topo: ResearchInternet
     sim: Simulator
     sensors: List[Sensor]
     base_state: NetworkState
     sampler: ScenarioSampler
+    _baseline: Optional[tuple] = field(default=None, init=False, repr=False)
+    _coverage: Optional[FrozenSet[int]] = field(default=None, init=False, repr=False)
 
     @property
     def net(self) -> Internetwork:
         return self.sim.net
+
+    def baseline_round(self, blocked_ases: FrozenSet[int]) -> PathStore:
+        """The T- mesh under the base state, probed once per blocked-AS set
+        (one slot), so its paths and graphs keep their memos."""
+        if self._baseline is None or self._baseline[0] != blocked_ases:
+            store = probe_mesh(
+                self.sim, self.sensors, self.base_state, blocked_ases, EPOCH_PRE
+            )
+            self._baseline = (blocked_ases, store)
+        return self._baseline[1]
+
+    def base_coverage(self) -> FrozenSet[int]:
+        """:func:`covered_ases` under the base state, computed once."""
+        if self._coverage is None:
+            self._coverage = covered_ases(self, self.base_state)
+        return self._coverage
 
 
 @dataclass
@@ -187,7 +210,7 @@ def choose_blocked_ases(
         session.net.asn_of_router(s.router_id) for s in session.sensors
     }
     pool = sorted(
-        covered_ases(session, session.base_state)
+        session.base_coverage()
         - sensor_asns
         - set(protected)
     )
@@ -270,6 +293,8 @@ def run_scenario(
         else None
     )
 
+    # Faults and screening act on a fresh T- round.
+    fresh = faults is not None or validator is not None
     snapshot = take_snapshot(
         sim,
         sensors,
@@ -279,6 +304,7 @@ def run_scenario(
         faults=faults,
         report=report,
         validator=validator,
+        baseline=None if fresh else session.baseline_round(blocked_ases),
     )
     control = None
     if asx is not None:
@@ -311,8 +337,8 @@ def run_scenario(
 
     truth_links = ground_truth_links(session.net, scenario.event)
     truth_ases = ground_truth_ases(session.net, scenario.event)
-    universe_ases = covered_ases(session, before) | truth_ases
-    before_graph = InferredGraph.from_paths(snapshot.before.paths())
+    universe_ases = session.base_coverage() | truth_ases
+    before_graph = snapshot.before.physical_graph()
     # Ground-truth probed links: under blocked traceroutes a probed link may
     # be invisible in the *measured* universe (it shows up as UH tokens),
     # yet it still belongs to the sensitivity denominator — the algorithm

@@ -132,6 +132,7 @@ def take_snapshot(
     faults: Optional[FaultPlan] = None,
     report: Optional[DegradationReport] = None,
     validator: Optional[Validator] = None,
+    baseline: Optional[PathStore] = None,
 ) -> MeasurementSnapshot:
     """Probe the mesh at T- and T+ and assemble the snapshot.
 
@@ -142,12 +143,19 @@ def take_snapshot(
     every probe path (and the cross-round invariants) under its policy
     before the snapshot is assembled — corrupt records raise, get
     repaired, or are quarantined there instead of reaching a diagnoser.
+
+    ``baseline`` is a T- round already probed with the same sensors,
+    state and blocked ASes; faults and screening need a fresh one.
     """
+    if baseline is not None and (faults is not None or validator is not None):
+        raise MeasurementError("a reused T- round cannot be faulted or screened")
     mapper = sim.mapper
     up = surviving_sensors(sensors, faults, report)
-    before = probe_mesh(
-        sim, up, before_state, blocked_ases, EPOCH_PRE, faults, report
-    )
+    before = baseline
+    if before is None:
+        before = probe_mesh(
+            sim, up, before_state, blocked_ases, EPOCH_PRE, faults, report
+        )
     after = probe_mesh(
         sim, up, after_state, blocked_ases, EPOCH_POST, faults, report
     )

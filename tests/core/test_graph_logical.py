@@ -124,6 +124,25 @@ class TestInferredGraph:
         token = ip_link("10.0.16.1", "10.0.16.2")
         assert merged.traversed_by(token) == frozenset({p1.pair, p2.pair})
 
+    def test_extension_copies_on_write(self):
+        p1 = make_path(["10.0.16.99", "10.0.16.1", "10.0.16.2"])
+        p2 = make_path(["10.0.16.98", "10.0.16.1", "10.0.16.2"])
+        base = InferredGraph.from_paths([p1])
+        extended = InferredGraph(base=base)
+        extended.add_path(p1.pair, p1.links())  # already in the base
+        extended.add_path(p2.pair, p2.links())
+        shared = ip_link("10.0.16.1", "10.0.16.2")
+        assert base.traversed_by(shared) == frozenset({p1.pair})
+        assert len(base) == 2
+        assert extended.traversed_by(shared) == frozenset({p1.pair, p2.pair})
+        assert ip_link("10.0.16.98", "10.0.16.1") in extended
+        assert ip_link("10.0.16.98", "10.0.16.1") not in base
+        union = base.merge(InferredGraph.from_paths([p2]))
+        assert len(extended) == len(union) == 3
+        assert set(extended) == set(union)
+        assert extended.tokens() == union.tokens()
+        assert extended.hitting_sets() == union.hitting_sets()
+
     def test_logical_graph_contains_tagged_tokens(self):
         p = make_path(
             ["10.0.16.99", "10.0.16.1", "10.0.32.1", "10.0.48.1", "10.0.48.99"]

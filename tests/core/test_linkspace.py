@@ -72,6 +72,19 @@ class TestPhysicalLink:
         assert link.lo == "10.0.0.1"
         assert isinstance(link.hi, UhNode)
 
+    def test_parsed_once_keys_keep_the_numeric_order_and_the_error(self):
+        """Address keys are memoised; the order is still the numeric one
+        and a non-address still raises ipaddress's ValueError, every time."""
+        import ipaddress
+
+        addresses = ["10.0.0.10", "10.0.0.9", "9.255.255.255", "10.0.1.0"]
+        for _ in range(2):
+            ordered = sorted(addresses, key=lambda a: sort_key(ip_link(a, a)))
+            assert ordered == sorted(addresses, key=ipaddress.ip_address)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not appear to be"):
+                physical_link("not-an-address", "10.0.0.1")
+
 
 class TestProjections:
     def test_physical_projection_keeps_direction(self):

@@ -39,6 +39,34 @@ class TestTakeSnapshot:
         assert not snap.any_failure()
         assert snap.rerouted_pairs() == ()
 
+    def test_a_reused_baseline_is_the_t_minus_round(self, setup, nominal):
+        fig, sim, sensors = setup
+        after = sim.apply(LinkFailureEvent((fig.link_between("b1", "b2").lid,)))
+        fresh = take_snapshot(sim, sensors, nominal, after)
+        reused = take_snapshot(sim, sensors, nominal, after, baseline=fresh.before)
+        assert reused.before is fresh.before
+        assert reused.failed_pairs() == fresh.failed_pairs()
+        assert reused.changed_pairs() == fresh.changed_pairs()
+
+    def test_a_reused_baseline_cannot_be_faulted_or_screened(
+        self, setup, nominal
+    ):
+        from repro.faults import FaultConfig, FaultPlan
+        from repro.validate import Validator
+
+        _fig, sim, sensors = setup
+        baseline = take_snapshot(sim, sensors, nominal, nominal).before
+        plan = FaultPlan(0, FaultConfig(trace_drop_rate=0.5))
+        with pytest.raises(MeasurementError):
+            take_snapshot(
+                sim, sensors, nominal, nominal, faults=plan, baseline=baseline
+            )
+        with pytest.raises(MeasurementError):
+            take_snapshot(
+                sim, sensors, nominal, nominal,
+                validator=Validator("strict"), baseline=baseline,
+            )
+
 
 class TestControlPlaneCollection:
     def test_igp_observation_addresses(self, setup, nominal):

@@ -2,12 +2,18 @@
 guarding, torn-tail tolerance, and shard state restore equivalence —
 the substrate the supervisor's crash recovery stands on."""
 
+import copyreg
+import pickle
+
 import pytest
 
+from repro.core.nd_edge import build_edge_inputs
+from repro.core.pathset import EPOCH_POST, EPOCH_PRE, ProbePath
 from repro.errors import CheckpointError
 from repro.stream import CheckpointStore, ReachabilityEvent, StreamShard
+from repro.stream.checkpoint import ShardCheckpoint
 
-from .test_window import A, B, C, asn_of
+from .test_window import A, B, C, asn_of, probe
 
 FINGERPRINT = {"seed": 3, "shards": 2, "chaos_rate": 0.1}
 
@@ -138,3 +144,59 @@ class TestShardStateRoundTrip:
         other = StreamShard(0, asn_of, open_after=2, close_after=2)
         other.restore_state(restored.state)
         assert other.alarms.alarmed_pairs() == shard.alarms.alarmed_pairs()
+
+
+class _ParentFormatPickler(pickle.Pickler):
+    """Pickles a :class:`ProbePath` the way it was pickled before paths
+    dropped their memos: the plain instance dict with a warm links memo
+    and no token memo slot (byte-identical to that code's output)."""
+
+    def reducer_override(self, obj):
+        if type(obj) is ProbePath:
+            state = {
+                name: getattr(obj, name)
+                for name in ("src", "dst", "hops", "reached", "epoch")
+            }
+            state["_links_memo"] = obj.links()
+            return copyreg.__newobj__, (ProbePath,), state
+        return NotImplemented
+
+
+class TestCheckpointFormat:
+    def _probed_shard(self):
+        shard = StreamShard(0, asn_of, open_after=2, close_after=2)
+        for seq, (src, dst) in enumerate(((A, B), (A, C), (B, C))):
+            shard.offer(probe(src, dst, EPOCH_PRE, tick=1, seq=2 * seq))
+            shard.offer(
+                probe(src, dst, EPOCH_POST, reached=False, tick=1, seq=2 * seq + 1)
+            )
+        return shard
+
+    def test_checkpoints_carry_no_memos(self):
+        shard = self._probed_shard()
+        snapshot = shard.window.snapshot(asn_of)
+        cold = pickle.dumps(shard.state())
+        build_edge_inputs(snapshot)  # warms the window's paths
+        assert any(p.token_memo() for p in snapshot.before.paths())
+        assert pickle.dumps(shard.state()) == cold
+
+    def test_a_checkpoint_in_the_parent_format_still_restores(self, tmp_path):
+        shard = self._probed_shard()
+        path = tmp_path / "parent.ckpt"
+        with open(path, "wb") as handle:
+            _ParentFormatPickler(handle).dump(
+                {"format": "repro-shard-checkpoint-v2", "fingerprint": FINGERPRINT}
+            )
+            _ParentFormatPickler(handle).dump(
+                ShardCheckpoint(shard=0, tick=1, state=shard.state())
+            )
+
+        restored = CheckpointStore(path, FINGERPRINT).latest(0)
+        other = StreamShard(0, asn_of, open_after=2, close_after=2)
+        other.restore_state(restored.state)
+        assert other.window.counters() == shard.window.counters()
+        want = build_edge_inputs(shard.window.snapshot(asn_of))
+        got = build_edge_inputs(other.window.snapshot(asn_of))
+        assert got.failure_sets == want.failure_sets
+        assert got.working_excluded == want.working_excluded
+        assert got.graph.tokens() == want.graph.tokens()
