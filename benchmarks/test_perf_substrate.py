@@ -49,8 +49,9 @@ def test_perf_probe_mesh(benchmark, world):
     _topo, session, scenario, _snapshot = world
 
     def mesh():
-        # Fresh simulator state would re-trace; the cache is the point of
-        # the facade, so bypass it for a true data-plane timing.
+        # Clear the trace cache so every pair misses it: pairs the
+        # scenario left alone are served by their baseline walk, the
+        # rest walk the data plane again.
         session.sim._trace_cache.clear()
         return probe_mesh(session.sim, session.sensors, scenario.after_state)
 

@@ -902,33 +902,47 @@ def _run_jobs_parallel(
     future, so blame needs care: when more than one job was in flight,
     all of them are re-run one at a time (``isolate``) — an innocent
     job simply completes, and the culprit crashes alone, which is when
-    its retry budget is charged.  A job that exceeds ``job_timeout``
-    is charged immediately and its stuck worker is reclaimed by
-    rebuilding the pool; the other in-flight jobs are re-submitted
-    uncharged.
+    its retry budget is charged.  A pool that breaks before a submit
+    is handled alike, and the refused job stays queued, uncharged.  A
+    job that exceeds ``job_timeout`` is charged immediately and its
+    stuck worker is reclaimed by rebuilding the pool; the other
+    in-flight jobs are re-submitted uncharged.
     """
     stats = tracker.stats
     pool = ProcessPoolExecutor(max_workers=n_workers)
     in_flight: Dict[object, Tuple[PlacementJob, Optional[float]]] = {}
     isolate: List[PlacementJob] = []
+
+    def submit_head(queue: List[PlacementJob]) -> None:
+        # The job leaves its queue only once the pool has accepted it.
+        future = pool.submit(_execute_placement_job, queue[0])
+        deadline = time.monotonic() + job_timeout if job_timeout else None
+        in_flight[future] = (queue.pop(0), deadline)
+
+    def pool_broke() -> None:
+        # The pool is unusable and every in-flight future is doomed; move
+        # those jobs to the isolation queue (uncharged), start a new pool.
+        nonlocal pool
+        if stats is not None:
+            stats.jobs_crashed += 1
+        isolate.extend(job for job, _deadline in in_flight.values())
+        in_flight.clear()
+        pool = _rebuild_pool(pool, n_workers)
+
     try:
         while tracker.queue or isolate or in_flight:
-            if isolate:
-                if not in_flight:
-                    job = isolate.pop(0)
-                    future = pool.submit(_execute_placement_job, job)
-                    deadline = (
-                        time.monotonic() + job_timeout if job_timeout else None
-                    )
-                    in_flight[future] = (job, deadline)
-            else:
-                while tracker.queue and len(in_flight) < n_workers:
-                    job = tracker.queue.pop(0)
-                    future = pool.submit(_execute_placement_job, job)
-                    deadline = (
-                        time.monotonic() + job_timeout if job_timeout else None
-                    )
-                    in_flight[future] = (job, deadline)
+            try:
+                if isolate:
+                    if not in_flight:
+                        submit_head(isolate)
+                else:
+                    while tracker.queue and len(in_flight) < n_workers:
+                        submit_head(tracker.queue)
+            except BrokenProcessPool:
+                # A worker died after the last wait(): the job that could
+                # not be submitted stays at the head of its queue.
+                pool_broke()
+                continue
             deadlines = [d for (_, d) in in_flight.values() if d is not None]
             wait_timeout = (
                 max(0.0, min(deadlines) - time.monotonic())
@@ -957,15 +971,7 @@ def _run_jobs_parallel(
                 else:
                     tracker.accept(result)
             if broken:
-                # The pool is unusable and every remaining in-flight
-                # future is doomed; move the survivors to the isolation
-                # queue (uncharged) and start a fresh pool.
-                if stats is not None:
-                    stats.jobs_crashed += 1
-                for future, (job, _deadline) in list(in_flight.items()):
-                    isolate.append(job)
-                in_flight.clear()
-                pool = _rebuild_pool(pool, n_workers)
+                pool_broke()
                 continue
             # Enforce deadlines on whatever is still running.
             now = time.monotonic()

@@ -154,6 +154,12 @@ class BgpEngine:
         """Mapping prefix -> origin ASN this engine converges."""
         return dict(self._prefixes)
 
+    @property
+    def baseline(self) -> Optional[Tuple[NetworkState, RoutingState]]:
+        """The pinned ``(state, routing)`` of the first converged state
+        (``None`` before any); reading it counts no cache hit."""
+        return self._baseline
+
     def converge(self, state: NetworkState) -> RoutingState:
         """Return the stable routing state under ``state`` (cached).
 

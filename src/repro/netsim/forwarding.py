@@ -52,19 +52,62 @@ class ForwardingResult:
 
 
 class IgpCache:
-    """Caches :class:`IgpView` objects per (AS, state).
+    """Caches :class:`IgpView` objects per (AS, IGP condition).
 
-    IGP views are pure functions of the topology and the failed elements
-    inside one AS; memoising them makes repeated traceroute meshes cheap.
+    A view is a pure function of the topology and of its AS's own IGP
+    condition (:meth:`condition`), not of the whole state: every state
+    that leaves an AS alone shares that AS's view and Dijkstra tables,
+    which makes repeated traceroute meshes cheap.
     """
 
     def __init__(self, net: Internetwork) -> None:
         self.net = net
-        self._views: Dict[Tuple[int, NetworkState], IgpView] = {}
+        self._views: Dict[Tuple[int, tuple], IgpView] = {}
+        # Owning AS of every router and of every intradomain link.  Ids
+        # the topology lacks own nothing, so a state naming one leaves
+        # every view alone, as the views themselves do.
+        self._router_asn = {router.rid: router.asn for router in net.routers()}
+        self._intra_asn: Dict[int, int] = {}
+        for link in net.links():
+            asn = self._router_asn[link.a]
+            if self._router_asn[link.b] == asn:
+                self._intra_asn[link.lid] = asn
+        # Conditions under the last state asked about: traces arrive one
+        # mesh (one state) at a time.
+        self._state: Optional[NetworkState] = None
+        self._conditions: Dict[int, tuple] = {}
+
+    def condition(self, asn: int, state: NetworkState) -> tuple:
+        """The part of ``state`` the IGP of ``asn`` reads.
+
+        Its failed intradomain links, its failed routers and the effective
+        weight overrides on its intradomain links (of two overrides on one
+        link the later wins, as in
+        :meth:`~repro.netsim.topology.NetworkState.weight_of`).  States
+        with equal conditions give ``asn`` identical views.
+        """
+        if state is not self._state:
+            self._state, self._conditions = state, {}
+        condition = self._conditions.get(asn)
+        if condition is None:
+            intra, router_asn = self._intra_asn, self._router_asn
+            weights = {
+                lid: weight
+                for lid, weight in state.weight_overrides
+                if intra.get(lid) == asn
+            }
+            condition = self._conditions[asn] = (
+                frozenset(lid for lid in state.failed_links if intra.get(lid) == asn),
+                frozenset(
+                    rid for rid in state.failed_routers if router_asn.get(rid) == asn
+                ),
+                tuple(sorted(weights.items())),
+            )
+        return condition
 
     def view(self, asn: int, state: NetworkState) -> IgpView:
         """Return the (cached) IGP view of ``asn`` under ``state``."""
-        key = (asn, state)
+        key = (asn, self.condition(asn, state))
         view = self._views.get(key)
         if view is None:
             view = IgpView(self.net, asn, state)

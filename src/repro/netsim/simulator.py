@@ -4,8 +4,10 @@ The experiments follow the paper's loop — converge, traceroute the sensor
 mesh, inject an event, re-converge, traceroute again, hand everything to
 the diagnosis algorithms.  :class:`Simulator` packages the substrate pieces
 (IGP cache, BGP engine, traceroute, control-plane observation) behind the
-small API that loop needs, with caching keyed on the immutable
-:class:`~repro.netsim.topology.NetworkState`.
+small API that loop needs.  Routing and traceroutes are cached per
+immutable :class:`~repro.netsim.topology.NetworkState`; IGP views per AS
+and that AS's own IGP condition.  A traceroute the failure state did not
+touch is the baseline's: an event changes only the traces that cross it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,26 @@ __all__ = ["Simulator", "DEFAULT_TRACE_CACHE_CAPACITY"]
 DEFAULT_TRACE_CACHE_CAPACITY = 65536
 
 
+class _BaselineWalk:
+    """One baseline traceroute plus, once a failure state asks, what its
+    walk read (a session's set-up traces the baseline only).
+
+    ``reads`` holds the destination prefix; each AS on the walk's AS
+    sequence (the source AS even when a dead source left the walk empty)
+    with its baseline IGP condition; and each of those ASes but the
+    destination with its baseline route towards the prefix.  The walk is
+    a function of these reads, so any state that leaves them unchanged
+    walks the same.  A failed crossed link needs no check of its own: the
+    engine never selects a down session, so the route over it changes.
+    """
+
+    __slots__ = ("trace", "reads")
+
+    def __init__(self, trace: TraceResult) -> None:
+        self.trace = trace
+        self.reads: Optional[tuple] = None
+
+
 class Simulator:
     """Converged-state network simulator for one topology.
 
@@ -48,7 +70,8 @@ class Simulator:
         actually target keeps convergence cheap without changing any
         observable (see :class:`~repro.netsim.bgp.engine.BgpEngine`).
     trace_cache_capacity:
-        Traceroutes kept in the LRU cache (``0`` = unbounded).
+        Traceroutes kept in the LRU cache (``0`` = unbounded); it also
+        bounds the baseline walks kept for reuse.
     routing_cache_capacity:
         Converged routing states kept by the BGP engine (``0`` =
         unbounded; the baseline state is pinned regardless).
@@ -90,6 +113,9 @@ class Simulator:
         self._trace_cache: LruCache[tuple, TraceResult] = LruCache(
             trace_cache_capacity
         )
+        self._baseline_walks: LruCache[tuple, _BaselineWalk] = LruCache(
+            trace_cache_capacity
+        )
         self._mapper = net.ip_to_as_mapper()
 
     @property
@@ -122,21 +148,93 @@ class Simulator:
         dst_router: int,
         blocked_ases: FrozenSet[int] = frozenset(),
     ) -> TraceResult:
-        """Traceroute between two routers under ``state`` (cached)."""
+        """Traceroute between two routers under ``state`` (cached).
+
+        A cache miss converges ``state`` and, when everything the baseline
+        walk of this pair read is unchanged under it, returns the baseline
+        :class:`TraceResult` object itself instead of walking again.
+        """
         key = (state, src_router, dst_router, blocked_ases)
         cached = self._trace_cache.get(key)
         if cached is None:
-            cached = trace_route(
-                self.net,
-                self.routing(state),
-                state,
-                src_router,
-                dst_router,
-                blocked_ases=blocked_ases,
-                igp_cache=self.igp_cache,
-            )
+            routing = self.routing(state)
+            walk = self._baseline_walk(src_router, dst_router, blocked_ases)
+            if routing is self.engine.baseline[1] or self._unchanged(
+                walk, state, routing
+            ):
+                cached = walk.trace
+            else:
+                cached = trace_route(
+                    self.net,
+                    routing,
+                    state,
+                    src_router,
+                    dst_router,
+                    blocked_ases=blocked_ases,
+                    igp_cache=self.igp_cache,
+                )
             self._trace_cache.put(key, cached)
         return cached
+
+    def _baseline_walk(
+        self, src_router: int, dst_router: int, blocked_ases: FrozenSet[int]
+    ) -> _BaselineWalk:
+        """The pair's walk under the engine's pinned baseline (kept in an
+        uncounted table: the LRU accounting sees only :meth:`trace`)."""
+        key = (src_router, dst_router, blocked_ases)
+        walk = self._baseline_walks.get(key)
+        if walk is None:
+            base_state, base_routing = self.engine.baseline
+            walk = _BaselineWalk(
+                trace_route(
+                    self.net,
+                    base_routing,
+                    base_state,
+                    src_router,
+                    dst_router,
+                    blocked_ases=blocked_ases,
+                    igp_cache=self.igp_cache,
+                )
+            )
+            self._baseline_walks.put(key, walk)
+        return walk
+
+    def _unchanged(
+        self, walk: _BaselineWalk, state: NetworkState, routing: RoutingState
+    ) -> bool:
+        """True when everything the baseline walk read is unchanged under
+        ``state`` (converged to ``routing``)."""
+        if walk.reads is None:
+            walk.reads = self._reads_of(walk.trace)
+        prefix, igp, routes = walk.reads
+        for asn, condition in igp:
+            if self.igp_cache.condition(asn, state) != condition:
+                return False
+        for asn, route in routes:
+            now = routing.best(asn, prefix)
+            if now is not route and now != route:
+                return False
+        return True
+
+    def _reads_of(self, trace: TraceResult) -> tuple:
+        """What the baseline walk behind ``trace`` read (see
+        :class:`_BaselineWalk`)."""
+        net = self.net
+        base_state, base_routing = self.engine.baseline
+        dst_asn = net.asn_of_router(trace.dst_router)
+        prefix = net.autonomous_system(dst_asn).prefix
+        ases = dict.fromkeys(map(net.asn_of_router, trace.router_path()))
+        # A dead source ends the walk before it reads any route.
+        igp_ases = ases or (net.asn_of_router(trace.src_router),)
+        return (
+            prefix,
+            [(asn, self.igp_cache.condition(asn, base_state)) for asn in igp_ases],
+            [
+                (asn, base_routing.best(asn, prefix))
+                for asn in ases
+                if asn != dst_asn
+            ],
+        )
 
     # ---------------------------------------------------------- accounting
 

@@ -428,8 +428,11 @@ class Internetwork:
         )
 
     def asn_of_router(self, rid: int) -> int:
-        """AS number owning ``rid``."""
-        return self.router(rid).asn
+        """AS number owning ``rid`` (the hottest lookup of a traceroute)."""
+        try:
+            return self._routers[rid].asn
+        except KeyError:
+            raise TopologyError(f"unknown router {rid}") from None
 
     def link_asns(self, lid: int) -> Tuple[int, ...]:
         """The (one or two) AS numbers a link touches, sorted."""

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import pytest
 from repro.core.diagnoser import NetDiagnoser
 from repro.errors import ReproError
 from repro.experiments.jobs import CoreAsx, ResearchTopoFactory, StubPlacement
+from repro.experiments import runner
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import (
     RunnerStats,
@@ -160,6 +163,43 @@ class TestCrashIsolation:
         assert stats.jobs_retried == 2
         assert stats.jobs_failed == 1
         assert sorted(p.placement_index for p in stats.per_placement) == [1]
+
+
+class TestPoolBrokenBeforeSubmit:
+    def test_submit_into_a_broken_pool_requeues_the_job_uncharged(
+        self, monkeypatch, clean_records
+    ):
+        # A worker can die between wait() returning and the next submit;
+        # the executor then refuses the submit itself.  An in-process
+        # stand-in replays exactly that, deterministically: the second
+        # submit ever made raises, every other one runs the job inline.
+        submits = []
+
+        class BreaksOnSecondSubmit:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def submit(self, fn, *args):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a worker died after wait()")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        stats = RunnerStats()
+        records = run_kind_batch(**_batch(_FACTORY), workers=2, stats=stats)
+        assert records == clean_records
+        assert stats.jobs_failed == 0
+        assert stats.jobs_crashed == 1
+        # Placement 0 was in flight when the pool broke and re-ran in
+        # isolation; placement 1, refused, went out again once.
+        submitted = [job.placement_index for (job,) in submits]
+        assert submitted == [0, 1, 0, 1, 2]
 
 
 class TestJobTimeouts:

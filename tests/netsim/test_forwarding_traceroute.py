@@ -99,8 +99,16 @@ class TestDataPath:
         view_a = cache.view(fig2.asn("Y"), nominal)
         view_b = cache.view(fig2.asn("Y"), nominal)
         assert view_a is view_b
-        other = cache.view(fig2.asn("Y"), nominal.with_failed_links([0]))
+        # Views are keyed by Y's own IGP condition: failing one of Y's
+        # intradomain links gives another view ...
+        y_link = fig2.link_between("y1", "y2").lid
+        other = cache.view(fig2.asn("Y"), nominal.with_failed_links([y_link]))
         assert other is not view_a
+        # ... while a failure outside Y (link 0 lies in AS A) leaves Y's
+        # view shared.
+        assert fig2.net.link_asns(0) == (fig2.asn("A"),)
+        outside = cache.view(fig2.asn("Y"), nominal.with_failed_links([0]))
+        assert outside is view_a
 
 
 class TestTraceroute:

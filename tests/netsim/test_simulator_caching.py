@@ -1,9 +1,16 @@
 """Caching and identity semantics of the Simulator facade."""
 
+import random
+
 import pytest
 
+from repro.experiments.scenarios import ScenarioSampler
+from repro.measurement.collector import take_snapshot
+from repro.measurement.sensors import deploy_sensors, random_stub_placement
 from repro.netsim.events import LinkFailureEvent
+from repro.netsim.gen.internet import research_internet
 from repro.netsim.simulator import Simulator
+from repro.netsim.topology import NetworkState
 
 
 class TestCaches:
@@ -92,3 +99,54 @@ class TestCaches:
         first = fig2_sim.apply(LinkFailureEvent((lid_a,)))
         second = fig2_sim.apply(LinkFailureEvent((lid_b,)), base=first)
         assert second.failed_links == frozenset({lid_a, lid_b})
+
+
+class TestAccounting:
+    def test_sampler_and_snapshot_sequence_pins_every_counter(self):
+        # A fixed admission + T-/T+ sequence with both caches bounded, so
+        # hits, misses and evictions all move.  Trace reuse and IGP view
+        # sharing are work savings only: every counter must stay exactly
+        # what the plain per-state walk produced.
+        topo = research_internet(n_tier2=4, n_stub=16, seed=3)
+        rng = random.Random("accounting")
+        routers = random_stub_placement(topo, 8, rng)
+        sensors = deploy_sensors(topo.net, routers)
+        sim = Simulator(
+            topo.net,
+            {topo.net.asn_of_router(rid) for rid in routers},
+            trace_cache_capacity=150,
+            routing_cache_capacity=4,
+        )
+        sampler = ScenarioSampler(sim, sensors, rng)
+        nominal = NetworkState.nominal()
+        blocked = frozenset({topo.tier2_asns[0]})
+        kinds = (
+            "link-1", "link-2", "link-3", "router",
+            "misconfig", "misconfig+link", "link-1", "router",
+        )
+        for index, kind in enumerate(kinds):
+            scenario = sampler.sample(kind)
+            take_snapshot(
+                sim,
+                sensors,
+                nominal,
+                scenario.after_state,
+                blocked_ases=blocked if index % 2 else frozenset(),
+            )
+        assert sim.cache_stats() == {
+            "trace_cache_hits": 245,
+            "trace_cache_misses": 1338,
+            "trace_cache_evictions": 1188,
+            "trace_cache_entries": 150,
+            "routing_cache_hits": 1327,
+            "routing_cache_misses": 16,
+            "routing_cache_evictions": 11,
+            "routing_cache_entries": 4,
+            "full_converges": 1,
+            "incremental_converges": 15,
+            "prefixes_converged": 82,
+            "prefixes_reused": 46,
+            "rib_prefixes_owned": 8,
+            "rib_prefixes_shared": 46,
+            "rib_cow_copies": 74,
+        }

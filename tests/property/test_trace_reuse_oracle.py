@@ -1,0 +1,172 @@
+"""Differential test: traces reused across failure states equal a full walk.
+
+``Simulator.trace`` returns the baseline's ``TraceResult`` object when
+everything the baseline walk of a pair read is unchanged under the
+failure state, and it shares IGP views between states that leave an AS
+alone.  The oracle walks every pair under every state from scratch:
+``trace_route(..., igp_cache=None)`` over fresh IGP views.
+
+Generated states mix intra- and inter-AS link failures, router failures
+(sensor gateways included), export filters, IGP weight overrides (two on
+one link, where the later wins) and blocked ASes, two in three aimed at
+the baseline paths.  The pinned baseline is itself a failure state half
+of the time, and some states restore its failures, which forces a full
+re-convergence with fresh route objects.  Sensors sit on routers of
+multi-router ASes, so IGP changes inside the source and destination ASes
+occur.  An IGP-only change must leave every pair that does not cross its
+AS served by the baseline object itself.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.netsim.builders import figure2_network
+from repro.netsim.gen.internet import research_internet
+from repro.netsim.simulator import Simulator
+from repro.netsim.topology import ExportFilter, NetworkState
+from repro.netsim.traceroute import trace_route
+
+NETS = (
+    figure2_network().net,
+    research_internet(n_tier2=3, n_stub=6, seed=5).net,
+    research_internet(n_tier2=3, n_stub=6, seed=6, tier2_style="ring").net,
+)
+CHANGES = ("link", "router", "filter", "weight", "restore")
+#: Intradomain link id -> its AS, per network.
+INTRA = {
+    net: {link.lid: a.asn for a in net.ases() for link in net.intra_links(a.asn)}
+    for net in NETS
+}
+
+
+def draw_sensors(data, net):
+    """Two to three gateways in multi-router ASes plus one or two anywhere."""
+    inside = [
+        rid for a in net.ases() if len(a.router_ids) > 1 for rid in a.router_ids
+    ]
+    routers = [r.rid for r in net.routers()]
+    chosen = data.draw(st.lists(st.sampled_from(inside), min_size=2, max_size=3))
+    chosen += data.draw(st.lists(st.sampled_from(routers), min_size=1, max_size=2))
+    return sorted(set(chosen))
+
+
+def path_elements(net, traces):
+    """Link and router ids the given traces cross."""
+    links, routers = set(), set()
+    for trace in traces:
+        path = trace.router_path()
+        routers.update(path)
+        for a, b in zip(path, path[1:]):
+            links.add(net.link_between(a, b).lid)
+    return sorted(links), sorted(routers)
+
+
+def change(data, net, state, base, prefixes, on_path):
+    """``state`` with one more random change, two in three on the paths."""
+    links, routers = on_path
+    kind = data.draw(st.sampled_from(CHANGES))
+    aimed = data.draw(st.integers(min_value=0, max_value=2)) > 0
+    if kind == "link":
+        pool = links if aimed and links else [l.lid for l in net.links()]
+        return state.with_failed_links([data.draw(st.sampled_from(pool))])
+    if kind == "router":
+        pool = routers if aimed and routers else [r.rid for r in net.routers()]
+        return state.with_failed_routers([data.draw(st.sampled_from(pool))])
+    if kind == "filter":
+        inter = [l.lid for l in net.inter_links()]
+        aimed_inter = [lid for lid in links if net.is_interdomain(lid)]
+        pool = aimed_inter if aimed and aimed_inter else inter
+        lid = data.draw(st.sampled_from(pool))
+        at_router = data.draw(st.sampled_from(net.link(lid).endpoints()))
+        chosen = data.draw(st.sets(st.sampled_from(prefixes), min_size=1))
+        return state.with_filter(ExportFilter(lid, at_router, frozenset(chosen)))
+    if kind == "weight":
+        intra = sorted(INTRA[net])
+        aimed_intra = [lid for lid in links if not net.is_interdomain(lid)]
+        pool = aimed_intra if aimed and aimed_intra else intra
+        lid = data.draw(st.sampled_from(pool))
+        for weight in data.draw(
+            st.lists(st.sampled_from([1, 3, 60]), min_size=1, max_size=2)
+        ):
+            state = state.with_weight(lid, weight)
+        return state
+    # Restore the baseline's failures: no longer a degradation of it.
+    return NetworkState(
+        failed_links=state.failed_links - base.failed_links,
+        failed_routers=state.failed_routers - base.failed_routers,
+        filters=tuple(f for f in state.filters if f not in base.filters),
+        weight_overrides=state.weight_overrides,
+    )
+
+
+def assert_matches_full_walk(sim, state, pairs, blocked):
+    routing = sim.routing(state)
+    for src, dst in pairs:
+        want = trace_route(
+            sim.net, routing, state, src, dst, blocked_ases=blocked, igp_cache=None
+        )
+        assert sim.trace(state, src, dst, blocked) == want, (state, src, dst)
+
+
+def walk_ases(net, trace):
+    return {net.asn_of_router(rid) for rid in trace.router_path()} or {
+        net.asn_of_router(trace.src_router)
+    }
+
+
+def check_trace_reuse(data):
+    net = data.draw(st.sampled_from(NETS))
+    sensors = draw_sensors(data, net)
+    pairs = [(s, d) for s in sensors for d in sensors if s != d]
+    prefixes = sorted(
+        {net.autonomous_system(net.asn_of_router(s)).prefix for s in sensors}
+    )
+    blocked = frozenset(
+        data.draw(st.sets(st.sampled_from([a.asn for a in net.ases()]), max_size=1))
+    )
+    nominal = NetworkState.nominal()
+    base = nominal
+    if data.draw(st.booleans()):
+        base = change(data, net, nominal, nominal, prefixes, ([], []))
+    sim = Simulator(net, {net.asn_of_router(s) for s in sensors})
+    sim.routing(base)  # pins the baseline
+    assert_matches_full_walk(sim, base, pairs, blocked)
+    baseline = {pair: sim.trace(base, *pair, blocked) for pair in pairs}
+    on_path = path_elements(net, baseline.values())
+
+    for _ in range(data.draw(st.integers(min_value=2, max_value=4))):
+        state = base
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            state = change(data, net, state, base, prefixes, on_path)
+        assert_matches_full_walk(sim, state, pairs, blocked)
+
+    # An IGP-only change on an intradomain link of the paths: every pair
+    # whose baseline walk stays out of that AS is served by the baseline
+    # object itself.
+    intra = [lid for lid in on_path[0] if not net.is_interdomain(lid)]
+    lid = data.draw(st.sampled_from(intra or sorted(INTRA[net])))
+    touched = INTRA[net][lid]
+    if data.draw(st.booleans()):
+        state = base.with_failed_links([lid])
+    else:
+        state = base.with_weight(lid, data.draw(st.sampled_from([2, 60])))
+    assert_matches_full_walk(sim, state, pairs, blocked)
+    for pair, trace in baseline.items():
+        if touched not in walk_ases(net, trace):
+            assert sim.trace(state, *pair, blocked) is trace
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trace_reuse_matches_full_walk(data):
+    check_trace_reuse(data)
+
+
+@pytest.mark.slow
+@given(data=st.data())
+@settings(max_examples=1500, deadline=None)
+def test_trace_reuse_matches_full_walk_large_budget(data):
+    check_trace_reuse(data)
