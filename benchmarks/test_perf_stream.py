@@ -1,11 +1,13 @@
 """Throughput and latency benchmark for the streaming diagnosis engine.
 
-Replays a multi-episode event log through :class:`StreamEngine` on the
-paper's research-Internet topology and records the numbers the ISSUE
-asks the stream lane to track: sustained events/sec through
+Replays a multi-episode event log with measurement faults through
+:class:`StreamEngine` on the paper's research-Internet topology and
+records the numbers the stream lane tracks: sustained events/sec through
 ingest→window→detect, and the p50/p99 episode-diagnosis latency in
 logical ticks (how long an episode transition waited on the bounded
-queue before its diagnosis ran).
+queue before its diagnosis ran).  A fault-free replay of the same
+deployment first checks that each injected outage opens and closes its
+own episode.
 
 Run with the slow lane::
 
@@ -24,7 +26,14 @@ import pytest
 from repro.experiments.report import render_stream_report
 from repro.experiments.stats import percentile
 from repro.perf import write_bench_artifact
-from repro.stream import ReplayConfig, make_replay_setup, run_stream_replay
+from repro.stream import (
+    CLOSE,
+    OPEN,
+    UPDATE,
+    ReplayConfig,
+    make_replay_setup,
+    run_stream_replay,
+)
 
 from conftest import REPO_ROOT
 
@@ -34,10 +43,10 @@ SEED = 0
 SCHEMA = "bench-stream-v1"
 
 
-@pytest.mark.slow
-def test_stream_throughput_and_episode_latency():
-    episodes = int(os.environ.get("REPRO_BENCH_STREAM_EPISODES", "4"))
-    n_sensors = int(os.environ.get("REPRO_BENCH_SENSORS", "10"))
+def _replay(episodes, n_sensors, fault_rate):
+    # A fresh setup per replay: the scenario sampler is stateful, so the
+    # same setup arguments are what makes two replays inject the same
+    # failures.
     setup = make_replay_setup(
         seed=SEED,
         topo_seed=TOPO_SEED,
@@ -50,16 +59,42 @@ def test_stream_throughput_and_episode_latency():
         episodes=episodes,
         incident_rounds=2,
         recovery_rounds=2,
-        fault_rate=0.1,
+        fault_rate=fault_rate,
         seed=SEED,
     )
-    result = run_stream_replay(setup, config, policy="quarantine")
+    return run_stream_replay(setup, config, policy="quarantine")
 
+
+def _reports_within(result, episode, triggers):
+    return [
+        report
+        for report in result.reports
+        if report.trigger in triggers
+        and episode.first_incident_tick <= report.tick <= episode.last_tick
+    ]
+
+
+@pytest.mark.slow
+def test_stream_throughput_and_episode_latency():
+    episodes = int(os.environ.get("REPRO_BENCH_STREAM_EPISODES", "4"))
+    n_sensors = int(os.environ.get("REPRO_BENCH_SENSORS", "10"))
+
+    # Without faults every injected outage opens and closes its own
+    # episode.
+    clean = _replay(episodes, n_sensors, fault_rate=0.0)
+    assert [r.trigger for r in clean.reports] == [OPEN, CLOSE] * episodes
+    for episode in clean.episodes:
+        assert len(_reports_within(clean, episode, (OPEN, CLOSE))) == 2, episode
+
+    result = _replay(episodes, n_sensors, fault_rate=0.1)
     assert result.events_total > 0
     assert result.reports, "the replay must diagnose at least one episode"
-    # One open and one close per injected episode at minimum.
-    opens = [r for r in result.reports if r.trigger == "open"]
-    assert len(opens) == episodes
+    # Under faults a truncated recovery probe reports the pair still
+    # unreachable, so an episode may stay open across the next outage,
+    # which then arrives as an update.  Either way, every injected
+    # outage is reported while it lasts.
+    for episode in result.episodes:
+        assert _reports_within(result, episode, (OPEN, UPDATE)), episode
 
     events_per_second = result.events_total / max(result.wall_seconds, 1e-9)
     p50 = percentile(result.latencies, 0.50)

@@ -18,7 +18,7 @@ Run with::
 import random
 import sys
 
-from repro.core import NetDiagnoser, as_projection, rank_suspect_ases
+from repro.core import NetDiagnoser, as_projection
 from repro.experiments.runner import (
     choose_blocked_ases,
     ground_truth_ases,
@@ -98,10 +98,6 @@ def main(seed: int = 7) -> None:
     print(f"\nND-LG mapped {len(tags)} unidentified hops "
           f"({ambiguous} with ambiguous multi-AS tags), "
           f"formed {len(sighted.details['clusters'])} link clusters")
-
-    print("\nranked suspects (who to call first):")
-    for suspect in rank_suspect_ases(sighted, snapshot.asn_of, names=names)[:5]:
-        print(f"  {suspect}")
 
 
 if __name__ == "__main__":

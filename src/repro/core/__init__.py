@@ -6,8 +6,6 @@ diagnosis algorithms behind the :class:`~repro.core.diagnoser.NetDiagnoser`
 facade, the diagnosability metric, and sensitivity/specificity scoring.
 """
 
-from repro.core.as_report import AsSuspect, rank_suspect_ases
-from repro.core.bayesian import bayesian_diagnosis, uniform_prior
 from repro.core.consistency import SuspectReport, suspect_working_pairs
 from repro.core.control_plane import (
     ControlPlaneView,
@@ -53,7 +51,6 @@ from repro.core.pathset import (
     ProbePath,
     same_mapping,
 )
-from repro.core.reachability import ReachabilityMatrix
 from repro.core.reroute import reroute_sets
 from repro.core.result import DiagnosisResult
 from repro.core.scfs import scfs
@@ -61,7 +58,6 @@ from repro.core.tomo import tomo
 from repro.core.uh import uh_tags
 
 __all__ = [
-    "AsSuspect",
     "ControlPlaneView",
     "DiagnosisResult",
     "EPOCH_POST",
@@ -79,14 +75,12 @@ __all__ = [
     "PathStore",
     "PhysicalLink",
     "ProbePath",
-    "ReachabilityMatrix",
     "SuspectReport",
     "UNKNOWN_TAG",
     "UhNode",
     "VARIANTS",
     "WithdrawalObservation",
     "as_projection",
-    "bayesian_diagnosis",
     "diagnosability",
     "exact_hitting_set",
     "greedy_hitting_set",
@@ -99,7 +93,6 @@ __all__ = [
     "nd_edge_multipath",
     "nd_lg",
     "physical_link",
-    "rank_suspect_ases",
     "physical_metrics",
     "physical_projection",
     "reroute_sets",
@@ -111,6 +104,5 @@ __all__ = [
     "suspect_working_pairs",
     "tomo",
     "uh_tags",
-    "uniform_prior",
     "undirected_projection",
 ]

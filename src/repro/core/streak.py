@@ -1,22 +1,20 @@
 """The consecutive-observation streak primitive shared by both detectors.
 
 The paper's §6 robustness rule — "raise an alarm only if the failure
-manifests itself in several successive measurements" — appears twice in
-this codebase with deliberately different clearing semantics:
+manifests itself in several successive measurements" — drives both the
+stream's episode detector and the monitor's
+:class:`~repro.monitor.recorder.FlightRecorder`.  A pair alarms after
+``open_after`` consecutive failures and clears only after
+``close_after`` consecutive successes: live streams see half-recovered
+pairs, and the hysteresis stops them flapping an episode open and
+closed.  ``close_after=1`` is the batch rule, where rounds are converged
+snapshots and one success is proof of recovery.
 
-* the batch :class:`~repro.measurement.detection.FailureDetector` clears
-  a pair's alarm after a *single* good round (``close_after=1``): batch
-  rounds are converged snapshots, so one success is proof of recovery;
-* the streaming :class:`~repro.stream.episodes.PairAlarmTracker` clears
-  only after ``close_after`` consecutive successes: live streams see
-  half-recovered pairs, and the hysteresis stops them flapping an
-  episode open and closed.
-
-Both are the same state machine at different thresholds, so exactly one
-implementation lives here (and :mod:`repro.stream.episodes` re-exports
-it under its historical name).  A pair's alarm depends only on its own
-observation sequence, which is what lets the sharded engine partition
-pairs across trackers and still match the single tracker bit for bit.
+Exactly one implementation lives here (and :mod:`repro.stream.episodes`
+re-exports it under its historical name).  A pair's alarm depends only
+on its own observation sequence, which is what lets the sharded engine
+partition pairs across trackers and still match the single tracker bit
+for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +46,7 @@ class PairAlarmTracker:
     The shardable half of the streaming detector: any partition of pairs
     across trackers yields, pair for pair, the same alarms the single
     tracker would — the keystone of the sharded engine's bit-identical
-    replay guarantee.  With ``close_after=1`` it is also the exact batch
-    :class:`~repro.measurement.detection.FailureDetector` semantics.
+    replay guarantee.
     """
 
     def __init__(self, open_after: int = 2, close_after: int = 2) -> None:

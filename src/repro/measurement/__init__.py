@@ -5,8 +5,6 @@ from repro.measurement.collector import (
     make_lg_lookup,
     take_snapshot,
 )
-from repro.measurement.detection import FailureDetector
-from repro.measurement.placement_opt import PlacementStep, greedy_placement
 from repro.measurement.paris import MultipathStore, paris_mesh, paris_probe_pair
 from repro.measurement.probing import probe_mesh, probe_pair
 from repro.measurement.skew import pick_stale_sensors, remeasure, take_skewed_snapshot
@@ -20,12 +18,9 @@ from repro.measurement.sensors import (
 )
 
 __all__ = [
-    "FailureDetector",
-    "PlacementStep",
     "Sensor",
     "collect_control_plane",
     "deploy_sensors",
-    "greedy_placement",
     "distant_as_placement",
     "distant_split_placement",
     "make_lg_lookup",

@@ -61,8 +61,6 @@ from repro.stream.replay import (
     result_layout_stats,
     run_replay,
 )
-from repro.stream.router import TenantConfig
-from repro.stream.supervise import SupervisionConfig
 
 __all__ = [
     "MonitorRunResult",
@@ -111,7 +109,6 @@ def make_monitor_setup(
     topo_seed: int = 100,
     n_tier2: int = 6,
     n_stub: int = 40,
-    tier2_style: str = "hubspoke",
     n_sensors: int = 6,
 ) -> ReplaySetup:
     """A monitoring deployment: the stream deployment plus LGs everywhere.
@@ -124,7 +121,6 @@ def make_monitor_setup(
         topo_seed=topo_seed,
         n_tier2=n_tier2,
         n_stub=n_stub,
-        tier2_style=tier2_style,
         n_sensors=n_sensors,
         blocked_fraction=0.0,
         algorithms=("nd-lg",),
@@ -253,29 +249,21 @@ def run_monitor(
     *,
     policy: str = "quarantine",
     window_width: int = 4,
-    window_capacity: int = 0,
-    max_pending: int = 8,
-    overflow_limit: int = 32,
     workers: int = 0,
     shards: int = 1,
-    tenants: Optional[Tuple[TenantConfig, ...]] = None,
-    tenant_of=None,
     chaos_rate: float = 0.0,
-    supervise: bool = False,
-    supervision: Optional[SupervisionConfig] = None,
-    checkpoint_path: Optional[str] = None,
-    dlq_path: Optional[str] = None,
     journal: Optional[RunJournal] = None,
     cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
     retention: int = 256,
 ) -> MonitorRunResult:
     """Run one scenario end to end: schedule → stream → record → score.
 
-    The engine knobs mirror ``run_stream_replay`` (sharding, tenancy,
-    chaos, supervision, journalled resume all work identically); the
-    hysteresis thresholds come from the scenario config so the engine's
-    episode detector and the flight recorder confirm and clear on the
-    same streaks.
+    The engine knobs are the ones ``python -m repro monitor`` sets:
+    sharding, chaos (which supervises the shards, as in
+    ``run_stream_replay``) and journalled resume.  The hysteresis
+    thresholds come from the scenario config so the engine's episode
+    detector and the flight recorder confirm and clear on the same
+    streaks.
     """
     if setup.lg_service is None:
         raise MonitorError(
@@ -308,27 +296,15 @@ def run_monitor(
         diagnosers=setup.diagnosers,
         asx=setup.asx,
         window_width=window_width,
-        window_capacity=window_capacity,
         open_after=config.open_after,
         close_after=config.close_after,
         policy=policy,
-        max_pending=max_pending,
-        overflow_limit=overflow_limit,
         workers=workers,
         degradation=DegradationReport(),
         cached_reports=cached_reports,
     )
     engine = build_engine(
-        common,
-        seed=seed,
-        shards=shards,
-        tenants=tenants,
-        tenant_of=tenant_of,
-        chaos_rate=chaos_rate,
-        supervise=supervise,
-        supervision=supervision,
-        checkpoint_path=checkpoint_path,
-        dlq_path=dlq_path,
+        common, seed=seed, shards=shards, chaos_rate=chaos_rate
     )
     started = time.perf_counter()
     reports = run_replay(log, engine, journal=journal)

@@ -14,7 +14,6 @@ from repro.netsim.bgp import (
     BgpEngine,
     BgpRoute,
     BgpWithdrawal,
-    EventDrivenBgp,
     RoutingState,
     withdrawals_observed_by,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "BgpWithdrawal",
     "CompositeEvent",
     "Event",
-    "EventDrivenBgp",
     "ExportFilter",
     "ForwardingResult",
     "IgpCache",

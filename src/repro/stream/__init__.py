@@ -23,8 +23,6 @@ This package is that online layer over the existing batch machinery:
   per-shard ingest state and per-tenant admission control;
 * :mod:`repro.stream.merge` — cross-shard snapshot/control/episode
   merging in global ``(tick, seq)`` order;
-* :mod:`repro.stream.serve` — the asyncio ingest front end with bounded
-  per-tenant queues, round-robin fair pumping, and graceful shutdown;
 * :mod:`repro.stream.checkpoint` — per-shard checkpoints in the fsync'd
   torn-tail-tolerant journal format, for crash recovery;
 * :mod:`repro.stream.supervise` — the self-healing layer a supervised
@@ -84,7 +82,6 @@ from repro.stream.router import (
     source_tenant_of,
     stable_hash,
 )
-from repro.stream.serve import StreamServer
 from repro.stream.supervise import (
     DLQ_FORMAT,
     CircuitBreaker,
@@ -139,7 +136,6 @@ __all__ = [
     "CrossShardMerger",
     "merged_snapshot",
     "merged_control_view",
-    "StreamServer",
     "CheckpointStore",
     "ShardCheckpoint",
     "DLQ_FORMAT",

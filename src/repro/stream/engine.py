@@ -208,7 +208,6 @@ class StreamEngine:
         asx: Optional[int] = None,
         lg_lookup: Optional[Callable] = None,
         window_width: int = 4,
-        window_capacity: int = 0,
         open_after: int = 2,
         close_after: int = 2,
         policy: str = "quarantine",
@@ -243,7 +242,6 @@ class StreamEngine:
                 asn_of,
                 policy=policy,
                 window_width=window_width,
-                window_capacity=window_capacity,
                 open_after=open_after,
                 close_after=close_after,
                 degradation=degradation,

@@ -2,13 +2,12 @@
 
 Diagnosing on every failed probe would melt the engine the moment a
 flaky link drops two packets — the classic diagnosis storm.  Following
-the consecutive-observation rule of
-:class:`~repro.measurement.detection.FailureDetector` (§6 of the paper:
-confirm a failure before invoking the troubleshooter), a pair **alarms**
-only after ``open_after`` consecutive failed observations and **clears**
-only after ``close_after`` consecutive successes — the asymmetry is the
-hysteresis that stops a half-recovered pair from flapping the episode
-open and closed.
+the paper's consecutive-observation rule (§6: confirm a failure before
+invoking the troubleshooter), a pair **alarms** only after
+``open_after`` consecutive failed observations and **clears** only after
+``close_after`` consecutive successes — the asymmetry is the hysteresis
+that stops a half-recovered pair from flapping the episode open and
+closed.
 
 An **episode** is the engine's unit of diagnosis work: it opens when the
 first pair alarms while none were alarmed, updates when the alarmed set
@@ -22,12 +21,9 @@ across its shards and keep the other global:
 * :class:`PairAlarmTracker` holds the per-pair debounce state.  Pairs
   partition cleanly across shards (each pair's counters depend only on
   that pair's own observations), so each shard owns one tracker.  The
-  implementation lives in :mod:`repro.core.streak` — it is the same
-  streak machine the batch
-  :class:`~repro.measurement.detection.FailureDetector` runs at
-  ``close_after=1`` (batch rounds are converged snapshots, so a single
-  good round proves recovery; live streams keep the hysteresis) — and
-  is re-exported here under its historical name.
+  implementation lives in :mod:`repro.core.streak`, shared with the
+  monitor's flight recorder, and is re-exported here under its
+  historical name.
 * :class:`EpisodeLifecycle` holds the open/update/close state machine.
   Episode identity is global — a failure whose suspect links span
   shards is still *one* episode — so the cross-shard merger owns

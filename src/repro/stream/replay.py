@@ -55,7 +55,7 @@ from repro.netsim.lookingglass import LookingGlassService
 from repro.stream.checkpoint import CheckpointStore
 from repro.stream.engine import EpisodeReport, StreamEngine
 from repro.stream.router import TenantConfig
-from repro.stream.supervise import DeadLetterQueue, SupervisionConfig
+from repro.stream.supervise import DeadLetterQueue
 from repro.stream.events import (
     IgpLinkDownEvent,
     LogicalClock,
@@ -91,8 +91,6 @@ def build_engine(
     tenant_of=None,
     chaos_rate: float = 0.0,
     supervise: bool = False,
-    supervision: Optional["SupervisionConfig"] = None,
-    checkpoint_path: Optional[str] = None,
     dlq_path: Optional[str] = None,
 ) -> StreamEngine:
     """Construct the engine for a run's knobs.
@@ -103,7 +101,7 @@ def build_engine(
     seeded chaos plan when ``chaos_rate > 0``) and raises the shard
     count to at least 2, so a dark shard has somewhere to fail over to.
     ``common`` is the keyword bundle every run shares (diagnosers,
-    window, debounce, backpressure, workers...).
+    window, debounce, workers...).
     """
     if not 0.0 <= chaos_rate <= 1.0:
         raise StreamError(
@@ -119,8 +117,7 @@ def build_engine(
                 if chaos_rate > 0.0
                 else None
             ),
-            supervision=supervision or SupervisionConfig(),
-            checkpoints=CheckpointStore(checkpoint_path, fingerprint),
+            checkpoints=CheckpointStore(fingerprint=fingerprint),
             dead_letters=DeadLetterQueue(dlq_path),
         )
     return StreamEngine(**common, **layout)
@@ -240,7 +237,6 @@ def make_replay_setup(
     topo_seed: int = 100,
     n_tier2: int = 6,
     n_stub: int = 40,
-    tier2_style: str = "hubspoke",
     n_sensors: int = 6,
     blocked_fraction: float = 0.0,
     algorithms: Tuple[str, ...] = ("tomo", "nd-edge", "nd-bgpigp"),
@@ -251,9 +247,7 @@ def make_replay_setup(
     smoke tests fast; the benchmark dials the sizes up.
     """
     rng = random.Random(f"{seed}/stream-setup")
-    topo = research_internet(
-        n_tier2=n_tier2, n_stub=n_stub, seed=topo_seed, tier2_style=tier2_style
-    )
+    topo = research_internet(n_tier2=n_tier2, n_stub=n_stub, seed=topo_seed)
     session = make_session(
         topo, random_stub_placement(topo, n_sensors, rng), rng
     )
@@ -477,22 +471,16 @@ def run_stream_replay(
     config: ReplayConfig,
     policy: str = "quarantine",
     window_width: int = 4,
-    window_capacity: int = 0,
     open_after: int = 2,
     close_after: int = 2,
-    max_pending: int = 8,
-    overflow_limit: int = 32,
     workers: int = 0,
     shards: int = 1,
     tenants: Optional[Tuple[TenantConfig, ...]] = None,
     tenant_of=None,
     journal: Optional[RunJournal] = None,
     cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
-    degradation: Optional[DegradationReport] = None,
     save_log: Optional[str] = None,
     supervise: bool = False,
-    supervision: Optional["SupervisionConfig"] = None,
-    checkpoint_path: Optional[str] = None,
     dlq_path: Optional[str] = None,
 ) -> StreamRunResult:
     """Build the log, run the engine over it, and gather every counter.
@@ -506,8 +494,7 @@ def run_stream_replay(
     of the same config crash the same shards at the same ticks and
     recover identically.
     """
-    if degradation is None:
-        degradation = DegradationReport()
+    degradation = DegradationReport()
     # Engine first: a misconfigured engine (zero-width window, bad
     # policy) should fail fast, before the expensive log build.
     common = dict(
@@ -515,12 +502,9 @@ def run_stream_replay(
         diagnosers=setup.diagnosers,
         asx=setup.asx,
         window_width=window_width,
-        window_capacity=window_capacity,
         open_after=open_after,
         close_after=close_after,
         policy=policy,
-        max_pending=max_pending,
-        overflow_limit=overflow_limit,
         workers=workers,
         degradation=degradation,
         cached_reports=cached_reports,
@@ -533,8 +517,6 @@ def run_stream_replay(
         tenant_of=tenant_of,
         chaos_rate=config.chaos_rate,
         supervise=supervise,
-        supervision=supervision,
-        checkpoint_path=checkpoint_path,
         dlq_path=dlq_path,
     )
     log = build_event_log(setup, config, report=degradation)

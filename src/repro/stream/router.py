@@ -305,7 +305,6 @@ class StreamShard:
         asn_of: Callable[[str], Optional[int]],
         policy: str = "quarantine",
         window_width: int = 4,
-        window_capacity: int = 0,
         open_after: int = 2,
         close_after: int = 2,
         degradation: Optional[DegradationReport] = None,
@@ -315,7 +314,6 @@ class StreamShard:
             asn_of=asn_of,
             policy=policy,
             window_width=window_width,
-            window_capacity=window_capacity,
             open_after=open_after,
             close_after=close_after,
             degradation=degradation,
@@ -337,9 +335,7 @@ class StreamShard:
             expected_epochs=(EPOCH_PRE, EPOCH_POST),
             degradation=p["degradation"],
         )
-        self.window = SlidingWindow(
-            p["window_width"], capacity=p["window_capacity"]
-        )
+        self.window = SlidingWindow(p["window_width"])
         self.alarms = PairAlarmTracker(
             open_after=p["open_after"], close_after=p["close_after"]
         )

@@ -1,4 +1,4 @@
-"""Unit tests for metrics, diagnosability and the reachability matrix."""
+"""Unit tests for metrics and diagnosability."""
 
 import pytest
 
@@ -17,8 +17,7 @@ from repro.core.metrics import (
     sensitivity,
     specificity,
 )
-from repro.core.pathset import EPOCH_PRE, PathStore, ProbePath
-from repro.core.reachability import ReachabilityMatrix
+from repro.core.pathset import EPOCH_PRE
 from repro.errors import DiagnosisError
 
 
@@ -81,20 +80,6 @@ class TestAsProjection:
         assert as_projection(tokens, self.ASN) == frozenset()
 
 
-def _store(paths):
-    store = PathStore()
-    for hops, reached in paths:
-        store.add(
-            ProbePath(
-                src=hops[0],
-                dst=hops[-1] if reached else "10.0.99.99",
-                hops=tuple(hops),
-                reached=reached,
-            )
-        )
-    return store
-
-
 class TestDiagnosability:
     def test_perfectly_diagnosable_graph(self):
         graph = InferredGraph()
@@ -126,32 +111,3 @@ class TestDiagnosability:
         assert len(classes[0]) == 2  # the two links only (a,b) crosses
         assert len(classes[1]) == 1
 
-
-class TestReachabilityMatrix:
-    def test_from_store(self):
-        store = _store(
-            [
-                (["10.0.16.200", "10.0.16.1", "10.0.32.200"], True),
-                (["10.0.32.200", "10.0.16.1"], False),
-            ]
-        )
-        matrix = ReachabilityMatrix.from_store(store)
-        assert matrix.is_up("10.0.16.200", "10.0.32.200")
-        assert matrix.failed_pairs() == (("10.0.32.200", "10.0.99.99"),)
-        assert len(matrix) == 2
-
-    def test_unknown_pair_rejected(self):
-        matrix = ReachabilityMatrix({})
-        with pytest.raises(DiagnosisError):
-            matrix.is_up("a", "b")
-
-    def test_dense_rendering(self):
-        matrix = ReachabilityMatrix({("a", "b"): True, ("b", "a"): False})
-        dense = matrix.dense()
-        assert dense[0][1] == 1  # a->b up
-        assert dense[1][0] == 0  # b->a down
-        assert dense[0][0] == 1  # diagonal convention
-
-    def test_sensor_enumeration(self):
-        matrix = ReachabilityMatrix({("b", "a"): True, ("a", "c"): False})
-        assert matrix.sensors() == ("a", "b", "c")

@@ -1,15 +1,10 @@
-"""Smoke tests for the example scripts.
-
-The fast examples run end to end in-process; the slower ones are at least
-import-compiled so a refactor cannot silently break them.
+"""Smoke tests for the example scripts: each one runs end to end
+in-process, and one line of its output is checked.
 """
 
 import pathlib
-import py_compile
 import runpy
 import sys
-
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
@@ -36,16 +31,21 @@ class TestExamples:
         assert "ND-edge hypothesis" in out
         assert "per-neighbour split" in out
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "blocked_traceroute_localization.py",
-            "placement_study.py",
-            "isp_noc_workflow.py",
-        ],
-    )
-    def test_slow_examples_compile(self, name):
-        py_compile.compile(str(EXAMPLES / name), doraise=True)
+    def test_blocked_traceroute_example_runs(self, capsys):
+        run_example("blocked_traceroute_localization.py")
+        out = capsys.readouterr().out.splitlines()
+        verdict = next(line for line in out if line.startswith("nd-lg:"))
+        assert verdict.endswith("-> FOUND")
+
+    def test_placement_study_runs(self, capsys):
+        run_example("placement_study.py")
+        out = capsys.readouterr().out
+        assert "largest confusable class" in out
+
+    def test_isp_noc_workflow_runs(self, capsys):
+        run_example("isp_noc_workflow.py")
+        out = capsys.readouterr().out
+        assert "[verdict] detected 2/2 failed links" in out
 
     def test_all_examples_present(self):
         names = {p.name for p in EXAMPLES.glob("*.py")}

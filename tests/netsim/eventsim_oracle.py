@@ -1,10 +1,12 @@
-"""Event-driven (message-level) BGP simulation.
+"""Event-driven (message-level) BGP simulation, kept as a test oracle.
 
 The production engine (:mod:`repro.netsim.bgp.engine`) builds converged
 states directly with a three-phase Gao-Rexford computation — fast, but an
 abstraction.  This module is the *validator*: a C-BGP-style discrete-event
 simulator that exchanges individual UPDATE messages (announcements and
 withdrawals) over per-session FIFO channels until the network quiesces.
+No entry point runs it; it lives beside :mod:`tests.netsim.sweep_oracle`
+as the message-level reference of the three-way property test.
 
 For Gao-Rexford-compliant policies the stable state is unique (Gao &
 Rexford 2001), so the event-driven outcome must match the engine exactly —

@@ -8,7 +8,7 @@ and the Adj-RIB-Out of every session was built eagerly.  The methods below
 are that engine, unchanged; :class:`SweepBgp` only wraps them in a
 ``converge(state)`` that recomputes every prefix from scratch.  The
 property tests require the production engine, this oracle and the
-message-level :mod:`repro.netsim.bgp.eventsim` to agree exactly.
+message-level :mod:`tests.netsim.eventsim_oracle` to agree exactly.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ property tests: message mechanics, guards, speaker behaviour)."""
 import pytest
 
 from repro.errors import RoutingError
-from repro.netsim.bgp.eventsim import BgpMessage, EventDrivenBgp
 from repro.netsim.builders import TopologyBuilder
 from repro.netsim.topology import NetworkState, Relationship, Tier
+
+from tests.netsim.eventsim_oracle import BgpMessage, EventDrivenBgp
 
 
 @pytest.fixture

@@ -89,59 +89,3 @@ class TestValidator:
         b.link("c1", "a1")
         assert validate_gao_rexford(b.net) == []
 
-
-class TestAsRanking:
-    def test_ranking_from_figure2_diagnosis(self, fig2, fig2_sim, nominal):
-        from repro.core import NetDiagnoser, rank_suspect_ases
-        from repro.measurement.collector import take_snapshot
-        from repro.measurement.sensors import deploy_sensors
-        from repro.netsim.events import LinkFailureEvent
-
-        sensors = deploy_sensors(
-            fig2.net, [fig2.sensor_routers[s] for s in ("s1", "s2", "s3")]
-        )
-        lid = fig2.link_between("b1", "b2").lid
-        after = fig2_sim.apply(LinkFailureEvent((lid,)))
-        snap = take_snapshot(fig2_sim, sensors, nominal, after)
-        result = NetDiagnoser("nd-edge").diagnose(snap)
-        names = {a.asn: a.name for a in fig2.net.ases()}
-        ranked = rank_suspect_ases(result, snap.asn_of, names=names)
-        assert ranked
-        # AS B (where b1-b2 lives) must top the ranking.
-        assert ranked[0].asn == fig2.asn("B")
-        assert ranked[0].name == "B"
-        weights = [s.weight for s in ranked]
-        assert weights == sorted(weights, reverse=True)
-
-    def test_empty_hypothesis_ranks_nothing(self, fig2):
-        from repro.core import rank_suspect_ases
-        from repro.core.graph import InferredGraph
-        from repro.core.result import DiagnosisResult
-
-        result = DiagnosisResult(
-            algorithm="tomo", hypothesis=frozenset(), graph=InferredGraph()
-        )
-        assert rank_suspect_ases(result, lambda _a: None) == []
-
-
-class TestAsRankingVoteSplitting:
-    def test_uh_endpoints_split_votes_across_tags(self):
-        from repro.core import rank_suspect_ases
-        from repro.core.graph import InferredGraph
-        from repro.core.linkspace import UhNode, ip_link
-        from repro.core.result import DiagnosisResult
-
-        uh = UhNode("s", "d", "pre", 3)
-        token = ip_link("10.0.16.1", uh)
-        result = DiagnosisResult(
-            algorithm="nd-lg",
-            hypothesis=frozenset({token}),
-            graph=InferredGraph(),
-            details={"uh_tags": {uh: frozenset({7, 8})}},
-        )
-        ranked = rank_suspect_ases(result, {"10.0.16.1": 1}.get)
-        weights = {s.asn: s.weight for s in ranked}
-        # Identified endpoint: half a vote on AS 1; UH endpoint: half a
-        # vote split across {7, 8}.
-        assert weights[1] == 0.5
-        assert weights[7] == weights[8] == 0.25

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.bgp import BgpEngine
-from repro.netsim.bgp.eventsim import EventDrivenBgp
 from repro.netsim.builders import figure2_network
 from repro.netsim.gen.powerlaw import powerlaw_internet
 from repro.netsim.topology import ExportFilter, NetworkState
 
+from tests.netsim.eventsim_oracle import EventDrivenBgp
 from tests.netsim.sweep_oracle import SweepBgp
 from tests.netsim.test_incremental_convergence import hubspoke_internetwork
 from tests.property.test_routing_props import random_internetwork
