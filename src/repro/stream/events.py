@@ -351,7 +351,17 @@ def load_event_log(path: Union[str, Path]) -> List[StreamEvent]:
 
     Events are returned in ``seq`` order (the file order, re-sorted
     defensively); a truncated trailing line is dropped with a warning.
+    Like :func:`~repro.stream.replay.build_event_log`, the log holds one
+    :class:`~repro.core.pathset.ProbePath` per distinct path content.
     """
-    events = [stream_event_from_dict(data) for data in _iter_event_lines(Path(path))]
+    interned: Dict[ProbePath, ProbePath] = {}
+    events = []
+    for data in _iter_event_lines(Path(path)):
+        event = stream_event_from_dict(data)
+        if isinstance(event, ProbeEvent):
+            shared = interned.setdefault(event.path, event.path)
+            if shared is not event.path:
+                event = ProbeEvent(tick=event.tick, seq=event.seq, path=shared)
+        events.append(event)
     events.sort(key=lambda e: e.seq)
     return events

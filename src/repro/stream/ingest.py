@@ -9,12 +9,16 @@ canonical fixups, ``quarantine`` drops the record — so a corrupted
 observation never reaches the window, the episode detector, or a
 diagnoser.
 
-Only probe events carry enough structure for the trace invariants;
-control-plane events are screened against the feed invariants
-*per-message* (a duplicate of an already-ingested message, or a message
-whose feed sequence runs backwards per feed kind, is a violation).
-Heartbeats, dropouts and bare reachability bits have no invariants to
-lie about and always pass.
+Only probe events carry enough structure for the trace invariants.
+Their verdict is a pure function of the path content (the ingestor's
+mapper and epochs are fixed), and a quiet stream repeats the same
+traceroutes round after round, so each distinct path is checked once and
+its verdict memoised; every event is still counted and every violation
+still reported and handled.  Control-plane events are screened against
+the feed invariants *per-message* (a duplicate of an already-ingested
+message, or a message whose feed sequence runs backwards per feed kind,
+is a violation).  Heartbeats, dropouts and bare reachability bits have
+no invariants to lie about and always pass.
 
 Accounting lands on the shared :class:`~repro.validate.ValidationReport`
 (and optionally a :class:`~repro.faults.DegradationReport`) so the
@@ -24,8 +28,9 @@ stream CLI renders the same counters as the batch runner.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.pathset import ProbePath
 from repro.errors import StreamError
 from repro.faults import DegradationReport
 from repro.stream.events import (
@@ -46,6 +51,10 @@ from repro.validate.invariants import FEED_DUP, FEED_ORDER, Violation
 
 __all__ = ["StreamIngestor"]
 
+#: Distinct path contents the verdict memo holds before it is cleared;
+#: a replayed placement repeats about a thousand.
+_VERDICT_MEMO_LIMIT = 1 << 16
+
 
 class StreamIngestor:
     """Screens stream events one at a time under a validation policy.
@@ -53,7 +62,10 @@ class StreamIngestor:
     ``asn_of`` is the address→ASN mapper the trace invariants need;
     ``expected_epochs`` the set of epoch tags the stream may carry
     (both ``pre`` and ``post`` are legitimate in a stream — only a tag
-    outside the set is a stale replay).
+    outside the set is a stale replay).  Both are fixed for the
+    ingestor's lifetime, which is what lets it memoise the verdict per
+    path content.  The memo is a cache, not state: :meth:`state` leaves
+    it out, and a shard reset starts a fresh ingestor without it.
     """
 
     def __init__(
@@ -80,6 +92,7 @@ class StreamIngestor:
         # incrementally: observations seen so far and highest seq.
         self._feed_seen: Dict[str, set] = {"igp": set(), "bgp": set()}
         self._feed_highest: Dict[str, Optional[int]] = {"igp": None, "bgp": None}
+        self._verdicts: Dict[ProbePath, Tuple[Violation, ...]] = {}
 
     @property
     def policy(self) -> str:
@@ -107,13 +120,22 @@ class StreamIngestor:
 
     # ---- probes
 
+    def _verdict(self, path: ProbePath) -> Tuple[Violation, ...]:
+        """The path's trace-invariant violations, checked once per content."""
+        violations = self._verdicts.get(path)
+        if violations is None:
+            epoch = path.epoch
+            if epoch not in self.expected_epochs:
+                epoch = self.expected_epochs[-1]
+            violations = check_probe_path(path, self.asn_of, epoch)
+            if len(self._verdicts) >= _VERDICT_MEMO_LIMIT:
+                self._verdicts.clear()
+            self._verdicts[path] = violations
+        return violations
+
     def _ingest_probe(self, event: ProbeEvent) -> Optional[ProbeEvent]:
         path = event.path
-        violations: List[Violation] = []
-        if path.epoch not in self.expected_epochs:
-            violations = check_probe_path(path, self.asn_of, self.expected_epochs[-1])
-        else:
-            violations = check_probe_path(path, self.asn_of, path.epoch)
+        violations = self._verdict(path)
         if not violations:
             return event
         self.validator._found(violations)  # raises under strict
@@ -152,33 +174,25 @@ class StreamIngestor:
         the canonical incremental fixup (re-sorting history would mean
         rewriting already-consumed events).
         """
-        violations: List[Violation] = []
-        record = f"{kind} feed message seq={getattr(observation, 'seq', None)}"
-        if observation in self._feed_seen[kind]:
-            violations.append(
-                Violation(FEED_DUP, record, "duplicate feed message")
-            )
         seq = getattr(observation, "seq", None)
         sequenced = seq is not None and seq >= 0
         highest = self._feed_highest[kind]
-        if not violations and sequenced and highest is not None and seq < highest:
-            violations.append(
-                Violation(
-                    FEED_ORDER,
-                    record,
-                    f"sequence ran backwards ({highest} -> {seq})",
-                )
-            )
-        if not violations:
+        if observation in self._feed_seen[kind]:
+            invariant, detail = FEED_DUP, "duplicate feed message"
+        elif sequenced and highest is not None and seq < highest:
+            invariant = FEED_ORDER
+            detail = f"sequence ran backwards ({highest} -> {seq})"
+        else:
             self._feed_seen[kind].add(observation)
             if sequenced:
                 self._feed_highest[kind] = seq
             return event
-        self.validator._found(violations)  # raises under strict
+        record = f"{kind} feed message seq={seq}"
+        # Raises under strict.
+        self.validator._found([Violation(invariant, record, detail)])
         report = self.validator.report
         report.feed_messages_quarantined += 1
-        for violation in violations:
-            report.record_quarantine(violation.invariant)
+        report.record_quarantine(invariant)
         if self.validator.degradation is not None:
             self.validator.degradation.feed_messages_quarantined += 1
         self.events_quarantined += 1

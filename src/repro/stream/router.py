@@ -70,6 +70,16 @@ def stable_hash(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _destination(event: StreamEvent) -> Optional[str]:
+    """The destination address of a pair-scoped event; ``None`` for the
+    rest (control-plane messages, sensor heartbeats/dropouts)."""
+    if isinstance(event, ProbeEvent):
+        return event.path.dst
+    if isinstance(event, ReachabilityEvent):
+        return event.dst
+    return None
+
+
 class ShardRouter:
     """Consistent-hash routing of pair-scoped events to shards.
 
@@ -104,9 +114,11 @@ class ShardRouter:
         points.sort()
         self._ring_points = [point for point, _shard in points]
         self._ring_shards = [shard for _point, shard in points]
-        # The key space is small (origin ASes / /24 prefixes) while the
-        # event volume is huge; memoise ring lookups per key.
+        # The key space is small (origin ASes / /24 prefixes) and so is
+        # the set of destination sensors, while the event volume is huge;
+        # memoise ring lookups per key and the owning shard per address.
         self._key_cache: Dict[str, int] = {}
+        self._dst_cache: Dict[str, int] = {}
 
     def key_of(self, event: StreamEvent) -> Optional[str]:
         """The routing key for an event; ``None`` means broadcast.
@@ -116,13 +128,8 @@ class ShardRouter:
         destination-side failure alarms together), else by the
         destination /24 prefix.
         """
-        if isinstance(event, ProbeEvent):
-            dst = event.path.dst
-        elif isinstance(event, ReachabilityEvent):
-            dst = event.dst
-        else:
-            return None
-        return self.key_for_destination(dst)
+        dst = _destination(event)
+        return None if dst is None else self.key_for_destination(dst)
 
     def key_for_destination(self, dst: str) -> str:
         """The routing key of a destination address (origin AS or /24)."""
@@ -133,7 +140,11 @@ class ShardRouter:
 
     def shard_for_destination(self, dst: str) -> int:
         """The shard owning a destination address's pairs."""
-        return self.shard_for_key(self.key_for_destination(dst))
+        shard = self._dst_cache.get(dst)
+        if shard is None:
+            shard = self.shard_for_key(self.key_for_destination(dst))
+            self._dst_cache[dst] = shard
+        return shard
 
     def shard_for_key(self, key: str) -> int:
         """The shard owning ``key`` on the ring (wraps clockwise)."""
@@ -148,13 +159,12 @@ class ShardRouter:
 
     def route(self, event: StreamEvent) -> Optional[int]:
         """Shard index for a pair-scoped event, ``None`` for broadcast."""
-        if self.n_shards == 1:
-            pair_scoped = isinstance(event, (ProbeEvent, ReachabilityEvent))
-            return 0 if pair_scoped else None
-        key = self.key_of(event)
-        if key is None:
+        dst = _destination(event)
+        if dst is None:
             return None
-        return self.shard_for_key(key)
+        if self.n_shards == 1:
+            return 0
+        return self.shard_for_destination(dst)
 
 
 @dataclass(frozen=True)
@@ -273,11 +283,12 @@ def source_tenant_of(
     source address) consistently belongs to one tenant, so per-tenant
     rates mean something across a whole replay.  Broadcast events map
     to ``None`` (admission-exempt — the ISP's own control feed is not a
-    tenant).
+    tenant).  The assignment is memoised per source address.
     """
     names = [tenant.name for tenant in tenants]
     if not names:
         raise StreamError("source_tenant_of needs >= 1 tenant")
+    by_source: Dict[str, str] = {}
 
     def tenant_of(event: StreamEvent) -> Optional[str]:
         if isinstance(event, ProbeEvent):
@@ -286,7 +297,10 @@ def source_tenant_of(
             src = event.src
         else:
             return None
-        return names[stable_hash(src) % len(names)]
+        name = by_source.get(src)
+        if name is None:
+            name = by_source[src] = names[stable_hash(src) % len(names)]
+        return name
 
     return tenant_of
 

@@ -111,15 +111,12 @@ def check_probe_path(
     address checks: a star is an *absence* of data, not a lie, and
     carries per-position identity by construction.
     """
-    record = describe_path(path, expected_epoch)
-    violations = []
+    # (invariant, detail) pairs; the record label is formatted only when
+    # something is found, as most screened paths are clean.
+    found = []
     if expected_epoch is not None and path.epoch != expected_epoch:
-        violations.append(
-            Violation(
-                TRACE_EPOCH,
-                record,
-                f"tagged epoch {path.epoch!r}, round is {expected_epoch!r}",
-            )
+        found.append(
+            (TRACE_EPOCH, f"tagged epoch {path.epoch!r}, round is {expected_epoch!r}")
         )
     seen = {}
     previous = None
@@ -128,37 +125,26 @@ def check_probe_path(
             previous = hop
             continue
         if asn_of(hop) is None:
-            violations.append(
-                Violation(
-                    TRACE_UNRESOLVED,
-                    record,
-                    f"hop {index} address {hop} resolves to no router",
-                )
+            found.append(
+                (TRACE_UNRESOLVED, f"hop {index} address {hop} resolves to no router")
             )
         if hop == previous:
-            violations.append(
-                Violation(TRACE_DUP, record, f"hop {index} repeats {hop}")
-            )
+            found.append((TRACE_DUP, f"hop {index} repeats {hop}"))
         elif hop in seen:
-            violations.append(
-                Violation(
-                    TRACE_LOOP,
-                    record,
-                    f"hop {index} revisits {hop} (first seen at {seen[hop]})",
-                )
+            found.append(
+                (TRACE_LOOP, f"hop {index} revisits {hop} (first seen at {seen[hop]})")
             )
         if hop not in seen:
             seen[hop] = index
         previous = hop
     if not path.reached and path.hops[-1] == path.dst and len(path.hops) > 1:
-        violations.append(
-            Violation(
-                TRACE_REACH_BIT,
-                record,
-                "trace ends at the destination sensor yet reached=False",
-            )
+        found.append(
+            (TRACE_REACH_BIT, "trace ends at the destination sensor yet reached=False")
         )
-    return tuple(violations)
+    if not found:
+        return ()
+    record = describe_path(path, expected_epoch)
+    return tuple(Violation(invariant, record, detail) for invariant, detail in found)
 
 
 def check_rounds(
