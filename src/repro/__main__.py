@@ -47,6 +47,7 @@ from repro.errors import (
     ControlPlaneFeedError,
     EmpathyError,
     FaultInjectionError,
+    JournalError,
     MonitorError,
     StreamError,
     TopologyError,
@@ -247,8 +248,6 @@ def _interrupted(command: str, journal) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import os
-
     from repro.experiments.journal import RunJournal
     from repro.experiments.report import render_stream_report
     from repro.stream import (
@@ -262,9 +261,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.dlq_inspect:
         from repro.stream import load_dead_letters
 
-        if not args.dlq:
-            print("--dlq-inspect needs --dlq PATH")
-            return 2
         entries = load_dead_letters(args.dlq)
         print(f"=== dead letters ({len(entries)} entries) ===")
         for index, entry in enumerate(entries):
@@ -284,7 +280,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 )
         return 0
 
-    workers = args.workers or (os.cpu_count() or 1)
     tenants = tenant_of = None
     if args.tenants > 0:
         tenants = tuple(
@@ -292,16 +287,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             for index in range(args.tenants)
         )
         tenant_of = source_tenant_of(tenants)
+    setup_args = dict(
+        seed=args.seed,
+        topo_seed=args.topo_seed,
+        n_tier2=args.tier2,
+        n_stub=args.stubs,
+        n_sensors=args.sensors,
+        blocked_fraction=args.blocked_fraction,
+        algorithms=tuple(args.algorithms),
+    )
     for rate in args.rates:
-        setup = make_replay_setup(
-            seed=args.seed,
-            topo_seed=args.topo_seed,
-            n_tier2=args.tier2,
-            n_stub=args.stubs,
-            n_sensors=args.sensors,
-            blocked_fraction=args.blocked_fraction,
-            algorithms=tuple(args.algorithms),
-        )
+        setup = make_replay_setup(**setup_args)
         config = ReplayConfig(
             kind=args.kind,
             episodes=args.episodes,
@@ -314,11 +310,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
         journal = cached = None
         if args.journal:
+            # Everything that shapes the reports but the shard count, so
+            # serial and sharded runs resume each other's journals.
             fingerprint = {
                 "format": "repro-stream-journal",
+                "setup": setup_args,
                 "config": config,
                 "policy": args.policy,
                 "window": args.window,
+                "tenants": tenants,
             }
             journal = RunJournal(f"{args.journal}.rate{rate}", fingerprint)
             if args.resume:
@@ -329,7 +329,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 config,
                 policy=args.policy,
                 window_width=args.window,
-                workers=workers,
                 shards=args.shards,
                 tenants=tenants,
                 tenant_of=tenant_of,
@@ -383,8 +382,6 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    import os
-
     from repro.experiments.journal import RunJournal
     from repro.monitor import (
         make_monitor_setup,
@@ -402,23 +399,26 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             print(f"{name:18s} {config.ticks} ticks")
         return 0
 
-    workers = args.workers or (os.cpu_count() or 1)
     config = scenario(args.scenario, args.ticks)
-    setup = make_monitor_setup(
+    setup_args = dict(
         seed=args.seed,
         topo_seed=args.topo_seed,
         n_tier2=args.tier2,
         n_stub=args.stubs,
         n_sensors=args.sensors,
     )
+    setup = make_monitor_setup(**setup_args)
     journal = cached = None
     if args.journal:
+        # As for stream: every report-shaping argument but the shard
+        # count (--retention sizes the flight recorder, not the reports).
         fingerprint = {
             "format": "repro-monitor-journal",
+            "setup": setup_args,
             "scenario": config,
-            "seed": args.seed,
             "policy": args.policy,
             "window": args.window,
+            "chaos": args.chaos,
         }
         journal = RunJournal(args.journal, fingerprint)
         if args.resume:
@@ -436,7 +436,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             args.seed,
             policy=args.policy,
             window_width=args.window,
-            workers=workers,
             shards=args.shards,
             chaos_rate=args.chaos,
             journal=journal,
@@ -487,6 +486,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             marker = "**" if any(str(t) == link for t in truth) else "  "
             print(f"    {marker} {link}")
     return 0
+
+
+def _check_prerequisites(command: argparse.ArgumentParser, args) -> None:
+    """Refuse flags whose prerequisite is missing, as usage errors
+    (stderr, exit 2) rather than silently ignoring them."""
+    if getattr(args, "resume", False) and not args.journal:
+        command.error("--resume needs --journal PATH")
+    if args.command != "stream":
+        return
+    if args.tenants < 0:
+        command.error(f"--tenants must be >= 0, got {args.tenants}")
+    if args.tenant_rate is not None and not args.tenants:
+        command.error("--tenant-rate requires --tenants")
+    if args.dlq_inspect and not args.dlq:
+        command.error("--dlq-inspect needs --dlq PATH")
 
 
 def main(argv=None) -> int:
@@ -674,12 +688,6 @@ def main(argv=None) -> int:
         "hitting-set + empathy and grades their agreement",
     )
     stream.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=1,
-        help="diagnosis worker processes (0 = all cores, 1 = serial)",
-    )
-    stream.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -810,12 +818,6 @@ def main(argv=None) -> int:
         help="flight-recorder ring-buffer size (observations kept per pair)",
     )
     monitor.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=1,
-        help="diagnosis worker processes (0 = all cores, 1 = serial)",
-    )
-    monitor.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -855,20 +857,23 @@ def main(argv=None) -> int:
     replay.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
+    _check_prerequisites(sub.choices[args.command], args)
     try:
         return args.func(args)
     except (
         ControlPlaneFeedError,
         EmpathyError,
         FaultInjectionError,
+        JournalError,
         MonitorError,
         StreamError,
         TopologyError,
         ValidationError,
     ) as error:
         # Typed pipeline failures are user-diagnosable (bad inputs, strict
-        # validation, a misconfigured or overflowing stream): one line on
-        # stderr, nonzero exit, no traceback.
+        # validation, a misconfigured or overflowing stream, a journal
+        # from another run): one line on stderr, nonzero exit, no
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

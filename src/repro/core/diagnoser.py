@@ -73,12 +73,6 @@ class NetDiagnoser:
         self.use_partial_traces = use_partial_traces
         self.ignore_unidentified = ignore_unidentified
 
-    @property
-    def poolable(self) -> bool:
-        """Whether diagnosis may run in a worker process (nd-lg holds a
-        process-local Looking Glass session, so it must stay inline)."""
-        return self.variant != "nd-lg"
-
     def diagnose(
         self,
         snapshot: MeasurementSnapshot,

@@ -10,7 +10,8 @@ callable — the complete edge-data input of every NetDiagnoser variant.
 
 Each derives its diagnosis inputs once (a path its tokens, a store its
 graphs, a snapshot its edge inputs); the stores are frozen by the time a
-diagnosis reads them, and no memo travels in a pickle.
+diagnosis reads them, and a pickled path (a shard checkpoint holds them)
+carries no memo.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ Pair = Tuple[str, str]
 
 def same_mapping(a: Callable, b: Callable) -> bool:
     """Whether a memo built under IP-to-AS mapping ``a`` serves ``b``: by
-    equality, as each snapshot gets a fresh bound ``mapper.asn_of``, and
-    never by hash, as a worker's ``StaticAsnMap`` has none."""
+    equality, as each snapshot gets a fresh bound ``mapper.asn_of``."""
     return a is b or a == b
 
 
@@ -129,9 +129,6 @@ class PathStore:
         self._graphs: Dict[str, Any] = {}
         for path in (paths or {}).values():
             self.add(path)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return dict(self.__dict__, _pairs_memo=None, _graphs={})
 
     def add(self, path: ProbePath) -> None:
         """Insert one probe path (pairs must be unique)."""
@@ -235,13 +232,6 @@ class MeasurementSnapshot:
         self._changed: Tuple[Pair, ...] = tuple(changed)
         self._rerouted_memo: Optional[Tuple[Pair, ...]] = None
         self._derived: Dict[tuple, Any] = {}
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"before": self.before, "after": self.after, "asn_of": self.asn_of}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def derived(self, key: tuple, build: Callable[[], Any]) -> Any:
         """``build()`` once per ``key`` (a bounded set of flags, never

@@ -37,14 +37,9 @@ class Diagnoser(Protocol):
         Stable algorithm name (``"nd-edge"``, ``"empathy"``, ...) — used
         in journal fingerprints, report labels and empty-result
         placeholders, so it must be a plain string constant per instance.
-    poolable:
-        True when :meth:`diagnose` may run in a worker process: the
-        instance and its inputs must be picklable and hold no process-
-        local state (Looking Glass sessions are the canonical exception).
     """
 
     variant: str
-    poolable: bool
 
     def diagnose(
         self,

@@ -35,7 +35,6 @@ class EmpathyDiagnoser:
     """
 
     variant = "empathy"
-    poolable = True
 
     def diagnose(
         self,

@@ -118,12 +118,6 @@ class EnsembleDiagnoser:
                 f"{len(self.members)}"
             )
 
-    @property
-    def poolable(self) -> bool:
-        return all(
-            getattr(member, "poolable", True) for member in self.members.values()
-        )
-
     def diagnose(
         self,
         snapshot: MeasurementSnapshot,

@@ -20,6 +20,7 @@ __all__ = [
     "FaultInjectionError",
     "ControlPlaneFeedError",
     "JobTimeoutError",
+    "JournalError",
     "ValidationError",
     "EmpathyError",
     "StreamError",
@@ -100,6 +101,13 @@ class JobTimeoutError(ReproError):
     (and retried, attempts permitting) by the resilient runner."""
 
 
+class JournalError(ReproError):
+    """A resume journal cannot serve this run: its header is not a run
+    journal's, or its fingerprint says a run with different arguments
+    wrote it.  User-diagnosable: the CLI prints the message on stderr
+    and exits 2 instead of dumping a traceback."""
+
+
 class StreamError(ReproError):
     """The streaming diagnosis engine was misconfigured or handed an
     unusable event stream (unknown log format, zero-width window,
@@ -115,20 +123,12 @@ class EpisodeOverflowError(StreamError):
     the event source.
 
     ``shard`` carries the owning shard id when the overflow happened
-    inside a sharded engine (``None`` for the single-shard engine), so
-    an overflow crossing a worker-process boundary surfaces as this
-    typed error naming the shard instead of a raw
-    ``BrokenProcessPool`` loss.  The custom constructor makes the
-    exception round-trip through pickle (the default reduction would
-    re-call ``__init__`` with only ``args``).
+    inside a sharded engine (``None`` for the single-shard engine).
     """
 
     def __init__(self, message: str, shard: "int | None" = None) -> None:
         super().__init__(message)
         self.shard = shard
-
-    def __reduce__(self):
-        return (type(self), (self.args[0] if self.args else "", self.shard))
 
 
 class SupervisionError(StreamError):

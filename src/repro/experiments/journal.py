@@ -13,7 +13,7 @@ Appends are flushed and fsync'd, so a crash loses at most the placement
 being written; a truncated trailing record is detected and ignored on
 load.  The header carries a fingerprint of the batch parameters — a
 journal written by a *different* sweep refuses to resume instead of
-silently mixing results.
+silently mixing results (:class:`~repro.errors.JournalError`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from repro.errors import ReproError
+from repro.errors import JournalError
 
 __all__ = ["RunJournal", "append_pickle_record", "iter_pickle_records"]
 
@@ -53,7 +53,7 @@ def iter_pickle_records(
     path: Path,
     expected_format: str,
     fingerprint: Any,
-    error_cls: type = ReproError,
+    error_cls: type = JournalError,
 ):
     """Yield the records of a pickle journal, torn-tail tolerantly.
 
@@ -106,9 +106,10 @@ class RunJournal:
     path:
         Journal file location (created on first append).
     fingerprint:
-        Any picklable, equality-comparable description of the batch
-        (seed, sizes, kinds, fault config...).  Loading a journal whose
-        fingerprint differs raises :class:`~repro.errors.ReproError`.
+        Any picklable, equality-comparable description of every argument
+        that shapes the results (seed, sizes, kinds, fault config...).
+        Loading a journal whose fingerprint differs raises
+        :class:`~repro.errors.JournalError`.
     """
 
     def __init__(self, path: Union[str, Path], fingerprint: Any) -> None:
@@ -133,8 +134,6 @@ class RunJournal:
         warning; everything before it is recovered.
         """
         completed: Dict[int, Any] = {}
-        for result in iter_pickle_records(
-            self.path, _FORMAT, self.fingerprint, error_cls=ReproError
-        ):
+        for result in iter_pickle_records(self.path, _FORMAT, self.fingerprint):
             completed[result.placement_index] = result
         return completed

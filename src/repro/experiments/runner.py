@@ -73,6 +73,7 @@ from repro.netsim.lookingglass import LookingGlassService
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Internetwork, NetworkState
 from repro.validate import Validator
+from repro.experiments import jobs as job_callables
 from repro.experiments.journal import RunJournal
 from repro.experiments.scenarios import Scenario, ScenarioSampler
 
@@ -1014,6 +1015,18 @@ def _run_jobs_parallel(
         pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _callable_key(fn: Optional[Callable]):
+    """A job callable as a journal fingerprint holds it: the
+    :mod:`repro.experiments.jobs` dataclasses by value (their fields are
+    the configuration), any other callable by qualified name."""
+    if fn is None or type(fn).__module__ == job_callables.__name__:
+        return fn
+    return (
+        f"{getattr(fn, '__module__', type(fn).__module__)}."
+        f"{getattr(fn, '__qualname__', type(fn).__qualname__)}"
+    )
+
+
 def run_kind_batch(
     topo_factory,
     placement_fn,
@@ -1092,6 +1105,9 @@ def run_kind_batch(
         # identities (factories, diagnoser instances) are reduced to
         # stable descriptions so resuming from another process works.
         fingerprint = {
+            "topo_factory": _callable_key(topo_factory),
+            "placement_fn": _callable_key(placement_fn),
+            "asx_selector": _callable_key(asx_selector),
             "seed": seed,
             "placements": placements,
             "failures_per_placement": failures_per_placement,

@@ -249,7 +249,6 @@ def run_monitor(
     *,
     policy: str = "quarantine",
     window_width: int = 4,
-    workers: int = 0,
     shards: int = 1,
     chaos_rate: float = 0.0,
     journal: Optional[RunJournal] = None,
@@ -299,7 +298,6 @@ def run_monitor(
         open_after=config.open_after,
         close_after=config.close_after,
         policy=policy,
-        workers=workers,
         degradation=DegradationReport(),
         cached_reports=cached_reports,
     )

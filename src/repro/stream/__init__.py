@@ -16,7 +16,7 @@ This package is that online layer over the existing batch machinery:
 * :mod:`repro.stream.engine` — :class:`StreamEngine`, the one engine
   (``shards=1`` is the serial one): bounded work queue, explicit
   backpressure, per-episode diagnosis, output bit-identical across shard
-  and worker counts;
+  counts;
 * :mod:`repro.stream.replay` — deterministic replay of recorded rounds
   and fault plans (same log + seed ⇒ identical episode reports);
 * :mod:`repro.stream.router` — consistent-hash shard routing, the
@@ -39,7 +39,6 @@ inspects dead letters.
 from repro.stream.engine import (
     EpisodeDiagnosis,
     EpisodeReport,
-    StaticAsnMap,
     StreamEngine,
 )
 from repro.stream.episodes import (
@@ -144,7 +143,6 @@ __all__ = [
     "ShardSupervisor",
     "SupervisionConfig",
     "load_dead_letters",
-    "StaticAsnMap",
     "EpisodeDiagnosis",
     "EpisodeReport",
     "StreamEngine",

@@ -28,17 +28,15 @@ at its hook points (listed on that class).
 
 Determinism: with admission disabled and unbounded window capacity,
 every ``shards`` count replays bit-identically (per-shard LRU caps may
-shed different cold pairs).  With ``workers > 1`` the per-variant
-diagnoses run in a process pool on :class:`StaticAsnMap` payloads and
-merge back in (transition, variant) order, bit-identical to serial;
-``nd-lg`` closures are not picklable and always run inline.
+shed different cold pairs).  Diagnosis runs inline, in (transition,
+variant) order, so every variant of a drain shares the merged
+snapshot's derived inputs.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,7 +68,6 @@ from repro.stream.supervise import (
 )
 
 __all__ = [
-    "StaticAsnMap",
     "EpisodeDiagnosis",
     "EpisodeReport",
     "StreamEngine",
@@ -79,22 +76,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 Pair = Tuple[str, str]
-
-
-@dataclass
-class StaticAsnMap:
-    """A picklable snapshot of the IP-to-AS mapping.
-
-    Worker processes cannot unpickle a simulator-bound ``asn_of``
-    method, so diagnosis payloads carry the mapping for exactly the
-    addresses the snapshot mentions.  Calling it is what the diagnosers
-    expect: address in, ASN (or ``None``) out.
-    """
-
-    table: Dict[str, Optional[int]]
-
-    def __call__(self, address: str) -> Optional[int]:
-        return self.table.get(address)
 
 
 @dataclass(frozen=True)
@@ -175,19 +156,6 @@ def _empty_diagnosis(label: str, error: Optional[str] = None) -> EpisodeDiagnosi
     )
 
 
-def _diagnose_payload(payload) -> EpisodeDiagnosis:
-    """Worker-side diagnosis of one picklable (label, diagnoser,
-    snapshot, control) payload; degrades to an empty verdict on any
-    exception so a fragile diagnoser never kills the pool."""
-    label, diagnoser, snapshot, control = payload
-    try:
-        return _summarise(
-            diagnoser.diagnose(snapshot, control=control, lg_lookup=None)
-        )
-    except Exception as exc:
-        return _empty_diagnosis(label, error=type(exc).__name__)
-
-
 class StreamEngine:
     """Continuous diagnosis over an event stream, on one or more shards.
 
@@ -213,7 +181,6 @@ class StreamEngine:
         policy: str = "quarantine",
         max_pending: int = 8,
         overflow_limit: int = 32,
-        workers: int = 0,
         degradation: Optional[DegradationReport] = None,
         on_report: Optional[Callable[[EpisodeReport], None]] = None,
         cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
@@ -273,12 +240,10 @@ class StreamEngine:
         ) if supervised else None
         self.max_pending = max_pending
         self.overflow_limit = overflow_limit
-        self.workers = workers
         self.on_report = on_report
         self.cached_reports = dict(cached_reports or {})
         self._pending: List[_PendingWork] = []
         self._deferred: List[_PendingWork] = []
-        self._pool: Optional[ProcessPoolExecutor] = None
         self.reports: List[EpisodeReport] = []
         # accounting
         self.events_offered = 0
@@ -407,9 +372,8 @@ class StreamEngine:
             return
         self.transitions_deferred += 1
         if len(self._deferred) >= self.overflow_limit:
-            # Name the owning shard before the overflow crosses any
-            # worker/process boundary: a bare BrokenProcessPool tells an
-            # operator nothing about *which* shard's episode wedged it.
+            # Name the owning shard: an operator needs to know *which*
+            # shard's episode wedged the queue.
             raise EpisodeOverflowError(
                 f"diagnosis queue full ({self.max_pending} pending, "
                 f"{len(self._deferred)} deferred >= overflow_limit="
@@ -462,36 +426,15 @@ class StreamEngine:
         return reports
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         if self.supervisor is not None:
             self.supervisor.close()
 
     # ---------------------------------------------------------- diagnosis
 
-    def _static_asn_map(
-        self, snapshot: MeasurementSnapshot, control: Optional[ControlPlaneView]
-    ) -> StaticAsnMap:
-        addresses = set()
-        for store in (snapshot.before, snapshot.after):
-            for path in store.paths():
-                for hop in path.hops:
-                    if isinstance(hop, str):
-                        addresses.add(hop)
-        if control is not None:
-            for obs in control.igp_link_down:
-                addresses.update((obs.address_a, obs.address_b))
-            for obs in control.withdrawals:
-                addresses.update((obs.at_address, obs.from_address))
-        return StaticAsnMap(
-            {address: self.asn_of(address) for address in sorted(addresses)}
-        )
-
     def _diagnose_batch(
         self, batch: List[_PendingWork], now: int
     ) -> List[EpisodeReport]:
-        """Diagnose a drained batch, serial or via the worker pool.
+        """Diagnose a drained batch, in (transition, variant) order.
 
         Every transition in the batch sees the same window state (the
         windows only change in :meth:`offer`/:meth:`advance`), so the
@@ -508,58 +451,22 @@ class StreamEngine:
             else:
                 live.append((index, work.transition))
 
-        open_work = [(index, t) for index, t in live if t.kind != CLOSE]
         snapshot = control = None
-        if open_work:
+        if any(transition.kind != CLOSE for _index, transition in live):
             windows = [shard.window for shard in self.shards]
             snapshot = merged_snapshot(windows, self.asn_of)
             if self.asx is not None:
                 control = merged_control_view(windows, self.asx)
         diagnosable = snapshot is not None and snapshot.any_failure()
 
-        labels = list(self.diagnosers)
-        pooled: Dict[Tuple[int, str], EpisodeDiagnosis] = {}
-        if self.workers > 1 and diagnosable:
-            pool_labels = [lbl for lbl in labels if self._pool_allowed(lbl)]
-            jobs = [(i, label) for i, _t in open_work for label in pool_labels]
-            if jobs:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                static_map = self._static_asn_map(snapshot, control)
-                picklable_snapshot = MeasurementSnapshot(
-                    before=snapshot.before,
-                    after=snapshot.after,
-                    asn_of=static_map,
-                )
-                futures = [
-                    (
-                        (index, label),
-                        self._pool.submit(
-                            _diagnose_payload,
-                            (
-                                label,
-                                self.diagnosers[label],
-                                picklable_snapshot,
-                                control,
-                            ),
-                        ),
-                    )
-                    for index, label in jobs
-                ]
-                for key, future in futures:
-                    pooled[key] = future.result()
-
         reports: Dict[int, EpisodeReport] = dict(cached)
         for index, transition in live:
             diagnoses: List[EpisodeDiagnosis] = []
             if transition.kind != CLOSE and diagnosable:
-                for label in labels:
-                    if (index, label) in pooled:
-                        verdict = pooled[(index, label)]
-                    else:
-                        verdict = self._diagnose_inline(
-                            label, snapshot, control, transition, now
-                        )
+                for label in self.diagnosers:
+                    verdict = self._diagnose_one(
+                        label, snapshot, control, transition, now
+                    )
                     if verdict.error is not None:
                         self.diagnoses_failed += 1
                     if verdict.verdict is not None:
@@ -576,15 +483,7 @@ class StreamEngine:
             )
         return [reports[next_index + offset] for offset in range(len(batch))]
 
-    def _pool_allowed(self, label: str) -> bool:
-        """May this diagnoser's work use the process pool?  Never for
-        unpicklable ``nd-lg`` closures, nor when the supervisor wants
-        the outcome inline."""
-        if not getattr(self.diagnosers[label], "poolable", True):
-            return False
-        return self.supervisor is None or self.supervisor.pool_allowed(label)
-
-    def _diagnose_inline(
+    def _diagnose_one(
         self,
         label: str,
         snapshot: MeasurementSnapshot,

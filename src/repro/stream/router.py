@@ -80,14 +80,18 @@ def _destination(event: StreamEvent) -> Optional[str]:
     return None
 
 
+#: Virtual nodes per shard on the consistent-hash ring.
+_RING_REPLICAS = 32
+
+
 class ShardRouter:
     """Consistent-hash routing of pair-scoped events to shards.
 
-    The ring holds ``replicas`` virtual nodes per shard; a key maps to
-    the first virtual node clockwise from its hash.  Changing the shard
-    count therefore remaps only the keys between affected virtual nodes
-    (~``1/N`` of the space), not everything — the property that makes
-    re-sharding a live deployment survivable.
+    The ring holds ``_RING_REPLICAS`` virtual nodes per shard; a key
+    maps to the first virtual node clockwise from its hash.  Changing the
+    shard count therefore remaps only the keys between affected virtual
+    nodes (~``1/N`` of the space), not everything — the property that
+    makes re-sharding a live deployment survivable.
 
     Events without a destination key (control-plane messages, sensor
     heartbeats/dropouts) route to ``None``: **broadcast**, every shard
@@ -98,18 +102,14 @@ class ShardRouter:
         self,
         n_shards: int,
         asn_of: Optional[Callable[[str], Optional[int]]] = None,
-        replicas: int = 32,
     ) -> None:
         if n_shards < 1:
             raise StreamError(f"need >= 1 shard, got {n_shards}")
-        if replicas < 1:
-            raise StreamError(f"need >= 1 ring replica, got {replicas}")
         self.n_shards = n_shards
         self.asn_of = asn_of
-        self.replicas = replicas
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
-            for replica in range(replicas):
+            for replica in range(_RING_REPLICAS):
                 points.append((stable_hash(f"shard-{shard}/vn-{replica}"), shard))
         points.sort()
         self._ring_points = [point for point, _shard in points]

@@ -25,7 +25,7 @@ its hook points (see the class docstring for the list):
   plus the darkness buffer — re-screened through the same ingestor, so
   counters land on exactly the totals an undisturbed run reports.
 * :class:`CircuitBreaker` guards each diagnosis variant: repeated hard
-  failures (worker timeout/poison, queue overflow, pool loss) open the
+  failures (worker timeout/poison, queue overflow) open the
   breaker, opened work is short-circuited to an accounted empty verdict,
   and after a cooldown a single half-open probe decides whether to
   re-close.  All timing is logical ticks — deterministic.
@@ -84,9 +84,7 @@ BREAKER_HALF_OPEN = "half-open"
 
 # Diagnosis error names the breaker treats as hard infrastructure
 # failures (as opposed to a diagnoser legitimately declining a window).
-HARD_FAILURES = frozenset(
-    {"JobTimeoutError", "EpisodeOverflowError", "BrokenProcessPool"}
-)
+HARD_FAILURES = frozenset({"JobTimeoutError", "EpisodeOverflowError"})
 
 
 @dataclass(frozen=True)
@@ -326,9 +324,8 @@ class ShardSupervisor:
     :meth:`record_tail` in ``offer``; :meth:`begin_tick` (restarts),
     :meth:`alarm_view` (held views) and :meth:`end_tick` (chaos dice,
     checkpoints) around the merge in ``advance``; :meth:`divert` when
-    scheduling; :meth:`pool_allowed`,
-    :meth:`gate_diagnosis` and :meth:`record_diagnosis` around
-    diagnosis; :meth:`force_recover` in ``flush``.  Everything runs on
+    scheduling; :meth:`gate_diagnosis` and :meth:`record_diagnosis`
+    around diagnosis; :meth:`force_recover` in ``flush``.  Everything runs on
     the logical clock, so every decision replays.
 
     Crash semantics: the failure is *detected* at the end of the tick it
@@ -339,11 +336,6 @@ class ShardSupervisor:
     post-checkpoint tail plus the darkness buffer replayed through the
     normal screening path, which provably reconstructs the undisturbed
     state (the chaos tests assert byte-identical final verdicts).
-
-    Diagnoses of a variant whose breaker is not closed — and all of
-    them when worker poison can fire — stay out of the process pool:
-    pooled workers swallow exceptions, and the breaker must observe
-    every outcome in deterministic (transition, variant) order.
     """
 
     def __init__(
@@ -602,12 +594,6 @@ class ShardSupervisor:
         return True
 
     # ------------------------------------------------------------ diagnosis
-
-    def pool_allowed(self, label: str) -> bool:
-        """May ``label``'s work leave the engine for the worker pool?"""
-        if self.breakers[label].state != BREAKER_CLOSED:
-            return False
-        return self.plan is None or self.plan.config.worker_poison_rate <= 0
 
     def gate_diagnosis(
         self, label: str, diagnoser, episode_id: int, tick: int

@@ -145,8 +145,7 @@ def _asn_of(address):
 
 
 class _UnhashableMap:
-    """A mapping that compares by content and cannot be hashed (like a
-    worker's ``StaticAsnMap``)."""
+    """A mapping that compares by content and cannot be hashed."""
 
     __hash__ = None
 
@@ -167,7 +166,7 @@ class _Mapper:
 
 class TestDerivedOnce:
     """Memos live on the path, the store and the snapshot, and never in a
-    pickle."""
+    pickled path."""
 
     def test_warm_path_pickles_to_the_cold_bytes(self):
         p = path("1.1.1.1", "2.2.2.2", ["3.3.3.3", "4.4.4.4"])
@@ -180,21 +179,6 @@ class TestDerivedOnce:
         assert restored == p
         assert restored.token_memo() == {}
         assert logicalize(restored, _asn_of) == logicalize(p, _asn_of)
-
-    def test_store_and_snapshot_pickle_without_memos(self):
-        before, after = PathStore(), PathStore()
-        before.add(path("1.1.1.1", "2.2.2.2", ["3.3.3.3"]))
-        after.add(path("1.1.1.1", "2.2.2.2", ["3.3.3.3"], epoch=EPOCH_POST))
-        snapshot = MeasurementSnapshot(before=before, after=after, asn_of=_asn_of)
-        cold = pickle.dumps(snapshot)
-        before.physical_graph()
-        before.logical_graph(_asn_of)
-        snapshot.rerouted_pairs()
-        snapshot.derived("key", lambda: "value")
-        assert pickle.dumps(snapshot) == cold
-        restored = pickle.loads(cold)
-        assert restored.changed_pairs() == snapshot.changed_pairs()
-        assert restored.derived("key", lambda: "rebuilt") == "rebuilt"
 
     def test_hop_identical_post_path_shares_pre_tokens(self):
         before, after = PathStore(), PathStore()
@@ -257,40 +241,3 @@ class TestDerivedOnce:
         assert len(store.physical_graph()) == 4
         assert store.logical_graph(_asn_of) is not logical
 
-    def test_static_asn_map_snapshot_diagnoses_the_same_after_a_round_trip(
-        self, fig2, fig2_sim, nominal
-    ):
-        from repro.core.diagnoser import NetDiagnoser
-        from repro.measurement.collector import take_snapshot
-        from repro.measurement.sensors import deploy_sensors
-        from repro.stream.engine import StaticAsnMap
-
-        sensors = deploy_sensors(
-            fig2.net, [fig2.sensor_routers[s] for s in ("s1", "s2", "s3")]
-        )
-        after_state = nominal.with_failed_links(
-            [fig2.link_between("y4", "b1").lid]
-        )
-        measured = take_snapshot(fig2_sim, sensors, nominal, after_state)
-        addresses = {
-            hop
-            for store in (measured.before, measured.after)
-            for p in store.paths()
-            for hop in p.hops
-            if isinstance(hop, str)
-        }
-        snapshot = MeasurementSnapshot(
-            before=measured.before,
-            after=measured.after,
-            asn_of=StaticAsnMap({a: measured.asn_of(a) for a in addresses}),
-        )
-        assert snapshot.any_failure()
-        for variant in ("tomo", "nd-edge"):
-            warm = NetDiagnoser(variant).diagnose(snapshot)
-            shipped = NetDiagnoser(variant).diagnose(
-                pickle.loads(pickle.dumps(snapshot))
-            )
-            assert shipped.hypothesis == warm.hypothesis
-            assert shipped.excluded == warm.excluded
-            assert shipped.details == warm.details
-            assert shipped.graph.tokens() == warm.graph.tokens()

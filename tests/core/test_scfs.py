@@ -111,10 +111,3 @@ class TestScfsDiagnose:
         assert details["sources"] >= 1
         assert details["truncated_paths"] >= 0
         assert details["shadowed_leaves"] >= 0
-
-    def test_scfs_variant_is_poolable(self):
-        from repro.core.diagnoser import NetDiagnoser
-
-        engine = NetDiagnoser("scfs")
-        assert engine.poolable
-        assert not NetDiagnoser("nd-lg").poolable

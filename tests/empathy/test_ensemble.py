@@ -94,15 +94,9 @@ class TestEnsembleDiagnoser:
         ensemble = EnsembleDiagnoser()
         assert ensemble.variant == "ensemble"
         assert set(ensemble.members) == {"nd-edge", "empathy"}
-        assert ensemble.poolable
-
-    def test_nd_lg_member_blocks_pooling(self):
-        from repro.core.diagnoser import NetDiagnoser
-
-        ensemble = EnsembleDiagnoser(
-            {"nd-edge": NetDiagnoser("nd-edge"), "nd-lg": NetDiagnoser("nd-lg")}
-        )
-        assert not ensemble.poolable
+        # The batch runner's worker pool ships diagnosers by pickle.
+        revived = pickle.loads(pickle.dumps(ensemble))
+        assert set(revived.members) == {"nd-edge", "empathy"}
 
     def test_requires_a_failure(self, fig2, fig2_sim, nominal):
         from repro.measurement.collector import take_snapshot
@@ -145,7 +139,6 @@ class TestEnsembleDiagnoser:
 
         class Broken:
             variant = "broken"
-            poolable = True
 
             def diagnose(self, snapshot, control=None, lg_lookup=None):
                 raise DiagnosisError("boom")
@@ -160,7 +153,6 @@ class TestEnsembleDiagnoser:
     def test_all_members_failing_raises(self, b1b2_snapshot):
         class Broken:
             variant = "broken"
-            poolable = True
 
             def diagnose(self, snapshot, control=None, lg_lookup=None):
                 raise DiagnosisError("boom")

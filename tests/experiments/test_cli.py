@@ -155,6 +155,12 @@ class TestCorruptionCli:
         with pytest.raises(SystemExit):
             repro_main(["degradation", "--validation", "lenient"])
 
+    def test_resume_without_journal_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["degradation", "--rates", "0", "--resume"])
+        assert exit_info.value.code == 2
+        assert "--resume needs --journal" in capsys.readouterr().err
+
 
 class TestTypedErrorsExitCleanly:
     """Both entry points catch the typed pipeline errors: one line on

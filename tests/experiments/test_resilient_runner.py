@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.diagnoser import NetDiagnoser
-from repro.errors import ReproError
+from repro.errors import JournalError, ReproError
 from repro.experiments.jobs import CoreAsx, ResearchTopoFactory, StubPlacement
 from repro.experiments import runner
 from repro.experiments.journal import RunJournal
@@ -274,7 +274,10 @@ class TestSerialFallbackAccounting:
 
 class TestJournalAndResume:
     def test_resume_replays_without_rerunning(self, tmp_path, clean_records):
-        journal = tmp_path / "sweep.journal"
+        # The resumed run swaps in a factory that refuses to build, which
+        # a path journal's fingerprint would refuse: vouch for the swap
+        # with an explicit fingerprint.
+        journal = RunJournal(tmp_path / "sweep.journal", fingerprint="sweep")
         first = run_kind_batch(
             **_batch(_FACTORY), workers=1, journal=journal
         )
@@ -294,7 +297,11 @@ class TestJournalAndResume:
         self, tmp_path, clean_records
     ):
         # Interrupt: placement 1's worker dies, the journal keeps 0 and 2.
-        journal = tmp_path / "interrupted.journal"
+        # The resume swaps the crashing factory for the healthy one, so
+        # the journal carries an explicit fingerprint (see above).
+        journal = RunJournal(
+            tmp_path / "interrupted.journal", fingerprint="sweep"
+        )
         partial_stats = RunnerStats()
         run_kind_batch(
             **_batch(CrashingTopoFactory(crash_index=1)),
@@ -339,6 +346,19 @@ class TestJournalAndResume:
         with pytest.raises(ReproError):
             run_kind_batch(
                 **_batch(_FACTORY, seed=999),
+                workers=1,
+                journal=journal,
+                resume=True,
+            )
+
+    def test_journal_of_another_placement_is_refused(self, tmp_path):
+        """The fingerprint holds the job callables: a journal written with
+        5 sensors per placement cannot resume a 6-sensor sweep."""
+        journal = tmp_path / "placement.journal"
+        run_kind_batch(**_batch(_FACTORY), workers=1, journal=journal)
+        with pytest.raises(JournalError, match="different run"):
+            run_kind_batch(
+                **_batch(_FACTORY, placement_fn=StubPlacement(6)),
                 workers=1,
                 journal=journal,
                 resume=True,

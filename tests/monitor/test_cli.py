@@ -48,9 +48,7 @@ class TestMonitorCli:
     def test_sharded_run_matches_serial_reports(self, capsys):
         assert repro_main(FAST_ARGS) == 0
         serial = capsys.readouterr().out
-        assert (
-            repro_main(FAST_ARGS + ["--shards", "4", "--workers", "2"]) == 0
-        )
+        assert repro_main(FAST_ARGS + ["--shards", "4"]) == 0
         sharded = capsys.readouterr().out
 
         def seeded(text):
@@ -80,6 +78,25 @@ class TestMonitorCli:
             ]
 
         assert seeded(first) == seeded(resumed)
+
+    def test_resume_refuses_a_journal_of_another_deployment(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "monitor.journal"
+        args = FAST_ARGS + ["--journal", str(journal)]
+        assert repro_main(args + ["--sensors", "5"]) == 0
+        capsys.readouterr()
+        assert repro_main(args + ["--sensors", "7", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "reused=" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert "different run" in captured.err
+
+    def test_resume_without_journal_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(FAST_ARGS + ["--resume"])
+        assert exit_info.value.code == 2
+        assert "--resume needs --journal" in capsys.readouterr().err
 
     def test_unknown_scenario_exits_2_with_one_line_stderr(self, capsys):
         code = repro_main(["monitor", "--scenario", "no-such-thing"])

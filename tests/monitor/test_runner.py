@@ -3,7 +3,7 @@
 The headline guarantees of the flight recorder live here:
 
 * a scenario run is a pure function of ``(seed, config)`` — serial,
-  ``shards=4 workers=2``, chaos-injected and journal-resumed runs are
+  ``shards=4``, chaos-injected and journal-resumed runs are
   bit-identical, down to the rendered report lines;
 * the blocked-vs-failed classifier scores >= 0.9 precision AND recall
   against the seeded ground truth on every trouble scenario.
@@ -46,9 +46,7 @@ class TestBitIdentity:
     def test_sharded_worker_run_matches_serial(self, monitor_setup):
         config = scenario("mixed-ops", 600)
         serial = run_monitor(monitor_setup, config, seed=3)
-        sharded = run_monitor(
-            monitor_setup, config, seed=3, shards=4, workers=2
-        )
+        sharded = run_monitor(monitor_setup, config, seed=3, shards=4)
         assert outcome(sharded) == outcome(serial)
         assert serial.recorder.intervals  # the comparison must be non-vacuous
         assert sharded.shard_stats is not None
@@ -66,7 +64,7 @@ class TestBitIdentity:
         assert sorted(cached) == [r.report_index for r in first.reports]
         resumed = run_monitor(
             monitor_setup, config, seed=11,
-            shards=4, workers=2, cached_reports=cached,
+            shards=4, cached_reports=cached,
         )
         assert outcome(resumed) == outcome(first)
         assert resumed.engine_counters["reports_reused"] == len(first.reports)

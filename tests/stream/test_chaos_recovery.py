@@ -134,5 +134,9 @@ class TestChaosCli:
         assert "dead letters" in out
 
     def test_dlq_inspect_without_path_exits_2(self, capsys):
-        assert repro_main(self.FAST_ARGS + ["--dlq-inspect"]) == 2
-        assert "--dlq" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(self.FAST_ARGS + ["--dlq-inspect"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--dlq-inspect needs --dlq" in captured.err
+        assert captured.out == ""

@@ -1,5 +1,7 @@
 """CLI tests for ``python -m repro stream``: happy path, resume, and the
-exit-code contract for typed stream errors."""
+exit-code contract for typed stream errors and usage errors."""
+
+import pytest
 
 from repro.__main__ import main as repro_main
 
@@ -57,3 +59,52 @@ class TestStreamCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "window width" in err
+
+    def test_resume_refuses_a_journal_of_another_deployment(
+        self, tmp_path, capsys
+    ):
+        """Diagnosers and sensors shape the reports, so a journal written
+        with others must not be reprinted as this run's verdicts."""
+        journal = tmp_path / "stream.journal"
+        args = FAST_ARGS + ["--journal", str(journal)]
+        assert repro_main(args) == 0
+        capsys.readouterr()
+        for changed in (["--algorithms", "nd-edge"], ["--sensors", "8"]):
+            assert repro_main(args + changed + ["--resume"]) == 2
+            captured = capsys.readouterr()
+            assert "reused=" not in captured.out
+            assert "different run" in captured.err
+
+    def test_journal_mismatch_exits_2_with_one_error_line(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "stream.journal"
+        args = FAST_ARGS + ["--journal", str(journal)]
+        assert repro_main(args) == 0
+        capsys.readouterr()
+        assert repro_main(args + ["--resume", "--policy", "strict"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestStreamUsageErrors:
+    """Flags whose prerequisite is missing are refused, not ignored."""
+
+    def usage_error(self, capsys, extra):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(FAST_ARGS + extra)
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    def test_tenant_rate_without_tenants(self, capsys):
+        err = self.usage_error(capsys, ["--tenant-rate", "1"])
+        assert "--tenant-rate requires --tenants" in err
+
+    def test_negative_tenants(self, capsys):
+        err = self.usage_error(capsys, ["--tenants", "-3"])
+        assert "--tenants must be >= 0" in err
+
+    def test_resume_without_journal(self, capsys):
+        err = self.usage_error(capsys, ["--resume"])
+        assert "--resume needs --journal" in err

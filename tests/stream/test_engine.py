@@ -59,6 +59,18 @@ class TestConfiguration:
         with pytest.raises(StreamError):
             engine(policy="lenient")
 
+    def test_build_engine_accepts_only_a_serial_workers_key(self):
+        """Diagnosis runs inline; ``build_engine`` still takes the serial
+        ``workers`` values an older caller passes, and nothing else."""
+        from repro.stream.replay import build_engine
+
+        for workers in (0, 1):
+            common = dict(asn_of=asn_of, diagnosers={}, workers=workers)
+            assert isinstance(build_engine(common), StreamEngine)
+            assert common["workers"] == workers  # the caller's dict is kept
+        with pytest.raises(StreamError, match="inline"):
+            build_engine(dict(asn_of=asn_of, diagnosers={}, workers=2))
+
 
 class TestBackpressure:
     def test_update_coalesces_into_queued_open(self):

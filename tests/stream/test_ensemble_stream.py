@@ -1,5 +1,5 @@
 """Ensemble verdicts in the streaming engine: the golden-parity contract
-(`shards=4, workers=2` bit-identical to serial, including journalled
+(`shards=4` bit-identical to serial, including journalled
 resume) with ``ensemble`` among the per-episode diagnosers, plus the
 engine's verdict counters."""
 
@@ -60,7 +60,7 @@ class TestEnsembleStreaming:
 
     def test_sharded_parallel_replay_is_bit_identical(self, serial_result):
         sharded = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4, workers=2
+            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4
         )
         assert sharded.reports == serial_result.reports
         assert sharded.episodes == serial_result.episodes
@@ -68,7 +68,7 @@ class TestEnsembleStreaming:
             assert sharded.engine_counters[key] == serial_result.engine_counters[key]
 
     def test_journal_resume_preserves_verdicts(self, tmp_path, serial_result):
-        """An interrupted serial run resumes sharded+parallel with every
+        """An interrupted serial run resumes sharded with every
         completed report (verdict fields included) reused bit-identically."""
         fingerprint = {"format": "repro-stream-journal", "config": CONFIG}
         journal = RunJournal(tmp_path / "stream.journal", fingerprint)
@@ -81,7 +81,6 @@ class TestEnsembleStreaming:
             make_replay_setup(**SETUP_ARGS),
             CONFIG,
             shards=4,
-            workers=2,
             cached_reports=cached,
         )
         assert resumed.reports == first.reports

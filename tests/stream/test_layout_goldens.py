@@ -94,7 +94,6 @@ def sharded_tenant_run():
         make_replay_setup(seed=3, n_sensors=6),
         FAULTY_CONFIG,
         shards=4,
-        workers=2,
         tenants=TENANTS,
         tenant_of=source_tenant_of(TENANTS),
     )

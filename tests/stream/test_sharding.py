@@ -1,7 +1,7 @@
 """Sharded-engine guarantees: stable routing, deterministic admission,
-lossless cross-shard merging, and the headline contract — ``shards=K,
-workers=W`` replay bit-identical to serial single-shard replay on the
-golden scenarios, including under journalled resume."""
+lossless cross-shard merging, and the headline contract — ``shards=K``
+replay bit-identical to serial single-shard replay on the golden
+scenarios, including under journalled resume."""
 
 import pytest
 
@@ -61,8 +61,6 @@ class TestShardRouter:
     def test_rejects_bad_shard_counts(self):
         with pytest.raises(StreamError):
             ShardRouter(0)
-        with pytest.raises(StreamError):
-            ShardRouter(4, replicas=0)
 
     def test_same_destination_same_shard(self):
         """Probe and reachability events for one destination co-locate:
@@ -339,7 +337,7 @@ class TestShardedDeterminism:
 
     def test_sharded_parallel_replay_is_bit_identical(self, serial_result):
         sharded = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4, workers=2
+            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4
         )
         assert sharded.reports == serial_result.reports
 
@@ -395,7 +393,6 @@ class TestShardedDeterminism:
             make_replay_setup(**SETUP_ARGS),
             CONFIG,
             shards=4,
-            workers=2,
             cached_reports=cached,
         )
         assert resumed.reports == first.reports
