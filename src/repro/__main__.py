@@ -493,6 +493,11 @@ def _check_prerequisites(command: argparse.ArgumentParser, args) -> None:
     (stderr, exit 2) rather than silently ignoring them."""
     if getattr(args, "resume", False) and not args.journal:
         command.error("--resume needs --journal PATH")
+    if getattr(args, "job_timeout", None) is not None and args.workers == 1:
+        command.error(
+            "--job-timeout needs --workers 0 or above 1: the serial backend "
+            "cannot pre-empt a placement"
+        )
     if args.command != "stream":
         return
     if args.tenants < 0:

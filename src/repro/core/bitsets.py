@@ -14,11 +14,9 @@ provides the shared dense representation:
 * :meth:`TokenUniverse.membership_matrix` encodes a family of token
   sets as one ``(n_sets, n_tokens)`` boolean matrix.
 
-Encodings are memoised in a small LRU keyed by the input family, the
-same way :meth:`repro.netsim.traceroute.TraceResult.addresses` memoises
-its hop tuple: solvers called twice on the same instance (ablations
-re-run greedy and exact on identical inputs) must not pay the interning
-twice.
+Encodings are memoised in a small LRU keyed by the input family:
+solvers called twice on the same instance (ablations re-run greedy and
+exact on identical inputs) must not pay the interning twice.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ class ProbePath:
                 "the destination sensor"
             )
         # Memo slot for links(); the dataclass is frozen so it must be set
-        # through object.__setattr__ (same trick TraceResult.addresses uses).
+        # through object.__setattr__.
         object.__setattr__(self, "_links_memo", None)
 
     #: logicalize()'s memo slot, set on first use: most paths never need it.
@@ -261,16 +261,16 @@ class MeasurementSnapshot:
         cannot tell otherwise, and the paper’s blocked-traceroute scenarios
         only use single link failures where this is exact).
 
-        Memoised: the snapshot's stores are frozen by the time a diagnosis
-        starts, and every variant that weighs reroute evidence asks for
-        this tuple.
+        Only :meth:`changed_pairs` are compared: a reached pair with
+        identical hops is not rerouted.  Memoised: the snapshot's stores
+        are frozen by the time a diagnosis starts, and every variant that
+        weighs reroute evidence asks for this tuple.
         """
         if self._rerouted_memo is None:
             rerouted = []
-            for pair in self.working_pairs():
-                old = _normalised_hops(self.before.get(pair))
-                new = _normalised_hops(self.after.get(pair))
-                if old != new:
+            for pair in self._changed:
+                old, new = self.before.get(pair), self.after.get(pair)
+                if new.reached and _normalised_hops(old) != _normalised_hops(new):
                     rerouted.append(pair)
             self._rerouted_memo = tuple(rerouted)
         return self._rerouted_memo

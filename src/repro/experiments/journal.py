@@ -13,7 +13,9 @@ Appends are flushed and fsync'd, so a crash loses at most the placement
 being written; a truncated trailing record is detected and ignored on
 load.  The header carries a fingerprint of the batch parameters — a
 journal written by a *different* sweep refuses to resume instead of
-silently mixing results (:class:`~repro.errors.JournalError`).
+silently mixing results (:class:`~repro.errors.JournalError`), and so
+does a file whose header cannot be read at all.  An empty file (a crash
+before the header) is a journal not written yet.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ def append_pickle_record(
     path: Path, record: Any, header: Dict[str, Any]
 ) -> None:
     """Durably append one pickle record, writing ``header`` first on a
-    fresh file.  Flush + fsync per append: a crash loses at most the
-    record being written.  Shared by :class:`RunJournal` and the
+    fresh or empty file.  Flush + fsync per append: a crash loses at most
+    the record being written.  Shared by :class:`RunJournal` and the
     per-shard :class:`~repro.stream.checkpoint.CheckpointStore`."""
-    new_file = not path.exists()
+    new_file = not path.exists() or path.stat().st_size == 0
     with open(path, "ab") as handle:
         if new_file:
             pickle.dump(header, handle)
@@ -59,18 +61,25 @@ def iter_pickle_records(
 
     Validates the header's format tag and fingerprint (mismatch raises
     ``error_cls`` — a journal written by a *different* run must refuse
-    to load rather than silently mix state).  A truncated trailing
-    record (crash mid-append) is dropped with a warning; an unreadable
-    header means "not our file yet", yielding nothing.
+    to load rather than silently mix state).  A missing or empty file
+    yields nothing; a non-empty file whose header cannot be read raises
+    ``error_cls`` too, since appending to it would never make it
+    loadable.  A truncated trailing record (crash mid-append) is dropped
+    with a warning.
     """
-    if not path.exists():
+    if not path.exists() or path.stat().st_size == 0:
         return
     with open(path, "rb") as handle:
         try:
             header = pickle.load(handle)
-        except (EOFError, pickle.UnpicklingError, AttributeError):
-            logger.warning("journal %s has no readable header; ignoring", path)
-            return
+        except Exception as exc:
+            # Arbitrary bytes fail to unpickle in many ways (UnpicklingError,
+            # EOFError, ValueError, OverflowError, ImportError...): each
+            # means there is no header to read.
+            raise error_cls(
+                f"{path} has no readable {expected_format} header "
+                f"({type(exc).__name__}); move it away to start afresh"
+            ) from None
         if not isinstance(header, dict) or header.get("format") != expected_format:
             raise error_cls(
                 f"{path} is not a {expected_format} journal (header {header!r})"

@@ -1073,7 +1073,8 @@ def run_kind_batch(
     is populated with per-placement accounting when given.
 
     Resilience knobs: ``job_timeout`` bounds each placement's wall clock
-    (parallel backend only — serial mode cannot pre-empt itself);
+    (parallel backend only — serial mode cannot pre-empt itself, and a
+    batch that runs serially logs a warning that the timeout is ignored);
     ``max_job_retries`` re-runs a crashed/timed-out/raising placement
     with exponential backoff (``retry_backoff_seconds * 2**k``) before
     dropping it; a worker death fails at most the placements it was
@@ -1134,6 +1135,12 @@ def run_kind_batch(
         if stats is not None:
             stats.serial_fallbacks += 1
         n_workers = 1
+    if job_timeout and n_workers == 1:
+        logger.warning(
+            "job_timeout=%gs is ignored: the batch runs serially, and the "
+            "serial backend cannot pre-empt a placement",
+            job_timeout,
+        )
 
     tracker = _JobTracker(
         jobs, max_job_retries, retry_backoff_seconds, stats, journal, sleep

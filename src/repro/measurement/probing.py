@@ -51,12 +51,11 @@ def probe_pair(
         return None
     trace = sim.trace(state, src.router_id, dst.router_id, blocked_ases)
     if faults is not None:
-        keep = faults.truncate_trace(
-            src.address, dst.address, epoch, len(trace.hops)
-        )
+        n = len(trace.addresses())
+        keep = faults.truncate_trace(src.address, dst.address, epoch, n)
         anonymize = frozenset(
             index
-            for index in range(len(trace.hops) if keep is None else keep)
+            for index in range(n if keep is None else keep)
             if faults.anonymize_hop(src.address, dst.address, epoch, index)
         )
         degraded = degrade_trace(trace, truncate_at=keep, anonymize=anonymize)
@@ -65,11 +64,11 @@ def probe_pair(
                 report.probes_truncated += 1
             report.hops_anonymized += sum(
                 1
-                for clean, dirty in zip(trace.hops, degraded.hops)
-                if clean.identified and not dirty.identified
+                for clean, dirty in zip(trace.addresses(), degraded.addresses())
+                if clean is not None and dirty is None
             )
         trace = degraded
-        n = len(trace.hops)
+        n = len(trace.addresses())
         corrupted, applied = corrupt_trace(
             trace,
             forge=faults.forge_hop(src.address, dst.address, epoch, n),
@@ -82,7 +81,7 @@ def probe_pair(
             report.loops_injected += applied.count("loop-inject")
         trace = corrupted
     raw: List[Optional[Endpoint]] = [src.address]
-    raw.extend(hop.address for hop in trace.hops)
+    raw.extend(trace.addresses())
     if trace.reached:
         raw.append(dst.address)
     hops: List[Endpoint] = []

@@ -42,7 +42,7 @@ from repro.netsim.topology import (
     Router,
     Tier,
 )
-from repro.netsim.traceroute import TraceHop, TraceResult, trace_route
+from repro.netsim.traceroute import TraceResult, trace_route
 
 __all__ = [
     "AutonomousSystem",
@@ -71,7 +71,6 @@ __all__ = [
     "Tier",
     "ValidationIssue",
     "TopologyBuilder",
-    "TraceHop",
     "TraceResult",
     "WeightChangeEvent",
     "chain_network",

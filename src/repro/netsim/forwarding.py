@@ -19,7 +19,7 @@ would indicate an engine bug, but the guard keeps the walk total).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.netsim.bgp.rib import RoutingState
 from repro.netsim.igp import IgpView
@@ -72,10 +72,13 @@ class IgpCache:
             asn = self._router_asn[link.a]
             if self._router_asn[link.b] == asn:
                 self._intra_asn[link.lid] = asn
-        # Conditions under the last state asked about: traces arrive one
-        # mesh (one state) at a time.
+        # Conditions under the last state asked about, and the ASes the
+        # last screened state changed: traces arrive one mesh (one state)
+        # at a time.
         self._state: Optional[NetworkState] = None
         self._conditions: Dict[int, tuple] = {}
+        self._screened: tuple = (None, None)
+        self._changed: FrozenSet[int] = frozenset()
 
     def condition(self, asn: int, state: NetworkState) -> tuple:
         """The part of ``state`` the IGP of ``asn`` reads.
@@ -90,20 +93,57 @@ class IgpCache:
             self._state, self._conditions = state, {}
         condition = self._conditions.get(asn)
         if condition is None:
-            intra, router_asn = self._intra_asn, self._router_asn
-            weights = {
-                lid: weight
-                for lid, weight in state.weight_overrides
-                if intra.get(lid) == asn
-            }
-            condition = self._conditions[asn] = (
-                frozenset(lid for lid in state.failed_links if intra.get(lid) == asn),
-                frozenset(
-                    rid for rid in state.failed_routers if router_asn.get(rid) == asn
-                ),
-                tuple(sorted(weights.items())),
-            )
+            condition = self._conditions[asn] = self._condition(asn, state)
         return condition
+
+    def _condition(self, asn: int, state: NetworkState) -> tuple:
+        intra, router_asn = self._intra_asn, self._router_asn
+        weights = {
+            lid: weight
+            for lid, weight in state.weight_overrides
+            if intra.get(lid) == asn
+        }
+        return (
+            frozenset(lid for lid in state.failed_links if intra.get(lid) == asn),
+            frozenset(
+                rid for rid in state.failed_routers if router_asn.get(rid) == asn
+            ),
+            tuple(sorted(weights.items())),
+        )
+
+    def changed_ases(
+        self, state: NetworkState, base: NetworkState
+    ) -> FrozenSet[int]:
+        """The ASes whose :meth:`condition` under ``state`` differs from
+        theirs under ``base``, screened once per state.
+
+        Only an AS that owns an intradomain link or a router failed in one
+        state but not the other, or an intradomain link named by either
+        state's weight overrides, can differ: the overrides are taken
+        whole, as two states with the same overrides in another order can
+        end on different weights.  Each such candidate is then compared.
+        """
+        if state is not self._screened[0] or base is not self._screened[1]:
+            intra, router_asn = self._intra_asn, self._router_asn
+            candidates = {
+                intra.get(lid) for lid in state.failed_links ^ base.failed_links
+            }
+            candidates.update(
+                router_asn.get(rid)
+                for rid in state.failed_routers ^ base.failed_routers
+            )
+            candidates.update(
+                intra.get(lid)
+                for lid, _ in state.weight_overrides + base.weight_overrides
+            )
+            candidates.discard(None)
+            self._screened = (state, base)
+            self._changed = frozenset(
+                asn
+                for asn in candidates
+                if self._condition(asn, state) != self._condition(asn, base)
+            )
+        return self._changed
 
     def view(self, asn: int, state: NetworkState) -> IgpView:
         """Return the (cached) IGP view of ``asn`` under ``state``."""

@@ -12,7 +12,7 @@ touch is the baseline's: an event changes only the traces that cross it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.netsim.bgp.engine import (
     DEFAULT_ROUTING_CACHE_CAPACITY,
@@ -41,20 +41,21 @@ class _BaselineWalk:
     """One baseline traceroute plus, once a failure state asks, what its
     walk read (a session's set-up traces the baseline only).
 
-    ``reads`` holds the destination prefix; each AS on the walk's AS
-    sequence (the source AS even when a dead source left the walk empty)
-    with its baseline IGP condition; and each of those ASes but the
-    destination with its baseline route towards the prefix.  The walk is
-    a function of these reads, so any state that leaves them unchanged
-    walks the same.  A failed crossed link needs no check of its own: the
-    engine never selects a down session, so the route over it changes.
+    ``reads`` holds the destination prefix; the ASes whose IGP the walk
+    read (its AS sequence, or the source AS when a dead source left the
+    walk empty); and the ASes of that sequence but the destination, whose
+    baseline route towards the prefix it read.  The walk is a function of
+    these reads, so any state that leaves them unchanged walks the same.
+    A failed crossed link needs no check of its own: the engine never
+    selects a down session, so the route over it changes.  Plain tuples
+    of ints and strings: the collector stops tracking them.
     """
 
     __slots__ = ("trace", "reads")
 
     def __init__(self, trace: TraceResult) -> None:
         self.trace = trace
-        self.reads: Optional[tuple] = None
+        self.reads: Optional[Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = None
 
 
 class Simulator:
@@ -154,11 +155,12 @@ class Simulator:
         walk of this pair read is unchanged under it, returns the baseline
         :class:`TraceResult` object itself instead of walking again.
         """
-        key = (state, src_router, dst_router, blocked_ases)
+        blocked = tuple(sorted(blocked_ases))
+        key = (state.key, src_router, dst_router, blocked)
         cached = self._trace_cache.get(key)
         if cached is None:
             routing = self.routing(state)
-            walk = self._baseline_walk(src_router, dst_router, blocked_ases)
+            walk = self._baseline_walk(src_router, dst_router, blocked)
             if routing is self.engine.baseline[1] or self._unchanged(
                 walk, state, routing
             ):
@@ -177,11 +179,11 @@ class Simulator:
         return cached
 
     def _baseline_walk(
-        self, src_router: int, dst_router: int, blocked_ases: FrozenSet[int]
+        self, src_router: int, dst_router: int, blocked: Tuple[int, ...]
     ) -> _BaselineWalk:
         """The pair's walk under the engine's pinned baseline (kept in an
         uncounted table: the LRU accounting sees only :meth:`trace`)."""
-        key = (src_router, dst_router, blocked_ases)
+        key = (src_router, dst_router, blocked)
         walk = self._baseline_walks.get(key)
         if walk is None:
             base_state, base_routing = self.engine.baseline
@@ -192,7 +194,7 @@ class Simulator:
                     base_state,
                     src_router,
                     dst_router,
-                    blocked_ases=blocked_ases,
+                    blocked_ases=frozenset(blocked),
                     igp_cache=self.igp_cache,
                 )
             )
@@ -206,12 +208,15 @@ class Simulator:
         ``state`` (converged to ``routing``)."""
         if walk.reads is None:
             walk.reads = self._reads_of(walk.trace)
-        prefix, igp, routes = walk.reads
-        for asn, condition in igp:
-            if self.igp_cache.condition(asn, state) != condition:
-                return False
-        for asn, route in routes:
-            now = routing.best(asn, prefix)
+        prefix, igp_ases, route_ases = walk.reads
+        base_state, base_routing = self.engine.baseline
+        if not self.igp_cache.changed_ases(state, base_state).isdisjoint(igp_ases):
+            return False
+        rib, base_rib = routing.rib(prefix), base_routing.rib(prefix)
+        if rib is base_rib:
+            return True  # the incremental engine shares an untouched RIB
+        for asn in route_ases:
+            now, route = rib.get(asn), base_rib.get(asn)
             if now is not route and now != route:
                 return False
         return True
@@ -220,20 +225,13 @@ class Simulator:
         """What the baseline walk behind ``trace`` read (see
         :class:`_BaselineWalk`)."""
         net = self.net
-        base_state, base_routing = self.engine.baseline
         dst_asn = net.asn_of_router(trace.dst_router)
-        prefix = net.autonomous_system(dst_asn).prefix
-        ases = dict.fromkeys(map(net.asn_of_router, trace.router_path()))
-        # A dead source ends the walk before it reads any route.
-        igp_ases = ases or (net.asn_of_router(trace.src_router),)
+        ases = tuple(dict.fromkeys(map(net.asn_of_router, trace.router_path())))
         return (
-            prefix,
-            [(asn, self.igp_cache.condition(asn, base_state)) for asn in igp_ases],
-            [
-                (asn, base_routing.best(asn, prefix))
-                for asn in ases
-                if asn != dst_asn
-            ],
+            net.autonomous_system(dst_asn).prefix,
+            # A dead source ends the walk before it reads any route.
+            ases or (net.asn_of_router(trace.src_router),),
+            tuple(asn for asn in ases if asn != dst_asn),
         )
 
     # ---------------------------------------------------------- accounting

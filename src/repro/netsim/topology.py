@@ -149,12 +149,36 @@ class NetworkState:
     link metrics routinely, shifting internal paths without any failure —
     a classic source of BGP-visible path changes ("hot-potato" events)
     that the robustness experiments inject alongside failures.
+
+    ``key`` is the state's canonical value, derived once at construction:
+    the sorted failed links, the sorted failed routers, the filters in
+    order as ``(link_id, at_router, sorted prefixes)`` and the weight
+    overrides in order.  Two states have equal keys exactly when they are
+    equal.  It holds only tuples of ints and strings, which the garbage
+    collector stops tracking, so caches that keep one entry per traced
+    pair key by it instead of by the state.
     """
 
     failed_links: FrozenSet[int] = frozenset()
     failed_routers: FrozenSet[int] = frozenset()
     filters: Tuple[ExportFilter, ...] = ()
     weight_overrides: Tuple[Tuple[int, int], ...] = ()
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "key",
+            (
+                tuple(sorted(self.failed_links)),
+                tuple(sorted(self.failed_routers)),
+                tuple(
+                    (f.link_id, f.at_router, tuple(sorted(f.prefixes)))
+                    for f in self.filters
+                ),
+                tuple(self.weight_overrides),
+            ),
+        )
 
     @classmethod
     def nominal(cls) -> "NetworkState":

@@ -8,22 +8,21 @@ nothing per AS: "if an AS blocks traceroutes, then no router in that AS will
 respond, and if an AS allows traceroutes, each router in that AS will
 respond with a valid IP address" (§3.4).
 
-Ground truth (the actual router ids) is retained on every hop so that
-experiments can score the diagnosis; the diagnosis algorithms themselves
-only ever look at ``address``.
+Ground truth (the actual router id of every hop) is retained on every
+trace so that experiments can score the diagnosis; the diagnosis
+algorithms themselves only ever look at the addresses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netsim.bgp.rib import RoutingState
 from repro.netsim.forwarding import ForwardingResult, IgpCache, data_path
 from repro.netsim.topology import Internetwork, NetworkState
 
 __all__ = [
-    "TraceHop",
     "TraceResult",
     "FORGED_ROUTER_ID",
     "trace_route",
@@ -38,55 +37,35 @@ FORGED_ROUTER_ID = -1
 
 
 @dataclass(frozen=True)
-class TraceHop:
-    """One traceroute hop.
-
-    ``address`` is what the probing sensor sees (``None`` for a ``'*'``);
-    ``router_id`` is simulator ground truth, never consumed by diagnosis.
-    """
-
-    address: Optional[str]
-    router_id: int
-
-    @property
-    def identified(self) -> bool:
-        """True when the hop answered with a usable address."""
-        return self.address is not None
-
-
-@dataclass(frozen=True)
 class TraceResult:
     """A complete traceroute between two routers.
 
-    ``reached`` mirrors end-to-end reachability: a failed trace ends at the
-    last responding position before the blackhole.  ``hops`` starts at the
-    source router and, when reached, ends at the destination router.
+    ``hop_addresses`` is what the probing sensor sees, one entry per hop
+    (``None`` for a ``'*'``); ``hop_routers`` is the simulator's ground
+    truth at the same positions, never consumed by diagnosis.  Both start
+    at the source router and, when reached, end at the destination
+    router.  ``reached`` mirrors end-to-end reachability: a failed trace
+    ends at the last responding position before the blackhole.
+
+    The hops are held as two tuples of strings, ``None`` and ints, which
+    the garbage collector stops tracking: the simulator's caches keep
+    hundreds of thousands of traces alive across a sweep.
     """
 
     src_router: int
     dst_router: int
-    hops: Tuple[TraceHop, ...]
+    hop_addresses: Tuple[Optional[str], ...]
+    hop_routers: Tuple[int, ...]
     reached: bool
     failure_reason: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        # Results live in the simulator's LRU cache and are re-read by every
-        # scenario that hits them, so the derived sequences are materialised
-        # once here instead of on every addresses()/router_path() call.
-        object.__setattr__(
-            self, "_addresses", tuple(hop.address for hop in self.hops)
-        )
-        object.__setattr__(
-            self, "_router_path", tuple(hop.router_id for hop in self.hops)
-        )
-
     def addresses(self) -> Tuple[Optional[str], ...]:
         """The address sequence as the sensor records it."""
-        return self._addresses
+        return self.hop_addresses
 
     def router_path(self) -> Tuple[int, ...]:
         """Ground-truth router id sequence."""
-        return self._router_path
+        return self.hop_routers
 
 
 def trace_route(
@@ -110,19 +89,20 @@ def trace_route(
     outcome: ForwardingResult = data_path(
         net, routing, state, src_router, dst_router, igp_cache=igp_cache
     )
-    hops = []
-    last = len(outcome.router_path) - 1
-    for position, rid in enumerate(outcome.router_path):
-        asn = net.asn_of_router(rid)
+    routers = outcome.router_path
+    last = len(routers) - 1
+    addresses = []
+    for position, rid in enumerate(routers):
         endpoint = position == 0 or (outcome.reached and position == last)
-        if asn in blocked_ases and not endpoint:
-            hops.append(TraceHop(address=None, router_id=rid))
+        if not endpoint and net.asn_of_router(rid) in blocked_ases:
+            addresses.append(None)
         else:
-            hops.append(TraceHop(address=net.router(rid).address, router_id=rid))
+            addresses.append(net.router(rid).address)
     return TraceResult(
         src_router=src_router,
         dst_router=dst_router,
-        hops=tuple(hops),
+        hop_addresses=tuple(addresses),
+        hop_routers=routers,
         reached=outcome.reached,
         failure_reason=outcome.failure_reason,
     )
@@ -143,39 +123,40 @@ def degrade_trace(
     stays a pure function of the fault plan's decisions.
     """
     anonymize = frozenset(anonymize)
-    hops = trace.hops
+    addresses = trace.hop_addresses
+    routers = trace.hop_routers
     reached = trace.reached
     failure_reason = trace.failure_reason
-    if truncate_at is not None and 0 < truncate_at < len(hops):
-        hops = hops[:truncate_at]
+    if truncate_at is not None and 0 < truncate_at < len(addresses):
+        addresses = addresses[:truncate_at]
+        routers = routers[:truncate_at]
         reached = False
         failure_reason = "fault:truncated"
     if anonymize:
-        hops = tuple(
-            TraceHop(address=None, router_id=hop.router_id)
-            if index in anonymize and hop.identified
-            else hop
-            for index, hop in enumerate(hops)
+        addresses = tuple(
+            None if index in anonymize else address
+            for index, address in enumerate(addresses)
         )
-    if hops == trace.hops and reached == trace.reached:
+    if addresses == trace.hop_addresses and reached == trace.reached:
         return trace
     return TraceResult(
         src_router=trace.src_router,
         dst_router=trace.dst_router,
-        hops=hops,
+        hop_addresses=addresses,
+        hop_routers=routers,
         reached=reached,
         failure_reason=failure_reason,
     )
 
 
 def _nearest_identified(
-    hops: Tuple[TraceHop, ...], index: int, lo: int, hi: int
+    addresses: Sequence[Optional[str]], index: int, lo: int, hi: int
 ) -> Optional[int]:
     """The identified hop position in ``[lo, hi]`` closest to ``index``
     (ties resolve toward the start — deterministic)."""
     best = None
     for position in range(lo, hi + 1):
-        if not hops[position].identified:
+        if addresses[position] is None:
             continue
         if best is None or abs(position - index) < abs(best - index):
             best = position
@@ -206,25 +187,31 @@ def corrupt_trace(
     clean traces stay cacheable, and every corruption is a pure function
     of the scheduled decisions.
     """
-    hops = list(trace.hops)
+    addresses: List[Optional[str]] = list(trace.hop_addresses)
+    routers: List[int] = list(trace.hop_routers)
     applied = []
-    if forge is not None and len(hops) >= 2:
+
+    def insert(position: int, address: Optional[str], router: int) -> None:
+        addresses.insert(position, address)
+        routers.insert(position, router)
+
+    if forge is not None and len(addresses) >= 2:
         index, address = forge
-        index = max(1, min(index, len(hops) - 1))
-        hops.insert(index, TraceHop(address=address, router_id=FORGED_ROUTER_ID))
+        index = max(1, min(index, len(addresses) - 1))
+        insert(index, address, FORGED_ROUTER_ID)
         applied.append("hop-forge")
-    if duplicate_at is not None and len(hops) >= 3:
-        index = max(1, min(duplicate_at, len(hops) - 2))
-        target = _nearest_identified(tuple(hops), index, 1, len(hops) - 2)
+    if duplicate_at is not None and len(addresses) >= 3:
+        index = max(1, min(duplicate_at, len(addresses) - 2))
+        target = _nearest_identified(addresses, index, 1, len(addresses) - 2)
         if target is not None:
-            hops.insert(target + 1, hops[target])
+            insert(target + 1, addresses[target], routers[target])
             applied.append("hop-dup")
-    if loop is not None and len(hops) >= 3:
+    if loop is not None and len(addresses) >= 3:
         earlier, later = loop
-        later = max(1, min(later, len(hops) - 2))
-        earlier = _nearest_identified(tuple(hops), earlier, 0, later - 1)
+        later = max(1, min(later, len(addresses) - 2))
+        earlier = _nearest_identified(addresses, earlier, 0, later - 1)
         if earlier is not None:
-            hops.insert(later + 1, hops[earlier])
+            insert(later + 1, addresses[earlier], routers[earlier])
             applied.append("loop-inject")
     if not applied:
         return trace, ()
@@ -232,7 +219,8 @@ def corrupt_trace(
         TraceResult(
             src_router=trace.src_router,
             dst_router=trace.dst_router,
-            hops=tuple(hops),
+            hop_addresses=tuple(addresses),
+            hop_routers=tuple(routers),
             reached=trace.reached,
             failure_reason=trace.failure_reason,
         ),

@@ -161,6 +161,18 @@ class TestCorruptionCli:
         assert exit_info.value.code == 2
         assert "--resume needs --journal" in capsys.readouterr().err
 
+    def test_job_timeout_on_the_serial_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(
+                [
+                    "degradation", "--rates", "0", "--placements", "1",
+                    "--failures", "1", "--sensors", "6",
+                    "--job-timeout", "0.001",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--job-timeout needs --workers" in capsys.readouterr().err
+
 
 class TestTypedErrorsExitCleanly:
     """Both entry points catch the typed pipeline errors: one line on

@@ -261,6 +261,20 @@ class TestBoundedRetries:
         assert records == {"link-1": []}
 
 
+class TestJobTimeoutOnTheSerialBackend:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_ignored_timeout_is_a_warning(self, workers, caplog):
+        """Serial by request or by fallback (a lambda cannot be pickled):
+        either way no placement can be pre-empted."""
+        batch = _batch(_FACTORY, placements=2, failures_per_placement=1)
+        batch["asx_selector"] = lambda topo, rng: topo.core_asns[0]
+        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+            run_kind_batch(**batch, workers=workers, job_timeout=30.0)
+        assert any(
+            "job_timeout=30s is ignored" in message for message in caplog.messages
+        )
+
+
 class TestSerialFallbackAccounting:
     def test_unpicklable_jobs_count_a_serial_fallback(self, clean_records):
         stats = RunnerStats()
@@ -272,7 +286,35 @@ class TestSerialFallbackAccounting:
         assert records == clean_records
 
 
+@dataclass(frozen=True)
+class _Done:
+    """The one field :meth:`RunJournal.load_completed` reads."""
+
+    placement_index: int
+
+
 class TestJournalAndResume:
+    def test_empty_journal_file_gets_its_header_on_append(self, tmp_path):
+        """A crash before the header leaves an empty file: it is a
+        journal not written yet, not a headerless one."""
+        path = tmp_path / "empty.journal"
+        path.write_bytes(b"")
+        journal = RunJournal(path, fingerprint="sweep")
+        journal.append(_Done(0))
+        journal.append(_Done(2))
+        assert sorted(journal.load_completed()) == [0, 2]
+
+    def test_unreadable_header_is_a_typed_error(self, tmp_path):
+        """A foreign file at the path never becomes loadable by appending
+        to it, so loading refuses instead of resuming nothing forever."""
+        path = tmp_path / "foreign.journal"
+        path.write_bytes(b"not a pkl")
+        journal = RunJournal(path, fingerprint="sweep")
+        journal.append(_Done(0))
+        journal.append(_Done(1))
+        with pytest.raises(JournalError, match="no readable"):
+            journal.load_completed()
+
     def test_resume_replays_without_rerunning(self, tmp_path, clean_records):
         # The resumed run swaps in a factory that refuses to build, which
         # a path journal's fingerprint would refuse: vouch for the swap

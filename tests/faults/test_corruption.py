@@ -38,7 +38,6 @@ from repro.measurement.sensors import random_stub_placement
 from repro.netsim.gen.internet import research_internet
 from repro.netsim.traceroute import (
     FORGED_ROUTER_ID,
-    TraceHop,
     TraceResult,
     corrupt_trace,
 )
@@ -57,10 +56,18 @@ INJECTION_COUNTERS = (
 
 
 def _trace(n=5):
-    hops = tuple(
-        TraceHop(address=f"10.0.0.{i}", router_id=i) for i in range(1, n + 1)
+    return TraceResult(
+        src_router=1,
+        dst_router=n,
+        hop_addresses=tuple(f"10.0.0.{i}" for i in range(1, n + 1)),
+        hop_routers=tuple(range(1, n + 1)),
+        reached=True,
     )
-    return TraceResult(src_router=1, dst_router=n, hops=hops, reached=True)
+
+
+def _hop(trace, index):
+    """One hop as ``(address, router id)``."""
+    return trace.addresses()[index], trace.router_path()[index]
 
 
 class TestCorruptTrace:
@@ -69,20 +76,20 @@ class TestCorruptTrace:
         forged_address = FORGED_ADDRESS_PREFIX + "9"
         corrupted, applied = corrupt_trace(trace, forge=(2, forged_address))
         assert applied == ("hop-forge",)
-        assert corrupted.hops[2].address == forged_address
-        assert corrupted.hops[2].router_id == FORGED_ROUTER_ID
+        assert corrupted.addresses()[2] == forged_address
+        assert corrupted.router_path()[2] == FORGED_ROUTER_ID
         # The cached original is never mutated.
-        assert len(trace.hops) == 5
+        assert len(trace.addresses()) == 5
 
     def test_duplicate_creates_consecutive_repeat(self):
         corrupted, applied = corrupt_trace(_trace(), duplicate_at=2)
         assert applied == ("hop-dup",)
-        assert corrupted.hops[2] == corrupted.hops[3]
+        assert _hop(corrupted, 2) == _hop(corrupted, 3)
 
     def test_loop_creates_nonadjacent_revisit(self):
         corrupted, applied = corrupt_trace(_trace(), loop=(1, 3))
         assert applied == ("loop-inject",)
-        addresses = [h.address for h in corrupted.hops]
+        addresses = list(corrupted.addresses())
         revisit = addresses.index(addresses[1], 2)
         assert revisit - 1 >= 2  # genuinely non-adjacent: a loop, not a dup
 
@@ -97,8 +104,8 @@ class TestCorruptTrace:
             _trace(), forge=(2, FORGED_ADDRESS_PREFIX + "1")
         )
         assert corrupted.reached == _trace().reached
-        assert corrupted.hops[0] == _trace().hops[0]
-        assert corrupted.hops[-1] == _trace().hops[-1]
+        assert _hop(corrupted, 0) == _hop(_trace(), 0)
+        assert _hop(corrupted, -1) == _hop(_trace(), -1)
 
 
 class TestCorruptionPlan:

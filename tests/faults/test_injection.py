@@ -31,7 +31,7 @@ from repro.netsim.lookingglass import (
     LookingGlassService,
     LookingGlassUnavailable,
 )
-from repro.netsim.traceroute import TraceHop, TraceResult, degrade_trace
+from repro.netsim.traceroute import TraceResult, degrade_trace
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +45,24 @@ def small_session():
 
 
 def _trace():
-    hops = tuple(
-        TraceHop(address=f"10.0.0.{i}", router_id=i) for i in range(1, 6)
+    return TraceResult(
+        src_router=1,
+        dst_router=5,
+        hop_addresses=tuple(f"10.0.0.{i}" for i in range(1, 6)),
+        hop_routers=tuple(range(1, 6)),
+        reached=True,
     )
-    return TraceResult(src_router=1, dst_router=5, hops=hops, reached=True)
 
 
 class TestDegradeTrace:
     def test_truncation_marks_unreached(self):
         trace = _trace()
         cut = degrade_trace(trace, truncate_at=2)
-        assert len(cut.hops) == 2
+        assert len(cut.addresses()) == len(cut.router_path()) == 2
         assert not cut.reached
         assert cut.failure_reason == "fault:truncated"
         # The cached original is never mutated.
-        assert trace.reached and len(trace.hops) == 5
+        assert trace.reached and len(trace.addresses()) == 5
 
     def test_anonymize_stars_out_hops(self):
         trace = _trace()

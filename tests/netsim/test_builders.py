@@ -103,7 +103,7 @@ class TestChainNetwork:
         sim = Simulator(b.net, [b.asn(names[0]), b.asn(names[-1])])
         trace = sim.trace(NetworkState.nominal(), first, last)
         assert trace.reached
-        assert len(trace.hops) == 5
+        assert len(trace.addresses()) == len(trace.router_path()) == 5
 
     def test_too_short_chain_rejected(self):
         with pytest.raises(TopologyError):

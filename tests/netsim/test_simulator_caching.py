@@ -1,5 +1,6 @@
 """Caching and identity semantics of the Simulator facade."""
 
+import gc
 import random
 
 import pytest
@@ -69,8 +70,8 @@ class TestCaches:
             nominal, src, dst, blocked_ases=frozenset({fig2.asn("Y")})
         )
         assert plain is not blocked
-        assert all(h.identified for h in plain.hops)
-        assert any(not h.identified for h in blocked.hops)
+        assert None not in plain.addresses()
+        assert None in blocked.addresses()
         # Both variants stay cached independently.
         assert fig2_sim.trace(nominal, src, dst) is plain
         assert (
@@ -150,3 +151,42 @@ class TestAccounting:
             "rib_prefixes_shared": 46,
             "rib_cow_copies": 74,
         }
+
+
+class TestGcFootprint:
+    def test_caches_hold_nothing_the_collector_tracks(self):
+        """A sweep keeps one trace-cache key and one trace per pair and
+        state, and one baseline walk per pair: none of the keys, the
+        traces' hop tuples or the walks' reads may stay on the
+        collector's books, or every full collection walks them all."""
+        topo = research_internet(n_tier2=4, n_stub=16, seed=3)
+        rng = random.Random("footprint")
+        routers = random_stub_placement(topo, 6, rng)
+        sensors = deploy_sensors(topo.net, routers)
+        sim = Simulator(topo.net, {topo.net.asn_of_router(rid) for rid in routers})
+        sampler = ScenarioSampler(sim, sensors, rng)
+        nominal = NetworkState.nominal()
+        for index, kind in enumerate(("link-1", "misconfig", "router", "link-2")):
+            take_snapshot(
+                sim,
+                sensors,
+                nominal,
+                sampler.sample(kind).after_state,
+                blocked_ases=frozenset(topo.tier2_asns[:index % 2]),
+            )
+        # A collection untracks a tuple once its items are untracked, and
+        # may meet a tuple before the tuples nested in it: a trace key
+        # nests five deep (key, state key, filters, filter, prefixes).
+        for _ in range(5):
+            gc.collect()
+        entries = sim._trace_cache.items()
+        walks = [walk for _key, walk in sim._baseline_walks.items()]
+        assert any(key[0] != nominal.key for key, _trace in entries)
+        assert any(walk.reads is not None for walk in walks)
+        assert [key for key, _trace in entries if gc.is_tracked(key)] == []
+        assert [
+            trace
+            for _key, trace in entries
+            if gc.is_tracked(trace.addresses()) or gc.is_tracked(trace.router_path())
+        ] == []
+        assert [walk.reads for walk in walks if gc.is_tracked(walk.reads)] == []

@@ -49,6 +49,40 @@ def test_hypothesis_disjoint_from_exclusions_and_bounded(lids, variant):
     assert result.physical_hypothesis() <= result.physical_universe()
 
 
+def rerouted_over_all_working_pairs(snap):
+    """Every working pair whose hops differ, UH stars compared by
+    position: the comparison ``rerouted_pairs`` narrows to the changed
+    pairs."""
+
+    def normalised(path):
+        return tuple(
+            hop if isinstance(hop, str) else ("*", index)
+            for index, hop in enumerate(path.hops)
+        )
+
+    return tuple(
+        pair
+        for pair in snap.working_pairs()
+        if normalised(snap.before.get(pair)) != normalised(snap.after.get(pair))
+    )
+
+
+@given(
+    lids=st.sets(st.sampled_from(ALL_LINKS), max_size=2),
+    reweighted=st.sets(st.sampled_from(ALL_LINKS), max_size=2),
+    blocked=st.sets(st.sampled_from([a.asn for a in FIG.net.ases()]), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_rerouted_pairs_match_the_all_pairs_comparison(lids, reweighted, blocked):
+    after = NetworkState.nominal().with_failed_links(lids)
+    for lid in sorted(reweighted):
+        after = after.with_weight(lid, 60)
+    snap = take_snapshot(
+        SIM, SENSORS, NetworkState.nominal(), after, blocked_ases=frozenset(blocked)
+    )
+    assert snap.rerouted_pairs() == rerouted_over_all_working_pairs(snap)
+
+
 @given(lid=st.sampled_from(ALL_LINKS))
 @settings(max_examples=30, deadline=None)
 def test_nd_edge_single_failure_no_false_negative(lid):

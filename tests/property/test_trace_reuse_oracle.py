@@ -8,13 +8,18 @@ alone.  The oracle walks every pair under every state from scratch:
 
 Generated states mix intra- and inter-AS link failures, router failures
 (sensor gateways included), export filters, IGP weight overrides (two on
-one link, where the later wins) and blocked ASes, two in three aimed at
-the baseline paths.  The pinned baseline is itself a failure state half
-of the time, and some states restore its failures, which forces a full
-re-convergence with fresh route objects.  Sensors sit on routers of
-multi-router ASes, so IGP changes inside the source and destination ASes
-occur.  An IGP-only change must leave every pair that does not cross its
-AS served by the baseline object itself.
+one link, where the later wins, and the same overrides reordered) and
+blocked ASes, two in three aimed at the baseline paths.  The pinned
+baseline is itself a failure state half of the time, and some states
+restore its failures, which forces a full re-convergence with fresh route
+objects.  Sensors sit on routers of multi-router ASes, so IGP changes
+inside the source and destination ASes occur.  An IGP-only change must
+leave every pair that does not cross its AS served by the baseline object
+itself.
+
+``IgpCache.changed_ases`` screens each state once for the ASes whose IGP
+condition differs from the baseline's; its oracle is the per-AS
+comparison of every AS's condition under both states.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.builders import figure2_network
+from repro.netsim.forwarding import IgpCache
 from repro.netsim.gen.internet import research_internet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import ExportFilter, NetworkState
@@ -34,7 +40,7 @@ NETS = (
     research_internet(n_tier2=3, n_stub=6, seed=5).net,
     research_internet(n_tier2=3, n_stub=6, seed=6, tier2_style="ring").net,
 )
-CHANGES = ("link", "router", "filter", "weight", "restore")
+CHANGES = ("link", "router", "filter", "weight", "reorder", "restore")
 #: Intradomain link id -> its AS, per network.
 INTRA = {
     net: {link.lid: a.asn for a in net.ases() for link in net.intra_links(a.asn)}
@@ -93,6 +99,15 @@ def change(data, net, state, base, prefixes, on_path):
         ):
             state = state.with_weight(lid, weight)
         return state
+    if kind == "reorder":
+        # The same overrides, last first: equal as sets, but where two
+        # name one link the other one now wins.
+        return NetworkState(
+            failed_links=state.failed_links,
+            failed_routers=state.failed_routers,
+            filters=state.filters,
+            weight_overrides=state.weight_overrides[::-1],
+        )
     # Restore the baseline's failures: no longer a degradation of it.
     return NetworkState(
         failed_links=state.failed_links - base.failed_links,
@@ -102,7 +117,21 @@ def change(data, net, state, base, prefixes, on_path):
     )
 
 
+def per_as_changed(net, state, base):
+    """The ASes whose IGP condition differs, compared AS by AS."""
+    fresh = IgpCache(net)
+    return {
+        a.asn
+        for a in net.ases()
+        if fresh.condition(a.asn, state) != fresh.condition(a.asn, base)
+    }
+
+
 def assert_matches_full_walk(sim, state, pairs, blocked):
+    base = sim.engine.baseline[0]
+    assert sim.igp_cache.changed_ases(state, base) == per_as_changed(
+        sim.net, state, base
+    )
     routing = sim.routing(state)
     for src, dst in pairs:
         want = trace_route(
@@ -157,6 +186,29 @@ def check_trace_reuse(data):
     for pair, trace in baseline.items():
         if touched not in walk_ases(net, trace):
             assert sim.trace(state, *pair, blocked) is trace
+
+
+def test_swapped_overrides_are_not_the_baseline():
+    """Base and failure state hold the same two overrides on one link in
+    swapped order: equal as sets, yet the later one wins, so the link's
+    AS must be screened as changed and its crossing pairs re-walked."""
+    fig2 = figure2_network()
+    net = fig2.net
+    lid = fig2.link_between("y1", "y4").lid
+    sensors = sorted(fig2.sensor_routers.values())
+    pairs = [(s, d) for s in sensors for d in sensors if s != d]
+    nominal = NetworkState.nominal()
+    base = nominal.with_weight(lid, 1).with_weight(lid, 60)
+    state = nominal.with_weight(lid, 60).with_weight(lid, 1)
+    sim = Simulator(net, {net.asn_of_router(s) for s in sensors})
+    sim.routing(base)  # pins the baseline
+    assert_matches_full_walk(sim, base, pairs, frozenset())
+    assert sim.igp_cache.changed_ases(state, base) == {fig2.asn("Y")}
+    assert_matches_full_walk(sim, state, pairs, frozenset())
+    rerouted = [
+        pair for pair in pairs if sim.trace(state, *pair) != sim.trace(base, *pair)
+    ]
+    assert rerouted  # the case exercises the screen
 
 
 @given(data=st.data())

@@ -86,14 +86,23 @@ class TestDurableStore:
         reloaded = CheckpointStore(path, FINGERPRINT)
         assert reloaded.latest(0).tick == 2
 
-    def test_unreadable_header_is_ignored_like_a_fresh_store(self, tmp_path):
-        """Same leniency as the run journal: garbage with no readable
-        header is not *this run's* checkpoints, so start fresh rather
-        than refuse to run."""
+    def test_unreadable_header_is_a_typed_error(self, tmp_path):
+        """As for the run journal: appending to a file with no readable
+        header would never make it loadable, so the store refuses it."""
         path = tmp_path / "not-a-checkpoint"
         path.write_bytes(b"definitely not pickle")
+        with pytest.raises(CheckpointError, match="no readable"):
+            CheckpointStore(path, FINGERPRINT)
+
+    def test_empty_file_is_a_fresh_store(self, tmp_path):
+        """A crash before the header leaves an empty file; the first
+        save writes the header, so the store reloads."""
+        path = tmp_path / "shards.ckpt"
+        path.write_bytes(b"")
         store = CheckpointStore(path, FINGERPRINT)
         assert store.latest() == {}
+        store.save(0, 2, {"tick": 2})
+        assert CheckpointStore(path, FINGERPRINT).latest(0).tick == 2
 
 
 class TestShardStateRoundTrip:
