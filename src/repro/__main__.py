@@ -53,6 +53,7 @@ from repro.errors import (
     TopologyError,
     ValidationError,
 )
+from repro.experiments.__main__ import worker_count
 from repro.experiments.runner import ground_truth_links, make_session, run_scenario
 from repro.experiments.scenarios import SCENARIO_KINDS
 from repro.measurement.collector import collect_control_plane, take_snapshot
@@ -154,19 +155,6 @@ def _size_pair(text: str) -> tuple:
     if tier2 < 1 or stubs < 1:
         raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {text!r}")
     return (tier2, stubs)
-
-
-def _worker_count(text: str) -> int:
-    """argparse type for --workers: non-negative int (0 = all cores)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (0 = all cores)")
-    return value
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
@@ -297,7 +285,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         algorithms=tuple(args.algorithms),
     )
     for rate in args.rates:
-        setup = make_replay_setup(**setup_args)
         config = ReplayConfig(
             kind=args.kind,
             episodes=args.episodes,
@@ -323,6 +310,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             journal = RunJournal(f"{args.journal}.rate{rate}", fingerprint)
             if args.resume:
                 cached = journal.load_completed()
+        setup = make_replay_setup(**setup_args)
         try:
             result = run_stream_replay(
                 setup,
@@ -407,7 +395,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         n_stub=args.stubs,
         n_sensors=args.sensors,
     )
-    setup = make_monitor_setup(**setup_args)
     journal = cached = None
     if args.journal:
         # As for stream: every report-shaping argument but the shard
@@ -423,6 +410,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         journal = RunJournal(args.journal, fingerprint)
         if args.resume:
             cached = journal.load_completed()
+    setup = make_monitor_setup(**setup_args)
     print(
         f"=== monitor {config.name} ({config.ticks} ticks, seed {args.seed}"
         + (f", shards={args.shards}" if args.shards > 1 else "")
@@ -506,6 +494,11 @@ def _check_prerequisites(command: argparse.ArgumentParser, args) -> None:
         command.error("--tenant-rate requires --tenants")
     if args.dlq_inspect and not args.dlq:
         command.error("--dlq-inspect needs --dlq PATH")
+    if args.save_log and len(args.rates) > 1:
+        command.error(
+            "--save-log takes one --rates value: each rate replays its own "
+            "event log"
+        )
 
 
 def main(argv=None) -> int:
@@ -580,7 +573,7 @@ def main(argv=None) -> int:
     scaling.add_argument("--seed", type=int, default=0)
     scaling.add_argument(
         "--workers",
-        type=_worker_count,
+        type=worker_count,
         default=1,
         help="worker processes, one size point each (0 = all cores)",
     )
@@ -604,7 +597,7 @@ def main(argv=None) -> int:
     degradation.add_argument("--topo-seed", type=int, default=100)
     degradation.add_argument(
         "--workers",
-        type=_worker_count,
+        type=worker_count,
         default=1,
         help="worker processes per batch (0 = all cores, 1 = serial)",
     )
@@ -726,7 +719,8 @@ def main(argv=None) -> int:
     stream.add_argument(
         "--save-log",
         default=None,
-        help="also write the built event log (repro-event-log-v1) here",
+        help="also write the built event log (repro-event-log-v1) here "
+        "(one --rates value only)",
     )
     stream.add_argument(
         "--chaos",

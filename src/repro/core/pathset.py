@@ -10,8 +10,7 @@ callable — the complete edge-data input of every NetDiagnoser variant.
 
 Each derives its diagnosis inputs once (a path its tokens, a store its
 graphs, a snapshot its edge inputs); the stores are frozen by the time a
-diagnosis reads them, and a pickled path (a shard checkpoint holds them)
-carries no memo.
+diagnosis reads them.
 """
 
 from __future__ import annotations
@@ -80,12 +79,6 @@ class ProbePath:
 
     #: logicalize()'s memo slot, set on first use: most paths never need it.
     _tokens_memo = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Memos never travel: a warm path pickles to a cold path's bytes.
-        state = dict(self.__dict__, _links_memo=None)
-        state.pop("_tokens_memo", None)
-        return state
 
     @property
     def pair(self) -> Pair:

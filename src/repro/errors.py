@@ -26,7 +26,6 @@ __all__ = [
     "StreamError",
     "EpisodeOverflowError",
     "SupervisionError",
-    "CheckpointError",
     "MonitorError",
 ]
 
@@ -102,10 +101,11 @@ class JobTimeoutError(ReproError):
 
 
 class JournalError(ReproError):
-    """A resume journal cannot serve this run: its header is not a run
-    journal's, or its fingerprint says a run with different arguments
-    wrote it.  User-diagnosable: the CLI prints the message on stderr
-    and exits 2 instead of dumping a traceback."""
+    """A journal cannot serve this run: its header is unreadable or not a
+    run journal's, or its fingerprint says a run with different arguments
+    wrote it.  Raised when the journal is opened, before any work runs.
+    User-diagnosable: the CLI prints the message on stderr and exits 2
+    instead of dumping a traceback."""
 
 
 class StreamError(ReproError):
@@ -135,12 +135,6 @@ class SupervisionError(StreamError):
     """The shard supervisor was misconfigured or asked something
     impossible (supervising an unsharded engine, restarting a shard it
     never registered, a dead-letter queue path that cannot be written)."""
-
-
-class CheckpointError(StreamError):
-    """A per-shard checkpoint could not be written or restored: the store
-    signature does not match the run fingerprint, or a record is
-    corrupt beyond the tolerated torn tail."""
 
 
 class MonitorError(ReproError):

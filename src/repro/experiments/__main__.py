@@ -26,8 +26,9 @@ from repro.experiments.figures import FIGURES, FigureConfig, figure_sort_key
 from repro.serialize import figure_result_to_dict
 
 
-def _worker_count(text: str) -> int:
-    """argparse type for --workers: non-negative int (0 = all cores)."""
+def worker_count(text: str) -> int:
+    """argparse type for --workers: non-negative int (0 = all cores).
+    Shared with ``python -m repro``."""
     try:
         value = int(text)
     except ValueError:
@@ -69,7 +70,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=_worker_count,
+        type=worker_count,
         default=1,
         help="worker processes per batch (0 = all cores, 1 = serial); "
         "results are identical to a serial run",

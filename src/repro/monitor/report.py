@@ -109,6 +109,4 @@ def render_monitor_report(result: MonitorRunResult) -> str:
             f"recoveries={sup['recoveries']}  "
             f"checkpoints={sup['checkpoints_saved']}"
         )
-    if result.interrupted:
-        lines.append("   interrupted: yes (journal checkpoint is durable)")
     return "\n".join(lines)

@@ -94,7 +94,6 @@ class MonitorRunResult:
     stage_seconds: Dict[str, float]
     shard_stats: Optional[List[Dict[str, int]]] = None
     supervision: Optional[Dict] = None
-    interrupted: bool = False
     observations_skipped: int = field(default=0)
 
     @property

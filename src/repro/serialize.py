@@ -57,6 +57,8 @@ __all__ = [
     "state_from_dict",
     "event_to_dict",
     "event_from_dict",
+    "endpoint_to_json",
+    "endpoint_from_json",
     "token_to_dict",
     "token_from_dict",
     "figure_result_to_dict",
@@ -260,7 +262,9 @@ def event_from_dict(data: Dict[str, Any]) -> Event:
 # ------------------------------------------------------------------ tokens
 
 
-def _endpoint_to_json(endpoint) -> Any:
+def endpoint_to_json(endpoint) -> Any:
+    """Serialise a path hop or link end: an address, or a star
+    (:class:`~repro.core.linkspace.UhNode`) as a tagged dict."""
     if isinstance(endpoint, str):
         return endpoint
     return {
@@ -272,7 +276,8 @@ def _endpoint_to_json(endpoint) -> Any:
     }
 
 
-def _endpoint_from_json(data) -> Any:
+def endpoint_from_json(data) -> Any:
+    """Inverse of :func:`endpoint_to_json`."""
     if isinstance(data, str):
         return data
     return UhNode(
@@ -292,14 +297,14 @@ def token_to_dict(token: Union[LinkToken, PhysicalLink]) -> Dict[str, Any]:
     if isinstance(token, IpLink):
         return {
             "type": "ip",
-            "src": _endpoint_to_json(token.src),
-            "dst": _endpoint_to_json(token.dst),
+            "src": endpoint_to_json(token.src),
+            "dst": endpoint_to_json(token.dst),
         }
     if isinstance(token, PhysicalLink):
         return {
             "type": "physical",
-            "lo": _endpoint_to_json(token.lo),
-            "hi": _endpoint_to_json(token.hi),
+            "lo": endpoint_to_json(token.lo),
+            "hi": endpoint_to_json(token.hi),
         }
     raise ReproError(f"cannot serialise token type {type(token).__name__}")
 
@@ -311,13 +316,13 @@ def token_from_dict(data: Dict[str, Any]) -> Union[LinkToken, PhysicalLink]:
         return LogicalLink(src=data["src"], dst=data["dst"], tag=data["tag"])
     if kind == "ip":
         return IpLink(
-            src=_endpoint_from_json(data["src"]),
-            dst=_endpoint_from_json(data["dst"]),
+            src=endpoint_from_json(data["src"]),
+            dst=endpoint_from_json(data["dst"]),
         )
     if kind == "physical":
         return PhysicalLink(
-            lo=_endpoint_from_json(data["lo"]),
-            hi=_endpoint_from_json(data["hi"]),
+            lo=endpoint_from_json(data["lo"]),
+            hi=endpoint_from_json(data["hi"]),
         )
     raise ReproError(f"unknown token type {kind!r}")
 

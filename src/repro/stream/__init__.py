@@ -5,7 +5,8 @@ BGP withdrawals and IGP link-down messages arrive as a stream (§3.3).
 This package is that online layer over the existing batch machinery:
 
 * :mod:`repro.stream.events` — typed events, the logical clock, and the
-  append-only ``repro-event-log-v1`` format;
+  append-only JSON-lines format of the ``repro-event-log-v1`` event log
+  and the ``repro-dlq-v1`` dead-letter queue;
 * :mod:`repro.stream.ingest` — per-event screening under the
   :mod:`repro.validate` policies (strict/repair/quarantine);
 * :mod:`repro.stream.window` — sliding-window reconciliation into the
@@ -23,11 +24,10 @@ This package is that online layer over the existing batch machinery:
   per-shard ingest state and per-tenant admission control;
 * :mod:`repro.stream.merge` — cross-shard snapshot/control/episode
   merging in global ``(tick, seq)`` order;
-* :mod:`repro.stream.checkpoint` — per-shard checkpoints in the fsync'd
-  torn-tail-tolerant journal format, for crash recovery;
 * :mod:`repro.stream.supervise` — the self-healing layer a supervised
-  engine calls: checkpointed shard restart and replay, per-variant
-  circuit breakers, a dead-letter queue, seeded chaos injection.
+  engine calls: shard restart from in-memory checkpoints and replay,
+  per-variant circuit breakers, a dead-letter queue, seeded chaos
+  injection.
 
 CLI: ``python -m repro stream`` replays a configured stream (optionally
 sharded via ``--shards`` / multi-tenant via ``--tenants`` / under
@@ -66,7 +66,6 @@ from repro.stream.events import (
     stream_event_from_dict,
     stream_event_to_dict,
 )
-from repro.stream.checkpoint import CheckpointStore, ShardCheckpoint
 from repro.stream.ingest import StreamIngestor
 from repro.stream.merge import (
     CrossShardMerger,
@@ -135,8 +134,6 @@ __all__ = [
     "CrossShardMerger",
     "merged_snapshot",
     "merged_control_view",
-    "CheckpointStore",
-    "ShardCheckpoint",
     "DLQ_FORMAT",
     "CircuitBreaker",
     "DeadLetterQueue",

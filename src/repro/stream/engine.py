@@ -21,8 +21,7 @@ episode is **coalesced** into it, a transition meeting a full
 buffer past ``overflow_limit`` raises
 :class:`~repro.errors.EpisodeOverflowError`.
 
-Passing any of ``plan``, ``supervision``, ``checkpoints`` or
-``dead_letters`` attaches a
+Passing any of ``plan``, ``supervision`` or ``dead_letters`` attaches a
 :class:`~repro.stream.supervise.ShardSupervisor`, which the engine calls
 at its hook points (listed on that class).
 
@@ -46,7 +45,6 @@ from repro.core.pathset import EPOCH_POST, EPOCH_PRE, MeasurementSnapshot
 from repro.empathy.ensemble import EnsembleDisagreement
 from repro.errors import EpisodeOverflowError, StreamError
 from repro.faults import DegradationReport, FaultPlan
-from repro.stream.checkpoint import CheckpointStore
 from repro.stream.episodes import CLOSE, UPDATE, EpisodeTransition
 from repro.stream.events import StreamEvent
 from repro.stream.ingest import StreamIngestor
@@ -165,8 +163,8 @@ class StreamEngine:
     cooperating ISP, ``lg_lookup`` the Looking Glass callback for
     ``nd-lg``, ``policy`` a :mod:`repro.validate` policy name.
     ``tenants``/``tenant_of`` enable per-tenant admission; ``plan``
-    (seeded chaos), ``supervision``, ``checkpoints`` and
-    ``dead_letters`` configure the optional supervisor.
+    (seeded chaos), ``supervision`` and ``dead_letters`` configure the
+    optional supervisor.
     """
 
     def __init__(
@@ -189,7 +187,6 @@ class StreamEngine:
         tenant_of: Optional[Callable[[StreamEvent], Optional[str]]] = None,
         plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionConfig] = None,
-        checkpoints: Optional[CheckpointStore] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
     ) -> None:
         if max_pending < 1:
@@ -228,13 +225,12 @@ class StreamEngine:
         self.tenant_of = tenant_of
         supervised = any(
             part is not None
-            for part in (plan, supervision, checkpoints, dead_letters)
+            for part in (plan, supervision, dead_letters)
         )
         self.supervisor = ShardSupervisor(
             self.shards,
             config=supervision,
             plan=plan,
-            checkpoints=checkpoints,
             dead_letters=dead_letters,
             variants=list(self.diagnosers),
         ) if supervised else None

@@ -14,6 +14,8 @@ plus the two pieces of plumbing an online engine needs around it:
   plain JSON lines, stable across Python versions, safe to archive, and
   crash-tolerant (a truncated trailing line is dropped on load, like
   :class:`~repro.experiments.journal.RunJournal`'s trailing record).
+  :class:`JsonLinesWriter` and :func:`read_json_lines` are that format;
+  the dead-letter queue writes and reads through them too.
 
 Every event carries ``(tick, seq)``: the logical round it was observed
 in and its global arrival sequence number.  ``seq`` totally orders the
@@ -26,15 +28,15 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Union
+from typing import Any, Dict, Iterator, List, Sequence, Type, Union
 
 from repro.core.control_plane import (
     IgpLinkDownObservation,
     WithdrawalObservation,
 )
-from repro.core.linkspace import UhNode
 from repro.core.pathset import ProbePath
 from repro.errors import StreamError
+from repro.serialize import endpoint_from_json, endpoint_to_json
 
 __all__ = [
     "EVENT_LOG_FORMAT",
@@ -51,6 +53,8 @@ __all__ = [
     "save_event_log",
     "load_event_log",
     "EventLogWriter",
+    "JsonLinesWriter",
+    "read_json_lines",
 ]
 
 logger = logging.getLogger(__name__)
@@ -158,26 +162,6 @@ class SensorDropoutEvent(StreamEvent):
 # ------------------------------------------------------------- serialization
 
 
-def _hop_to_json(hop: Any) -> Any:
-    if isinstance(hop, str):
-        return hop
-    return {
-        "uh": True,
-        "src": hop.src,
-        "dst": hop.dst,
-        "epoch": hop.epoch,
-        "index": hop.index,
-    }
-
-
-def _hop_from_json(data: Any) -> Any:
-    if isinstance(data, str):
-        return data
-    return UhNode(
-        src=data["src"], dst=data["dst"], epoch=data["epoch"], index=data["index"]
-    )
-
-
 def stream_event_to_dict(event: StreamEvent) -> Dict[str, Any]:
     """Serialise one stream event to a plain-JSON dict."""
     base = {"tick": event.tick, "seq": event.seq}
@@ -188,7 +172,7 @@ def stream_event_to_dict(event: StreamEvent) -> Dict[str, Any]:
             **base,
             "src": path.src,
             "dst": path.dst,
-            "hops": [_hop_to_json(hop) for hop in path.hops],
+            "hops": [endpoint_to_json(hop) for hop in path.hops],
             "reached": path.reached,
             "epoch": path.epoch,
         }
@@ -238,7 +222,7 @@ def stream_event_from_dict(data: Dict[str, Any]) -> StreamEvent:
             path=ProbePath(
                 src=data["src"],
                 dst=data["dst"],
-                hops=tuple(_hop_from_json(hop) for hop in data["hops"]),
+                hops=tuple(endpoint_from_json(hop) for hop in data["hops"]),
                 reached=data["reached"],
                 epoch=data["epoch"],
             ),
@@ -278,36 +262,84 @@ def stream_event_from_dict(data: Dict[str, Any]) -> StreamEvent:
     raise StreamError(f"unknown stream event type {kind!r}")
 
 
-# ----------------------------------------------------------------- event log
+# -------------------------------------------------------------- JSON lines
 
 
-class EventLogWriter:
-    """Append-only event-log writer (header + one JSON line per event).
+class JsonLinesWriter:
+    """Append-only JSON-lines file: a ``{"format": tag}`` header line,
+    then one line per record dict.
 
-    Usable as a context manager; ``append`` flushes every line so a log
-    being written mid-run is immediately replayable up to its last
-    complete event — the crash-recovery property the resume tests lean
-    on.
+    Every line is flushed as it is written, so a file being written
+    mid-run is readable up to its last complete record — the
+    crash-recovery property the resume tests lean on.  The event log and
+    the dead-letter queue both write through it; usable as a context
+    manager.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
+    def __init__(self, path: Union[str, Path], tag: str) -> None:
         self.path = Path(path)
         self._handle = open(self.path, "w")
-        self._handle.write(json.dumps({"format": EVENT_LOG_FORMAT}) + "\n")
-        self._handle.flush()
+        self.write({"format": tag})
 
-    def append(self, event: StreamEvent) -> None:
-        self._handle.write(json.dumps(stream_event_to_dict(event)) + "\n")
+    def write(self, record: Dict[str, Any]) -> None:
+        self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()
 
     def close(self) -> None:
         self._handle.close()
 
-    def __enter__(self) -> "EventLogWriter":
+    def __enter__(self) -> "JsonLinesWriter":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def read_json_lines(
+    path: Union[str, Path], tag: str, error_cls: Type[Exception]
+) -> Iterator[Dict[str, Any]]:
+    """Yield the records of a :class:`JsonLinesWriter` file of ``tag``.
+
+    A header that is not ``tag``'s raises ``error_cls``.  Blank lines are
+    skipped, and a truncated trailing line (crash mid-append) is dropped
+    with a warning: the records before it are kept.
+    """
+    path = Path(path)
+    with open(path, "r") as handle:
+        header_line = handle.readline()
+        try:
+            header = json.loads(header_line)
+        except json.JSONDecodeError:
+            raise error_cls(f"{path} is not a {tag} file (bad header)") from None
+        if not isinstance(header, dict) or header.get("format") != tag:
+            raise error_cls(
+                f"{path} is not a {tag} file (header {header_line.strip()!r})"
+            )
+        for line_no, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError:
+                logger.warning(
+                    "%s file %s has a truncated trailing line (%d); "
+                    "dropping it",
+                    tag, path, line_no,
+                )
+                return
+
+
+# ----------------------------------------------------------------- event log
+
+
+class EventLogWriter(JsonLinesWriter):
+    """Append-only event-log writer (header + one JSON line per event)."""
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        super().__init__(path, EVENT_LOG_FORMAT)
+
+    def append(self, event: StreamEvent) -> None:
+        self.write(stream_event_to_dict(event))
 
 
 def save_event_log(
@@ -317,33 +349,6 @@ def save_event_log(
     with EventLogWriter(path) as writer:
         for event in events:
             writer.append(event)
-
-
-def _iter_event_lines(path: Path) -> Iterator[Dict[str, Any]]:
-    with open(path, "r") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise StreamError(f"{path} is not a repro event log (bad header)")
-        if not isinstance(header, dict) or header.get("format") != EVENT_LOG_FORMAT:
-            raise StreamError(
-                f"{path} is not a repro event log "
-                f"(header {header_line.strip()!r})"
-            )
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                # Crash mid-append: drop the torn tail, keep the prefix.
-                logger.warning(
-                    "event log %s has a truncated trailing line (%d); "
-                    "dropping it",
-                    path, line_no,
-                )
-                return
 
 
 def load_event_log(path: Union[str, Path]) -> List[StreamEvent]:
@@ -356,7 +361,7 @@ def load_event_log(path: Union[str, Path]) -> List[StreamEvent]:
     """
     interned: Dict[ProbePath, ProbePath] = {}
     events = []
-    for data in _iter_event_lines(Path(path)):
+    for data in read_json_lines(path, EVENT_LOG_FORMAT, StreamError):
         event = stream_event_from_dict(data)
         if isinstance(event, ProbeEvent):
             shared = interned.setdefault(event.path, event.path)

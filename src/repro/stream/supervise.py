@@ -19,11 +19,13 @@ its hook points (see the class docstring for the list):
   an episode flapping closed just because its shard stopped reporting.
   Coverage loss is counted (``pairs_uncovered``, ``episodes_delayed``),
   never hidden.
-* On restart the shard is wiped (that is what a crash *is*), restored
-  from its latest :class:`~repro.stream.checkpoint.CheckpointStore`
-  snapshot, and replayed the tail of events folded since that snapshot
-  plus the darkness buffer — re-screened through the same ingestor, so
-  counters land on exactly the totals an undisturbed run reports.
+* Every ``checkpoint_every`` ticks the supervisor keeps each healthy
+  shard's state (:meth:`~repro.stream.router.StreamShard.state`), in
+  memory, newest per shard.  On restart the shard is wiped (that is
+  what a crash *is*), restored from that snapshot, and replayed the
+  tail of events folded since it plus the darkness buffer — re-screened
+  through the same ingestor, so counters land on exactly the totals an
+  undisturbed run reports.
 * :class:`CircuitBreaker` guards each diagnosis variant: repeated hard
   failures (worker timeout/poison, queue overflow) open the
   breaker, opened work is short-circuited to an accounted empty verdict,
@@ -44,7 +46,6 @@ run; otherwise the difference is exactly the accounted degraded items.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,9 +53,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import StreamError, SupervisionError
 from repro.faults import FaultPlan
-from repro.stream.checkpoint import CheckpointStore
 from repro.stream.episodes import CLOSE, EpisodeTransition
-from repro.stream.events import StreamEvent, stream_event_to_dict
+from repro.stream.events import (
+    JsonLinesWriter,
+    StreamEvent,
+    read_json_lines,
+    stream_event_to_dict,
+)
 from repro.stream.router import StreamShard
 
 __all__ = [
@@ -214,25 +219,25 @@ class DeadLetterQueue:
     hold, and **episode transitions** whose diagnoses kept hard-failing
     past the strike limit.  Each entry carries replayable provenance —
     the serialised payload, the reason, the owning shard, the tick — as
-    one JSON line in the :class:`~repro.stream.events.EventLogWriter`
-    style (flushed per line, torn tail dropped on load).  ``path=None``
-    keeps entries in memory only.
+    one JSON line of the event log's format
+    (:class:`~repro.stream.events.JsonLinesWriter`: flushed per line,
+    torn tail dropped on load).  ``path=None`` keeps entries in memory
+    only.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
         self.entries: List[Dict[str, Any]] = []
-        self._handle = None
-        if self.path is not None:
-            self._handle = open(self.path, "w")
-            self._handle.write(json.dumps({"format": DLQ_FORMAT}) + "\n")
-            self._handle.flush()
+        self._writer = (
+            JsonLinesWriter(self.path, DLQ_FORMAT)
+            if self.path is not None
+            else None
+        )
 
     def _put(self, entry: Dict[str, Any]) -> None:
         self.entries.append(entry)
-        if self._handle is not None:
-            self._handle.write(json.dumps(entry) + "\n")
-            self._handle.flush()
+        if self._writer is not None:
+            self._writer.write(entry)
 
     def put_event(
         self,
@@ -274,42 +279,15 @@ class DeadLetterQueue:
         return len(self.entries)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
 
 def load_dead_letters(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load a dead-letter journal; torn trailing line dropped, like the
     event log."""
-    path = Path(path)
-    entries: List[Dict[str, Any]] = []
-    with open(path, "r") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise SupervisionError(
-                f"{path} is not a dead-letter journal (bad header)"
-            )
-        if not isinstance(header, dict) or header.get("format") != DLQ_FORMAT:
-            raise SupervisionError(
-                f"{path} is not a {DLQ_FORMAT} journal "
-                f"(header {header_line.strip()!r})"
-            )
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                logger.warning(
-                    "dead-letter journal %s has a truncated trailing line "
-                    "(%d); dropping it",
-                    path, line_no,
-                )
-                break
-    return entries
+    return list(read_json_lines(path, DLQ_FORMAT, SupervisionError))
 
 
 class ShardSupervisor:
@@ -343,14 +321,12 @@ class ShardSupervisor:
         shards: Sequence[StreamShard],
         config: Optional[SupervisionConfig] = None,
         plan: Optional[FaultPlan] = None,
-        checkpoints: Optional[CheckpointStore] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
         variants: Sequence[str] = (),
     ) -> None:
         self.shards = list(shards)
         self.config = config or SupervisionConfig()
         self.plan = plan
-        self.checkpoints = checkpoints or CheckpointStore()
         self.dead_letters = (
             dead_letters if dead_letters is not None else DeadLetterQueue()
         )
@@ -365,6 +341,9 @@ class ShardSupervisor:
         self._status = [RUNNING] * n
         self._darkened_at: List[Optional[int]] = [None] * n
         self._stall_ticks = [0] * n
+        # The newest checkpointed state per shard: what a restart
+        # restores before replaying the tail.
+        self._checkpoints: Dict[int, Dict[str, Any]] = {}
         # Events folded into each shard since its last checkpoint, as
         # ("pair", raw_event) / ("bcast", screened_event) entries — the
         # replay tail a restart needs on top of the checkpoint.
@@ -378,6 +357,7 @@ class ShardSupervisor:
         self._episode_failures: Dict[int, int] = {}
         self._dead_episodes: set = set()
         # accounting
+        self.checkpoints_saved = 0
         self.shard_crashes = 0
         self.shard_stalls = 0
         self.slow_ticks = 0
@@ -487,9 +467,9 @@ class ShardSupervisor:
             # checkpoint, replay the post-checkpoint tail through the
             # normal screening path.
             shard.reset()
-            checkpoint = self.checkpoints.latest(shard_index)
-            if checkpoint is not None:
-                shard.restore_state(checkpoint.state)
+            state = self._checkpoints.get(shard_index)
+            if state is not None:
+                shard.restore_state(state)
             for kind, event in self._tails[shard_index]:
                 self._refold(shard, kind, event)
         # Both crash and stall recovery then fold the darkness buffer.
@@ -568,9 +548,8 @@ class ShardSupervisor:
             for index, status in enumerate(self._status):
                 if status != RUNNING:
                     continue
-                self.checkpoints.save(
-                    index, tick, self.shards[index].state()
-                )
+                self._checkpoints[index] = self.shards[index].state()
+                self.checkpoints_saved += 1
                 # Everything in the tail is inside the checkpoint now.
                 self._tails[index] = []
 
@@ -629,7 +608,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------- counters
 
     def counters(self) -> Dict[str, int]:
-        counts = {
+        return {
             "shard_crashes": self.shard_crashes,
             "shard_stalls": self.shard_stalls,
             "slow_ticks": self.slow_ticks,
@@ -639,9 +618,9 @@ class ShardSupervisor:
             "events_dead_lettered": self.events_dead_lettered,
             "pairs_uncovered": self.pairs_uncovered,
             "episodes_delayed": self.episodes_delayed,
+            "checkpoints_saved": self.checkpoints_saved,
+            "shards_checkpointed": len(self._checkpoints),
         }
-        counts.update(self.checkpoints.counters())
-        return counts
 
     def engine_counters(self) -> Dict[str, int]:
         """Everything supervision adds to the engine's ``counters()``."""

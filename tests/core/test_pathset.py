@@ -1,7 +1,5 @@
 """Unit tests for probe paths, stores and measurement snapshots."""
 
-import pickle
-
 import pytest
 
 from repro.core.linkspace import UhNode, ip_link
@@ -165,20 +163,7 @@ class _Mapper:
 
 
 class TestDerivedOnce:
-    """Memos live on the path, the store and the snapshot, and never in a
-    pickled path."""
-
-    def test_warm_path_pickles_to_the_cold_bytes(self):
-        p = path("1.1.1.1", "2.2.2.2", ["3.3.3.3", "4.4.4.4"])
-        cold = pickle.dumps(p)
-        p.links()
-        logicalize(p, _asn_of)
-        assert p.token_memo()
-        assert pickle.dumps(p) == cold
-        restored = pickle.loads(cold)
-        assert restored == p
-        assert restored.token_memo() == {}
-        assert logicalize(restored, _asn_of) == logicalize(p, _asn_of)
+    """Memos live on the path, the store and the snapshot."""
 
     def test_hop_identical_post_path_shares_pre_tokens(self):
         before, after = PathStore(), PathStore()

@@ -174,6 +174,29 @@ class TestCorruptionCli:
         assert "--job-timeout needs --workers" in capsys.readouterr().err
 
 
+class TestDegradationJournal:
+    def test_another_runs_journal_is_refused_before_the_batch(
+        self, tmp_path, capsys
+    ):
+        """Without --resume too: a second sweep must not append its
+        placements under the first sweep's header."""
+        journal = tmp_path / "sweep"
+        args = [
+            "degradation", "--rates", "0", "--placements", "1",
+            "--failures", "1", "--sensors", "6", "--journal", str(journal),
+        ]
+        assert repro_main(args + ["--seed", "1"]) == 0
+        capsys.readouterr()
+        written = (tmp_path / "sweep.rate0.00").read_bytes()
+        assert repro_main(args + ["--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "different run" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert (tmp_path / "sweep.rate0.00").read_bytes() == written
+
+
 class TestTypedErrorsExitCleanly:
     """Both entry points catch the typed pipeline errors: one line on
     stderr, exit code 2, no traceback."""

@@ -16,6 +16,7 @@ The contracts under test:
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -306,14 +307,40 @@ class TestJournalAndResume:
 
     def test_unreadable_header_is_a_typed_error(self, tmp_path):
         """A foreign file at the path never becomes loadable by appending
-        to it, so loading refuses instead of resuming nothing forever."""
+        to it, so opening refuses it before anything is appended."""
         path = tmp_path / "foreign.journal"
         path.write_bytes(b"not a pkl")
-        journal = RunJournal(path, fingerprint="sweep")
-        journal.append(_Done(0))
-        journal.append(_Done(1))
         with pytest.raises(JournalError, match="no readable"):
-            journal.load_completed()
+            RunJournal(path, fingerprint="sweep")
+        assert path.read_bytes() == b"not a pkl"
+
+    def test_another_runs_journal_is_refused_on_open(self, tmp_path):
+        """A second run must not append under the first run's header: the
+        first run's resume would return a mix of both runs."""
+        path = tmp_path / "shared.journal"
+        first = RunJournal(path, fingerprint={"seed": 1})
+        first.append(_Done(0))
+        first.append(_Done(1))
+        written = path.read_bytes()
+        with pytest.raises(JournalError, match="different run") as refused:
+            RunJournal(path, fingerprint={"seed": 2})
+        assert str(path) in str(refused.value)
+        assert path.read_bytes() == written
+        # The run that wrote it still appends without resuming.
+        RunJournal(path, {"seed": 1}).append(_Done(2))
+        assert RunJournal(path, {"seed": 1}).load_completed() == {
+            0: _Done(0),
+            1: _Done(1),
+            2: _Done(2),
+        }
+
+    def test_another_format_is_refused_on_open(self, tmp_path):
+        path = tmp_path / "other.journal"
+        path.write_bytes(pickle.dumps({"format": "repro-other-v1"}))
+        written = path.read_bytes()
+        with pytest.raises(JournalError, match="is not a repro-run-journal"):
+            RunJournal(path, fingerprint="sweep")
+        assert path.read_bytes() == written
 
     def test_resume_replays_without_rerunning(self, tmp_path, clean_records):
         # The resumed run swaps in a factory that refuses to build, which

@@ -87,6 +87,23 @@ class TestStreamCli:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_another_runs_journal_is_refused_before_the_replay(
+        self, tmp_path, capsys
+    ):
+        """Without --resume too: a second run must not append its reports
+        under the first run's header."""
+        journal = tmp_path / "stream.journal"
+        assert repro_main(FAST_ARGS + ["--journal", str(journal)]) == 0
+        capsys.readouterr()
+        written = (tmp_path / "stream.journal.rate0.0").read_bytes()
+        other_seed = FAST_ARGS[:-1] + ["5", "--journal", str(journal)]
+        assert repro_main(other_seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert (tmp_path / "stream.journal.rate0.0").read_bytes() == written
+
 
 class TestStreamUsageErrors:
     """Flags whose prerequisite is missing are refused, not ignored."""
@@ -108,3 +125,16 @@ class TestStreamUsageErrors:
     def test_resume_without_journal(self, capsys):
         err = self.usage_error(capsys, ["--resume"])
         assert "--resume needs --journal" in err
+
+    def test_save_log_takes_one_rate(self, tmp_path, capsys):
+        """Each rate replays its own log, so one path cannot hold several;
+        one rate writes exactly the given path."""
+        log = tmp_path / "events.jsonl"
+        err = self.usage_error(
+            capsys, ["--rates", "0", "0.5", "--save-log", str(log)]
+        )
+        assert "--save-log takes one --rates value" in err
+        assert not log.exists()
+        args = FAST_ARGS + ["--rates", "0.5", "--save-log", str(log)]
+        assert repro_main(args) == 0
+        assert sorted(tmp_path.iterdir()) == [log]
