@@ -284,6 +284,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         blocked_fraction=args.blocked_fraction,
         algorithms=tuple(args.algorithms),
     )
+    runs = []
     for rate in args.rates:
         config = ReplayConfig(
             kind=args.kind,
@@ -295,7 +296,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             seed=args.seed,
             chaos_rate=args.chaos,
         )
-        journal = cached = None
+        journal = None
         if args.journal:
             # Everything that shapes the reports but the shard count, so
             # serial and sharded runs resume each other's journals.
@@ -307,9 +308,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 "window": args.window,
                 "tenants": tenants,
             }
+            # Opening checks the header: every rate's journal is checked
+            # before the first replay, so a refusal leaves no output.
             journal = RunJournal(f"{args.journal}.rate{rate}", fingerprint)
-            if args.resume:
-                cached = journal.load_completed()
+        runs.append((rate, config, journal))
+    for rate, config, journal in runs:
+        cached = None
+        if journal is not None and args.resume:
+            cached = journal.load_completed()
         setup = make_replay_setup(**setup_args)
         try:
             result = run_stream_replay(
@@ -498,6 +504,11 @@ def _check_prerequisites(command: argparse.ArgumentParser, args) -> None:
         command.error(
             "--save-log takes one --rates value: each rate replays its own "
             "event log"
+        )
+    if args.dlq and not args.dlq_inspect and len(args.rates) > 1:
+        command.error(
+            "--dlq takes one --rates value: each rate writes its own "
+            "dead-letter journal"
         )
 
 
@@ -734,7 +745,7 @@ def main(argv=None) -> int:
         "--dlq",
         default=None,
         help="dead-letter journal path (repro-dlq-v1); written during the "
-        "run, or inspected with --dlq-inspect",
+        "run (one --rates value only), or inspected with --dlq-inspect",
     )
     stream.add_argument(
         "--dlq-inspect",

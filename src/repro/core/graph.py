@@ -11,7 +11,17 @@ applying the §3.1 logical-link expansion.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.linkspace import LinkToken, sort_key
 from repro.core.logical import logicalize
@@ -111,6 +121,22 @@ class InferredGraph:
     def traversed_by(self, token: LinkToken) -> FrozenSet[Pair]:
         """The hitting set h(l): probe pairs whose path crosses ``token``."""
         return frozenset(self._pairs(token) or ())
+
+    def traversed_beyond(
+        self, pairs: AbstractSet[Pair], tokens: Iterable[LinkToken]
+    ) -> Set[LinkToken]:
+        """The links some pair outside ``pairs`` traverses: every link
+        whose h(l) is not a subset of ``pairs``.
+
+        ``tokens`` must cover the links the pairs in ``pairs`` traverse;
+        any other link is traversed by outside pairs only, so only these
+        need the subset check.
+        """
+        beyond = set(self)
+        beyond.difference_update(
+            token for token in set(tokens) if self._pairs(token) <= pairs
+        )
+        return beyond
 
     def hitting_sets(self) -> Tuple[FrozenSet[Pair], ...]:
         """h(l) for every link, in token order (repeats included)."""

@@ -124,9 +124,10 @@ def _edge_inputs(
         if tokens:
             failure_sets[pair] = frozenset(tokens)
 
-    working: Set[LinkToken] = set()
-    for pair in snapshot.working_pairs():
-        working.update(logicalize(snapshot.after.get(pair), asn_of))
+    before_graph = snapshot.before.logical_graph(asn_of)
+    working = snapshot.working_tokens(
+        before_graph, lambda path: logicalize(path, asn_of)
+    )
 
     partial: Set[LinkToken] = set()
     if use_partial_traces:
@@ -153,7 +154,7 @@ def _edge_inputs(
 
     # The union of both rounds: the T- graph (built once per round) plus
     # the T+ paths that are not hop-identical to their T- path.
-    graph = InferredGraph(base=snapshot.before.logical_graph(asn_of))
+    graph = InferredGraph(base=before_graph)
     for pair in snapshot.changed_pairs():
         graph.add_path(pair, logicalize(snapshot.after.get(pair), asn_of))
 

@@ -16,9 +16,20 @@ diagnosis reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from repro.core.linkspace import Endpoint, IpLink, ip_link
+from repro.core.linkspace import Endpoint, IpLink, LinkToken, ip_link
 from repro.errors import DiagnosisError
 
 if TYPE_CHECKING:
@@ -271,6 +282,32 @@ class MeasurementSnapshot:
     def any_failure(self) -> bool:
         """True when the troubleshooter has something to diagnose."""
         return bool(self.failed_pairs())
+
+    def working_tokens(
+        self,
+        graph: "InferredGraph",
+        tokens_of: Callable[[ProbePath], Iterable[LinkToken]],
+    ) -> Set[LinkToken]:
+        """The tokens the working T+ paths traverse, read off ``graph``,
+        the T- round's graph built with ``tokens_of``.
+
+        An unchanged pair's T+ path is its T- path, so the unchanged
+        pairs contribute every T- token that some pair outside
+        :meth:`changed_pairs` traverses; the changed pairs whose T+ path
+        reached add their own.  Only the changed pairs' paths are read.
+        """
+        changed = self._changed
+        working = graph.traversed_beyond(
+            frozenset(changed),
+            chain.from_iterable(
+                tokens_of(self.before.get(pair)) for pair in changed
+            ),
+        )
+        for pair in changed:
+            path = self.after.get(pair)
+            if path.reached:
+                working.update(tokens_of(path))
+        return working
 
 
 def _normalised_hops(path: ProbePath) -> Tuple:

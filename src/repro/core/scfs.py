@@ -110,7 +110,6 @@ def scfs_diagnose(snapshot) -> "DiagnosisResult":
     that happen to be destinations keep their subtree (their own status is
     unused, another SCFS limitation we surface in ``details``).
     """
-    from repro.core.graph import InferredGraph
     from repro.core.linkspace import ip_link
     from repro.core.pathset import MeasurementSnapshot
     from repro.core.result import DiagnosisResult
@@ -177,7 +176,7 @@ def scfs_diagnose(snapshot) -> "DiagnosisResult":
     return DiagnosisResult(
         algorithm="scfs",
         hypothesis=hypothesis,
-        graph=InferredGraph.from_paths(snapshot.before.paths()),
+        graph=snapshot.before.physical_graph(),
         unexplained_failures=unexplained,
         details={
             "sources": sources_run,

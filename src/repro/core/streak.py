@@ -63,7 +63,9 @@ class PairAlarmTracker:
     def observe(self, pair: Pair, reached: bool) -> None:
         """Fold one reachability observation (probe or ping) for a pair."""
         self.observations += 1
-        alarm = self._alarms.setdefault(pair, _PairAlarm())
+        alarm = self._alarms.get(pair)
+        if alarm is None:
+            alarm = self._alarms[pair] = _PairAlarm()
         if reached:
             alarm.successes += 1
             alarm.fails = 0

@@ -12,12 +12,11 @@ vanishing.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Optional, Set
+from typing import Set
 
 from repro.core.graph import InferredGraph
 from repro.core.linkspace import LinkToken, sort_key
-from repro.core.pathset import MeasurementSnapshot
+from repro.core.pathset import MeasurementSnapshot, ProbePath
 from repro.core.result import DiagnosisResult
 from repro.errors import DiagnosisError
 from repro.empathy.delta import KIND_FAILED, compute_deltas
@@ -50,9 +49,8 @@ class EmpathyDiagnoser:
         deltas = compute_deltas(snapshot)
         events = mine_events(deltas)
 
-        alive: Set[LinkToken] = set()
-        for pair in snapshot.working_pairs():
-            alive.update(snapshot.after.get(pair).links())
+        before_graph = snapshot.before.physical_graph()
+        alive = snapshot.working_tokens(before_graph, ProbePath.links)
 
         hypothesis: Set[LinkToken] = set()
         excluded: Set[LinkToken] = set()
@@ -81,9 +79,11 @@ class EmpathyDiagnoser:
             for delta in deltas
             if delta.kind == KIND_FAILED and not (delta.lost & hypothesis)
         )
-        graph = InferredGraph.from_paths(
-            chain(snapshot.before.paths(), snapshot.after.paths())
-        )
+        # Both rounds' union, over the T- graph (built once per round):
+        # only the changed pairs' T+ paths add to it.
+        graph = InferredGraph(base=before_graph)
+        for pair in snapshot.changed_pairs():
+            graph.add_path(pair, snapshot.after.get(pair).links())
         failed = sum(1 for d in deltas if d.kind == KIND_FAILED)
         return DiagnosisResult(
             algorithm="empathy",

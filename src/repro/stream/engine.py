@@ -13,7 +13,9 @@ screen, assemble, diagnose — but continuously:
    shards' alarms into episode transitions, queued as diagnosis work;
 3. :meth:`drain` diagnoses queued transitions against the merged
    snapshot and control view (global, never per shard), emitting one
-   :class:`EpisodeReport` per transition in schedule order.
+   :class:`EpisodeReport` per transition in schedule order; the
+   snapshot's T- store carries over between drains while its baselines
+   are unchanged.
 
 Backpressure is explicit, never silent: an ``update`` for a queued
 episode is **coalesced** into it, a transition meeting a full
@@ -41,7 +43,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.control_plane import ControlPlaneView
 from repro.core.protocol import Diagnoser
-from repro.core.pathset import EPOCH_POST, EPOCH_PRE, MeasurementSnapshot
+from repro.core.pathset import (
+    EPOCH_POST,
+    EPOCH_PRE,
+    MeasurementSnapshot,
+    PathStore,
+)
 from repro.empathy.ensemble import EnsembleDisagreement
 from repro.errors import EpisodeOverflowError, StreamError
 from repro.faults import DegradationReport, FaultPlan
@@ -240,6 +247,8 @@ class StreamEngine:
         self.cached_reports = dict(cached_reports or {})
         self._pending: List[_PendingWork] = []
         self._deferred: List[_PendingWork] = []
+        # The last merged T- store, offered to the next drain for reuse.
+        self._before: Optional[PathStore] = None
         self.reports: List[EpisodeReport] = []
         # accounting
         self.events_offered = 0
@@ -435,6 +444,9 @@ class StreamEngine:
         Every transition in the batch sees the same window state (the
         windows only change in :meth:`offer`/:meth:`advance`), so the
         merged snapshot and control view are assembled once per drain.
+        The T- store carries over from the last drain while the
+        baselines are the same paths, so its graphs are built once per
+        distinct T- round.
         """
         next_index = len(self.reports)
         cached: Dict[int, EpisodeReport] = {}
@@ -450,7 +462,9 @@ class StreamEngine:
         snapshot = control = None
         if any(transition.kind != CLOSE for _index, transition in live):
             windows = [shard.window for shard in self.shards]
-            snapshot = merged_snapshot(windows, self.asn_of)
+            snapshot = merged_snapshot(windows, self.asn_of, self._before)
+            if snapshot is not None:
+                self._before = snapshot.before
             if self.asx is not None:
                 control = merged_control_view(windows, self.asx)
         diagnosable = snapshot is not None and snapshot.any_failure()

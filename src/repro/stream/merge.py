@@ -14,7 +14,8 @@ global picture is merged here:
 * :func:`merged_snapshot` unions the shards' usable pairs and rebuilds
   the :class:`~repro.core.pathset.PathStore` pair in sorted-pair order —
   byte for byte the order a single window's ``snapshot()`` uses, which
-  is half of the bit-identical replay guarantee;
+  is half of the bit-identical replay guarantee — keeping the previous
+  T- store while the baselines it holds are unchanged;
 * :func:`merged_control_view` deduplicates the broadcast control-plane
   entries by ``(tick, seq)`` and sorts by ``seq`` — the same global
   arrival order a single window sorts by;
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.control_plane import ControlPlaneView
-from repro.core.pathset import MeasurementSnapshot, PathStore
+from repro.core.pathset import MeasurementSnapshot, PathStore, ProbePath
 from repro.stream.episodes import EpisodeLifecycle, EpisodeTransition
 from repro.stream.window import SlidingWindow
 
@@ -42,6 +43,7 @@ Pair = Tuple[str, str]
 def merged_snapshot(
     windows: Sequence[SlidingWindow],
     asn_of: Callable[[str], Optional[int]],
+    before: Optional[PathStore] = None,
 ) -> Optional[MeasurementSnapshot]:
     """The batch-shaped snapshot over the union of shard windows.
 
@@ -49,6 +51,12 @@ def merged_snapshot(
     shards' usable-pair sets are disjoint and their union *is* the
     single-window usable set.  Stores are filled in globally sorted pair
     order, matching :meth:`SlidingWindow.snapshot` exactly.
+
+    ``before`` is an earlier snapshot's T- store.  It is reused, with
+    the graphs it has built, when the usable pairs' baseline slots hold
+    exactly its paths: the same sorted pairs, each slot the *same*
+    :class:`ProbePath` object (logs intern their paths, so identity is
+    exact).  Otherwise a fresh T- store is built.
     """
     owners: Dict[Pair, SlidingWindow] = {}
     for window in windows:
@@ -56,13 +64,16 @@ def merged_snapshot(
             owners.setdefault(pair, window)
     if not owners:
         return None
-    before, after = PathStore(), PathStore()
+    baselines: List[ProbePath] = []
+    after = PathStore()
     for pair in sorted(owners):
         window = owners[pair]
-        baseline = window.baseline_for(pair)
-        current = window.current_for(pair)
-        before.add(baseline[1])
-        after.add(current[1])
+        baselines.append(window.baseline_for(pair)[1])
+        after.add(window.current_for(pair)[1])
+    if before is None or len(before) != len(baselines) or not all(
+        kept is path for kept, path in zip(before.paths(), baselines)
+    ):
+        before = PathStore({path.pair: path for path in baselines})
     return MeasurementSnapshot(before=before, after=after, asn_of=asn_of)
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the inferred graph and the logical-link expansion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import InferredGraph
 from repro.core.linkspace import (
@@ -155,3 +157,55 @@ class TestInferredGraph:
         graph = InferredGraph.from_paths([p])
         assert len(graph.hitting_sets()) == len(graph)
         assert all(hs == frozenset({p.pair}) for hs in graph.hitting_sets())
+
+    def test_traversed_beyond_keeps_links_outside_pairs_cross(self):
+        p1 = make_path(["10.0.16.99", "10.0.16.1", "10.0.16.2"])
+        p2 = make_path(["10.0.16.98", "10.0.16.1", "10.0.16.2"])
+        graph = InferredGraph.from_paths([p1, p2])
+        beyond = graph.traversed_beyond(frozenset({p1.pair}), p1.links())
+        # p1's own first link goes; the link p2 shares with it stays.
+        assert beyond == {
+            ip_link("10.0.16.98", "10.0.16.1"),
+            ip_link("10.0.16.1", "10.0.16.2"),
+        }
+        both = frozenset({p1.pair, p2.pair})
+        assert graph.traversed_beyond(both, p1.links() + p2.links()) == set()
+        assert graph.traversed_beyond(frozenset(), ()) == set(graph)
+
+
+NODES = ["10.0.16.1", "10.0.16.2", "10.0.32.1", "10.0.32.2", "10.0.48.1"]
+
+
+@given(
+    routes=st.lists(
+        st.tuples(
+            st.sampled_from(["10.0.16.99", "10.0.48.99", "10.0.16.98"]),
+            st.lists(st.sampled_from(NODES), min_size=1, max_size=4,
+                     unique=True),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_traversed_beyond_is_the_hitting_set_test(routes, data):
+    """Against h(l) read link by link: a link is beyond ``pairs``
+    exactly when some pair outside them traverses it."""
+    paths = {}
+    for index, (src, middle, _chosen) in enumerate(routes):
+        dst = f"10.0.64.{index}"
+        path = ProbePath(src=src, dst=dst, hops=(src, *middle, dst),
+                         reached=True)
+        paths[path.pair] = path
+    graph = InferredGraph.from_paths(paths.values())
+    chosen = frozenset(
+        pair for (_src, _middle, pick), pair in zip(routes, paths) if pick
+    )
+    tokens = [token for pair in chosen for token in paths[pair].links()]
+    extra = data.draw(st.lists(st.sampled_from(sorted(graph, key=str))))
+    expected = {
+        token for token in graph if not graph.traversed_by(token) <= chosen
+    }
+    assert graph.traversed_beyond(chosen, tokens + extra) == expected

@@ -104,6 +104,27 @@ class TestStreamCli:
         assert len(captured.err.strip().splitlines()) == 1
         assert (tmp_path / "stream.journal.rate0.0").read_bytes() == written
 
+    def test_a_later_rates_foreign_journal_is_refused_before_any_replay(
+        self, tmp_path, capsys
+    ):
+        """Every rate's journal is opened before the first replay: a
+        foreign journal for the second rate must not let the first rate
+        replay, print its reports or write its own journal."""
+        journal = tmp_path / "stream.journal"
+        base = FAST_ARGS[:-2] + ["--journal", str(journal)]
+        assert repro_main(base + ["--rates", "0", "--seed", "0"]) == 0
+        capsys.readouterr()
+        written = (tmp_path / "stream.journal.rate0.0").read_bytes()
+        code = repro_main(base + ["--rates", "0.5", "0", "--seed", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "different run" in captured.err
+        assert not (tmp_path / "stream.journal.rate0.5").exists()
+        assert (tmp_path / "stream.journal.rate0.0").read_bytes() == written
+
 
 class TestStreamUsageErrors:
     """Flags whose prerequisite is missing are refused, not ignored."""
@@ -138,3 +159,19 @@ class TestStreamUsageErrors:
         args = FAST_ARGS + ["--rates", "0.5", "--save-log", str(log)]
         assert repro_main(args) == 0
         assert sorted(tmp_path.iterdir()) == [log]
+
+    def test_dlq_takes_one_rate(self, tmp_path, capsys):
+        """Each rate's replay opens the dead-letter journal afresh, so one
+        path cannot hold several rates; inspecting ignores --rates."""
+        dlq = tmp_path / "dead.jsonl"
+        err = self.usage_error(
+            capsys, ["--rates", "0", "0.5", "--dlq", str(dlq)]
+        )
+        assert "--dlq takes one --rates value" in err
+        assert not dlq.exists()
+        assert repro_main(FAST_ARGS + ["--rates", "0.5", "--dlq", str(dlq)]) == 0
+        assert sorted(tmp_path.iterdir()) == [dlq]
+        capsys.readouterr()
+        inspect = ["--rates", "0", "0.5", "--dlq", str(dlq), "--dlq-inspect"]
+        assert repro_main(FAST_ARGS + inspect) == 0
+        assert capsys.readouterr().out.startswith("=== dead letters (")
