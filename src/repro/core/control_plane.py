@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 __all__ = ["IgpLinkDownObservation", "WithdrawalObservation", "ControlPlaneView"]
+
+
+# Addresses and prefixes are parsed once per string (bounded caches); a
+# malformed one raises ValueError on every call, as no exception is kept.
+_address = lru_cache(maxsize=1 << 16)(ipaddress.ip_address)
+_network = lru_cache(maxsize=1 << 12)(ipaddress.ip_network)
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class WithdrawalObservation:
 
     def covers(self, address: str) -> bool:
         """True when ``address`` falls inside the withdrawn prefix."""
-        return ipaddress.ip_address(address) in ipaddress.ip_network(self.prefix)
+        return _address(address) in _network(self.prefix)
 
 
 @dataclass(frozen=True)

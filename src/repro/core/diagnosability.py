@@ -24,7 +24,12 @@ __all__ = ["diagnosability", "indistinguishable_classes"]
 
 
 def diagnosability(graph: InferredGraph) -> float:
-    """D(G) = number of distinct hitting sets / number of probed links."""
+    """D(G) = number of distinct hitting sets / number of probed links,
+    memoised on the graph (a session's T- graph serves every run)."""
+    return graph.derived("diagnosability", lambda: _diagnosability(graph))
+
+
+def _diagnosability(graph: InferredGraph) -> float:
     if len(graph) == 0:
         return 0.0
     distinct = {graph.traversed_by(token) for token in graph}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import (
     AbstractSet,
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -23,7 +24,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.linkspace import LinkToken, sort_key
+from repro.core.linkspace import LinkToken, PhysicalLink, sort_key, undirected_projection
 from repro.core.logical import logicalize
 from repro.core.pathset import Pair, ProbePath
 
@@ -36,12 +37,16 @@ class InferredGraph:
     A graph over a ``base`` extends it copy-on-write: reads fall through,
     and a traversal set is copied only when a path adds a pair to it, so
     a shared T- graph is never copied whole nor modified.
+
+    Values read off the whole graph are memoised on it (see
+    :meth:`derived`) until the next :meth:`add_path`.
     """
 
     def __init__(self, base: Optional["InferredGraph"] = None) -> None:
         self._base = base
         self._traversals: Dict[LinkToken, Set[Pair]] = {}
         self._size = len(base) if base is not None else 0
+        self._derived: Dict[str, Any] = {}
 
     # -------------------------------------------------------------- builders
 
@@ -67,6 +72,7 @@ class InferredGraph:
 
     def add_path(self, pair: Pair, tokens: Iterable[LinkToken]) -> None:
         """Record that ``pair``'s path traverses ``tokens``."""
+        self._derived = {}
         own = self._traversals
         for token in tokens:
             pairs = own.get(token)
@@ -137,6 +143,25 @@ class InferredGraph:
             token for token in set(tokens) if self._pairs(token) <= pairs
         )
         return beyond
+
+    def derived(self, key: str, build: Callable[[], Any]) -> Any:
+        """``build()`` once per ``key`` until the next :meth:`add_path`;
+        callers share the result, so it must be read-only."""
+        memo = self._derived
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def physical_links(self) -> FrozenSet[PhysicalLink]:
+        """The links projected to undirected physical links, memoised: a
+        graph over a base adds its own tokens' projection to the base's."""
+        return self.derived("physical", self._project)
+
+    def _project(self) -> FrozenSet[PhysicalLink]:
+        own = undirected_projection(self._traversals)
+        if self._base is None:
+            return own
+        return self._base.physical_links() | own
 
     def hitting_sets(self) -> Tuple[FrozenSet[Pair], ...]:
         """h(l) for every link, in token order (repeats included)."""

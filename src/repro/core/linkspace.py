@@ -22,14 +22,19 @@ shadow a directional culprit.  The token types:
   only by the metrics: ground truth is physical (a fibre cut kills both
   directions), so hypotheses are compared after
   :func:`undirected_projection`.
+
+Every token (and :class:`UhNode`) is a :class:`~typing.NamedTuple`, so
+hashing, equality and construction run in C.  A token therefore equals
+the plain tuple of its fields: ``IpLink(a, b) == PhysicalLink(a, b) ==
+(a, b)``.  A set or dict holds one token kind, never tokens beside
+probe pairs.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Tuple, Union
+from typing import FrozenSet, Iterable, NamedTuple, Tuple, Union
 
 __all__ = [
     "ORIGIN_TAG",
@@ -57,8 +62,7 @@ ORIGIN_TAG = 0
 UNKNOWN_TAG = -1
 
 
-@dataclass(frozen=True, order=True)
-class UhNode:
+class UhNode(NamedTuple):
     """An unidentified hop: one ``'*'`` at a position of one traceroute.
 
     Identity is per (probe pair, epoch, hop index): the paper requires an
@@ -89,8 +93,7 @@ def _address_key(address: str) -> Tuple[int, int]:
     return (0, int(ipaddress.ip_address(address)))
 
 
-@dataclass(frozen=True)
-class IpLink:
+class IpLink(NamedTuple):
     """A directed link between two consecutive traceroute hop endpoints."""
 
     src: Endpoint
@@ -108,7 +111,7 @@ class IpLink:
         """The undirected physical link this token measures."""
         return physical_link(self.src, self.dst)
 
-    def __str__(self) -> str:  # pragma: no cover - debug convenience
+    def __str__(self) -> str:
         return f"{_show(self.src)}->{_show(self.dst)}"
 
 
@@ -117,8 +120,7 @@ def ip_link(src: Endpoint, dst: Endpoint) -> IpLink:
     return IpLink(src, dst)
 
 
-@dataclass(frozen=True)
-class LogicalLink:
+class LogicalLink(NamedTuple):
     """A directed interdomain link tagged with its out-neighbour AS (§3.1).
 
     ``src``/``dst`` are the identified addresses of the routers on either
@@ -143,13 +145,12 @@ class LogicalLink:
         """The undirected physical link this logical link annotates."""
         return physical_link(self.src, self.dst)
 
-    def __str__(self) -> str:  # pragma: no cover - debug convenience
+    def __str__(self) -> str:
         tag = {ORIGIN_TAG: "origin", UNKNOWN_TAG: "?"}.get(self.tag, str(self.tag))
         return f"{self.src}->{self.dst}({tag})"
 
 
-@dataclass(frozen=True)
-class PhysicalLink:
+class PhysicalLink(NamedTuple):
     """An undirected endpoint pair — the metrics' ground-truth granularity.
 
     Always construct through :func:`physical_link`, which canonicalises
@@ -166,7 +167,7 @@ class PhysicalLink:
     def endpoints(self) -> Tuple[Endpoint, Endpoint]:
         return (self.lo, self.hi)
 
-    def __str__(self) -> str:  # pragma: no cover - debug convenience
+    def __str__(self) -> str:
         return f"{_show(self.lo)}--{_show(self.hi)}"
 
 
@@ -212,5 +213,5 @@ def sort_key(token: LinkToken) -> Tuple:
     return (0, _endpoint_key(token.src), _endpoint_key(token.dst))
 
 
-def _show(endpoint: Endpoint) -> str:  # pragma: no cover - debug convenience
+def _show(endpoint: Endpoint) -> str:
     return endpoint if isinstance(endpoint, str) else f"*{endpoint.index}"

@@ -60,8 +60,8 @@ class DiagnosisResult:
         return undirected_projection(self.hypothesis)
 
     def physical_universe(self) -> FrozenSet[PhysicalLink]:
-        """E projected to undirected physical links."""
-        return undirected_projection(self.graph)
+        """E projected to undirected physical links (memoised per graph)."""
+        return self.graph.physical_links()
 
     def hypothesis_size(self) -> int:
         """|H| at the algorithm's native granularity."""

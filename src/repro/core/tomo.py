@@ -14,10 +14,9 @@ deliberate blind spots (§2.5) are preserved faithfully:
 
 from __future__ import annotations
 
-from typing import Set
+from itertools import chain
 
 from repro.core.hitting_set import greedy_hitting_set
-from repro.core.linkspace import LinkToken
 from repro.core.pathset import MeasurementSnapshot
 from repro.core.result import DiagnosisResult
 
@@ -28,21 +27,24 @@ def tomo(snapshot: MeasurementSnapshot) -> DiagnosisResult:
     """Run Tomo (Algorithm 1) on a measurement snapshot.
 
     Only ``snapshot.before`` paths and the reachability matrix are
-    consulted, exactly as in §2.4.
+    consulted, exactly as in §2.4.  The working pairs' T- links are the
+    T- graph's links some pair outside the failed ones traverses, so
+    only the failed pairs' paths are read.
     """
+    failed = snapshot.failed_pairs()
     failure_sets = [
-        frozenset(snapshot.before.get(pair).links())
-        for pair in snapshot.failed_pairs()
+        frozenset(snapshot.before.get(pair).links()) for pair in failed
     ]
-    working: Set[LinkToken] = set()
-    for pair in snapshot.working_pairs():
-        working.update(snapshot.before.get(pair).links())
+    graph = snapshot.before.physical_graph()
+    working = graph.traversed_beyond(
+        frozenset(failed), chain.from_iterable(failure_sets)
+    )
 
     outcome = greedy_hitting_set(failure_sets, excluded=working)
     return DiagnosisResult(
         algorithm="tomo",
         hypothesis=outcome.hypothesis,
-        graph=snapshot.before.physical_graph(),
+        graph=graph,
         excluded=frozenset(working),
         unexplained_failures=outcome.unexplained_failures,
         details={

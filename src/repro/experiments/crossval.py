@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.linkspace import physical_link
 from repro.diagnosers import make_diagnosers
 from repro.empathy.ensemble import EnsembleDisagreement, compare_hypotheses
 from repro.errors import ControlPlaneFeedError, EmpathyError, ScenarioError
@@ -161,7 +160,6 @@ def run_crossval(config: CrossvalConfig = CrossvalConfig()) -> CrossvalResult:
         topo = topo_factory(placement)
         session = make_session(topo, placement_fn(topo, rng), rng)
         asx = asx_selector(topo, rng)
-        probed_physical = None
         for kind in config.kinds:
             produced = 0
             budget = 5 * config.failures_per_kind
@@ -180,17 +178,9 @@ def run_crossval(config: CrossvalConfig = CrossvalConfig()) -> CrossvalResult:
                 if not snapshot.any_failure():
                     result.scenarios_rejected += 1
                     continue
-                if probed_physical is None:
-                    probed_physical = frozenset(
-                        physical_link(
-                            session.net.router(session.net.link(lid).a).address,
-                            session.net.router(session.net.link(lid).b).address,
-                        )
-                        for lid in session.sampler.probed_links
-                    )
                 truth = (
                     ground_truth_links(session.net, scenario.event)
-                    & probed_physical
+                    & session.probed_physical()
                 )
                 if not truth:
                     result.scenarios_rejected += 1

@@ -35,7 +35,9 @@ __all__ = ["RunJournal"]
 
 logger = logging.getLogger(__name__)
 
-_FORMAT = "repro-run-journal-v1"
+#: v2: link tokens pickle as NamedTuples, and a v1 record's frozen
+#: dataclass tokens no longer unpickle.
+_FORMAT = "repro-run-journal-v2"
 
 
 class RunJournal:
@@ -79,7 +81,8 @@ class RunJournal:
             ) from None
         if not isinstance(header, dict) or header.get("format") != _FORMAT:
             raise JournalError(
-                f"{self.path} is not a {_FORMAT} journal (header {header!r})"
+                f"{self.path} is not a {_FORMAT} journal (header {header!r}); "
+                "move it away to start afresh"
             )
         if header.get("fingerprint") != self.fingerprint:
             raise JournalError(

@@ -122,6 +122,9 @@ class Session:
     sampler: ScenarioSampler
     _baseline: Optional[tuple] = field(default=None, init=False, repr=False)
     _coverage: Optional[FrozenSet[int]] = field(default=None, init=False, repr=False)
+    _probed: Optional[FrozenSet[PhysicalLink]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def net(self) -> Internetwork:
@@ -142,6 +145,20 @@ class Session:
         if self._coverage is None:
             self._coverage = covered_ases(self, self.base_state)
         return self._coverage
+
+    def probed_physical(self) -> FrozenSet[PhysicalLink]:
+        """The sampler's probed links as metric-space physical tokens,
+        computed once."""
+        if self._probed is None:
+            net = self.net
+            self._probed = frozenset(
+                physical_link(
+                    net.router(net.link(lid).a).address,
+                    net.router(net.link(lid).b).address,
+                )
+                for lid in self.sampler.probed_links
+            )
+        return self._probed
 
 
 @dataclass
@@ -344,14 +361,7 @@ def run_scenario(
     # be invisible in the *measured* universe (it shows up as UH tokens),
     # yet it still belongs to the sensitivity denominator — the algorithm
     # is rightly penalised for being unable to name it.
-    probed_physical = frozenset(
-        physical_link(
-            session.net.router(session.net.link(lid).a).address,
-            session.net.router(session.net.link(lid).b).address,
-        )
-        for lid in session.sampler.probed_links
-    )
-    visible_truth = truth_links & probed_physical
+    visible_truth = truth_links & session.probed_physical()
     if not visible_truth:
         raise ScenarioError(
             "scenario admitted but none of its failed links were probed"

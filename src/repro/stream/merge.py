@@ -50,7 +50,8 @@ def merged_snapshot(
     The router sends each pair's probes to exactly one shard, so the
     shards' usable-pair sets are disjoint and their union *is* the
     single-window usable set.  Stores are filled in globally sorted pair
-    order, matching :meth:`SlidingWindow.snapshot` exactly.
+    order, so the result equals the snapshot of one window holding
+    every shard's slots.
 
     ``before`` is an earlier snapshot's T- store.  It is reused, with
     the graphs it has built, when the usable pairs' baseline slots hold
@@ -85,7 +86,7 @@ def merged_control_view(
     Control-plane events are broadcast to every shard (any shard's
     verdict may hinge on them), so each window holds a copy; dedup by
     ``(tick, seq)`` and sort by the globally monotonic ``seq`` — the
-    same order a single window's ``control_view`` produces.
+    same order one window holding every message would list them in.
     """
     withdrawals: Dict[Tuple[int, int], object] = {}
     igp_downs: Dict[Tuple[int, int], object] = {}

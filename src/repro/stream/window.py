@@ -20,28 +20,20 @@ Both probe slots live in :class:`~repro.netsim.cache.LruCache` maps, so
 window memory is bounded two ways: by recency (``evict`` drops
 observations older than ``width`` ticks) and by capacity (the LRU cap
 sheds the coldest pairs first when the mesh outgrows memory).  Snapshot
-assembly takes the intersection of live slots — exactly the pairs for
-which the window holds a usable before/after story — which satisfies
+assembly (:func:`~repro.stream.merge.merged_snapshot` and
+:func:`~repro.stream.merge.merged_control_view`, over one or more shard
+windows) takes the intersection of live slots — exactly the pairs for
+which a window holds a usable before/after story — which satisfies
 :class:`~repro.core.pathset.MeasurementSnapshot`'s invariants by
 construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.control_plane import (
-    ControlPlaneView,
-    IgpLinkDownObservation,
-    WithdrawalObservation,
-)
-from repro.core.pathset import (
-    EPOCH_POST,
-    EPOCH_PRE,
-    MeasurementSnapshot,
-    PathStore,
-    ProbePath,
-)
+from repro.core.control_plane import IgpLinkDownObservation, WithdrawalObservation
+from repro.core.pathset import EPOCH_POST, EPOCH_PRE, ProbePath
 from repro.errors import StreamError
 from repro.netsim.cache import LruCache
 from repro.stream.events import (
@@ -177,43 +169,6 @@ class SlidingWindow:
         equals the single-window order.
         """
         return list(self._withdrawals), list(self._igp_downs)
-
-    def snapshot(
-        self, asn_of: Callable[[str], Optional[int]]
-    ) -> Optional[MeasurementSnapshot]:
-        """The batch-shaped snapshot of the window's current knowledge.
-
-        Covers every pair with both a live baseline and a live current
-        probe and no dark endpoint; ``None`` when no pair qualifies.
-        The invariants :class:`MeasurementSnapshot` enforces (same pairs
-        both rounds, all baselines reached) hold by construction.
-        """
-        pairs = self.usable_pairs()
-        if not pairs:
-            return None
-        before, after = PathStore(), PathStore()
-        for pair in pairs:
-            baseline = self._baseline.get(pair)
-            current = self._current.get(pair)
-            before.add(baseline[1])
-            after.add(current[1])
-        return MeasurementSnapshot(before=before, after=after, asn_of=asn_of)
-
-    def control_view(self, asx_asn: int) -> ControlPlaneView:
-        """The in-window control-plane knowledge, in arrival order."""
-        return ControlPlaneView(
-            asx_asn=asx_asn,
-            igp_link_down=tuple(
-                obs for _tick, _seq, obs in sorted(
-                    self._igp_downs, key=lambda entry: entry[1]
-                )
-            ),
-            withdrawals=tuple(
-                obs for _tick, _seq, obs in sorted(
-                    self._withdrawals, key=lambda entry: entry[1]
-                )
-            ),
-        )
 
     # -------------------------------------------------------- checkpointing
 

@@ -9,6 +9,8 @@ their own).
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -58,3 +60,21 @@ def research_session(research_topo):
     rng = random.Random("conftest-session")
     routers = random_stub_placement(research_topo, 10, rng)
     return make_session(research_topo, routers, rng)
+
+
+@pytest.fixture
+def dataclass_era_record(monkeypatch):
+    """A journal record pickled while link tokens were frozen dataclasses:
+    a token frozenset, as in a journalled report's hypothesis.  It no
+    longer unpickles (``TypeError``) now that tokens are NamedTuples."""
+    from repro.core import linkspace
+
+    @dataclasses.dataclass(frozen=True)
+    class IpLink:
+        src: object
+        dst: object
+
+    IpLink.__module__, IpLink.__qualname__ = linkspace.__name__, "IpLink"
+    with monkeypatch.context() as patched:
+        patched.setattr(linkspace, "IpLink", IpLink)
+        return pickle.dumps(frozenset({IpLink("10.0.0.1", "10.0.0.2")}))

@@ -133,3 +133,96 @@ class TestSortKey:
         # Equal endpoints: tags break the tie.
         logical = [t for t in ordered if isinstance(t, LogicalLink)]
         assert [t.tag for t in logical] == [2, 9]
+
+
+UH = UhNode("10.0.0.1", "10.0.0.9", "pre", 3)
+
+#: One token of each kind and endpoint mix, with the ``str()`` the
+#: frozen-dataclass tokens rendered (CLI ``diagnose``, replay truth
+#: strings, empathy segments and the benchmark compare these strings).
+RENDERED = (
+    (IpLink("10.0.0.1", "10.0.0.2"), "10.0.0.1->10.0.0.2"),
+    (IpLink("10.0.0.1", UH), "10.0.0.1->*3"),
+    (IpLink(UH, "10.0.0.2"), "*3->10.0.0.2"),
+    (LogicalLink("10.0.0.1", "10.0.0.2", ORIGIN_TAG), "10.0.0.1->10.0.0.2(origin)"),
+    (LogicalLink("10.0.0.1", "10.0.0.2", UNKNOWN_TAG), "10.0.0.1->10.0.0.2(?)"),
+    (LogicalLink("10.0.0.1", "10.0.0.2", 64500), "10.0.0.1->10.0.0.2(64500)"),
+    (physical_link("10.0.0.2", "10.0.0.1"), "10.0.0.1--10.0.0.2"),
+    (physical_link(UH, "10.0.0.1"), "10.0.0.1--*3"),
+    (UH, "UhNode(src='10.0.0.1', dst='10.0.0.9', epoch='pre', index=3)"),
+)
+
+
+class TestTupleTokens:
+    """Tokens are NamedTuples: they hash, compare, pickle, serialise and
+    render exactly as the frozen dataclasses they replaced."""
+
+    @pytest.mark.parametrize("token", [token for token, _ in RENDERED])
+    def test_hash_and_equality_agree_with_the_field_tuple(self, token):
+        fields = tuple(getattr(token, name) for name in token._fields)
+        assert hash(token) == hash(fields)
+        assert token == fields
+        assert token == type(token)(*fields)
+        assert {token: 1}[type(token)(*fields)] == 1
+
+    @pytest.mark.parametrize("token, text", RENDERED)
+    def test_str_is_unchanged(self, token, text):
+        assert str(token) == text
+
+    def test_repr_is_unchanged(self):
+        assert repr(IpLink("10.0.0.1", UH)) == (
+            "IpLink(src='10.0.0.1', dst=UhNode(src='10.0.0.1', "
+            "dst='10.0.0.9', epoch='pre', index=3))"
+        )
+        assert repr(LogicalLink("10.0.0.1", "10.0.0.2", 7)) == (
+            "LogicalLink(src='10.0.0.1', dst='10.0.0.2', tag=7)"
+        )
+        assert repr(physical_link("10.0.0.2", "10.0.0.1")) == (
+            "PhysicalLink(lo='10.0.0.1', hi='10.0.0.2')"
+        )
+
+    @pytest.mark.parametrize("token", [token for token, _ in RENDERED])
+    def test_pickle_round_trips(self, token):
+        import pickle
+
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(token, protocol))
+            assert restored == token
+            assert type(restored) is type(token)
+            assert str(restored) == str(token)
+
+    @pytest.mark.parametrize(
+        "token", [token for token, _ in RENDERED if not isinstance(token, UhNode)]
+    )
+    def test_serialize_round_trips(self, token):
+        from repro.serialize import token_from_dict, token_to_dict
+
+        restored = token_from_dict(token_to_dict(token))
+        assert restored == token
+        assert type(restored) is type(token)
+
+    def test_serialize_keeps_the_kind_of_equal_tuples(self):
+        """An IpLink and a PhysicalLink over the same canonical endpoints
+        are equal tuples; serialisation still tells them apart."""
+        from repro.serialize import token_from_dict, token_to_dict
+
+        directed = IpLink("10.0.0.1", "10.0.0.2")
+        undirected = physical_link("10.0.0.1", "10.0.0.2")
+        assert directed == undirected  # the hazard: tuples of equal fields
+        assert token_to_dict(directed) != token_to_dict(undirected)
+        assert type(token_from_dict(token_to_dict(undirected))) is PhysicalLink
+
+    def test_uh_node_ordering_is_field_order(self):
+        nodes = [
+            UhNode("b", "a", "pre", 1),
+            UhNode("a", "b", "pre", 10),
+            UhNode("a", "b", "pre", 2),
+            UhNode("a", "b", "post", 9),
+        ]
+        assert sorted(nodes) == [
+            UhNode("a", "b", "post", 9),
+            UhNode("a", "b", "pre", 2),
+            UhNode("a", "b", "pre", 10),
+            UhNode("b", "a", "pre", 1),
+        ]
+        assert UhNode("a", "b", "pre", 2) < UhNode("a", "b", "pre", 10)

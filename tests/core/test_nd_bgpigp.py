@@ -152,6 +152,46 @@ class TestControlPlaneTypes:
         assert w.covers("10.0.79.254")
         assert not w.covers("10.0.16.1")
 
+    def test_withdrawal_covers_boundary_addresses(self):
+        """Parsed once per string, the answers stay those of a fresh
+        ``ip_address(address) in ip_network(prefix)`` at every boundary,
+        and a malformed prefix or address raises ValueError every time."""
+        import ipaddress
+
+        def make(prefix):
+            return WithdrawalObservation(
+                prefix=prefix,
+                at_address="10.0.32.2",
+                from_address="10.0.48.1",
+                from_asn=3,
+            )
+
+        cases = {
+            "10.0.64.0/20": (
+                "10.0.63.255", "10.0.64.0", "10.0.79.255", "10.0.80.0",
+            ),
+            "10.0.0.0/32": ("10.0.0.0", "10.0.0.1", "9.255.255.255"),
+            "0.0.0.0/0": ("0.0.0.0", "255.255.255.255"),
+            "2001:db8::/127": ("2001:db8::", "2001:db8::1", "2001:db8::2"),
+        }
+        for prefix, addresses in cases.items():
+            network = ipaddress.ip_network(prefix)
+            for address in addresses * 2:  # the second pass hits the cache
+                want = ipaddress.ip_address(address) in network
+                assert make(prefix).covers(address) is want, (prefix, address)
+        edges = [make("10.0.64.0/20").covers(a) for a in cases["10.0.64.0/20"]]
+        assert edges == [False, True, True, False]
+        # An IPv4 address is never inside an IPv6 prefix, and vice versa.
+        assert not make("::/0").covers("10.0.0.1")
+        assert not make("0.0.0.0/0").covers("::1")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                make("10.0.64.1/20").covers("10.0.64.1")  # host bits set
+            with pytest.raises(ValueError):
+                make("10.0.64.0/20").covers("10.0.64.256")
+            with pytest.raises(ValueError):
+                make("not-a-prefix").covers("10.0.64.1")
+
     def test_view_emptiness(self):
         assert ControlPlaneView(asx_asn=1).is_empty()
         assert not ControlPlaneView(

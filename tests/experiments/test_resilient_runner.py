@@ -342,6 +342,24 @@ class TestJournalAndResume:
             RunJournal(path, fingerprint="sweep")
         assert path.read_bytes() == written
 
+    def test_a_journal_from_before_tuple_tokens_is_refused_on_open(
+        self, tmp_path, dataclass_era_record
+    ):
+        """A v1 journal's records hold dataclass tokens that no longer
+        unpickle; its header is refused before any record is read."""
+        with pytest.raises(TypeError):
+            pickle.loads(dataclass_era_record)
+        path = tmp_path / "v1.journal"
+        header = {"format": "repro-run-journal-v1", "fingerprint": "sweep"}
+        path.write_bytes(pickle.dumps(header) + dataclass_era_record)
+        written = path.read_bytes()
+        for resume in (False, True):
+            with pytest.raises(JournalError, match="is not a repro-run-journal-v2"):
+                journal = RunJournal(path, fingerprint="sweep")
+                if resume:
+                    journal.load_completed()
+        assert path.read_bytes() == written
+
     def test_resume_replays_without_rerunning(self, tmp_path, clean_records):
         # The resumed run swaps in a factory that refuses to build, which
         # a path journal's fingerprint would refuse: vouch for the swap

@@ -9,7 +9,10 @@ seeded truncation / anonymous-hop faults make UH hops, truncated T+
 paths and tag changes all occur; half the examples instead reuse one T-
 round across every example, as a session does.  Every diagnoser must
 also return the same result on a snapshot other diagnosers already
-derived inputs from as on a fresh one, whatever the order.
+derived inputs from as on a fresh one, whatever the order.  Tomo, which
+reads its exoneration set off the T- graph, must return what the walk
+over every working pair's T- path in ``tests/core/tomo_oracle.py``
+returns.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.diagnoser import NetDiagnoser
 from repro.core.nd_edge import build_edge_inputs
+from repro.core.tomo import tomo
 from repro.faults import FaultConfig, FaultPlan
 from repro.measurement.collector import (
     collect_control_plane,
@@ -30,6 +34,7 @@ from repro.measurement.probing import probe_mesh
 from repro.netsim.lookingglass import LookingGlassService
 from repro.netsim.topology import NetworkState
 from tests.core.edge_inputs_oracle import build_edge_inputs as oracle_inputs
+from tests.core.tomo_oracle import tomo as oracle_tomo
 from tests.property.test_fuzz_pipeline import FIG, SENSORS, SIM, random_event
 
 NOMINAL = NetworkState.nominal()
@@ -75,6 +80,14 @@ def assert_same_result(got, want):
     assert traversals(got.graph) == traversals(want.graph)
 
 
+def assert_same_tomo(snapshot):
+    got, want = tomo(snapshot), oracle_tomo(snapshot)
+    assert got.hypothesis == want.hypothesis
+    assert got.excluded == want.excluded
+    assert got.unexplained_failures == want.unexplained_failures
+    assert got.details == want.details
+
+
 def check_against_oracle(event, blocked_name, fault_seed, reuse, order):
     after = SIM.apply(event)
     blocked = frozenset({FIG.asn(blocked_name)})
@@ -95,6 +108,7 @@ def check_against_oracle(event, blocked_name, fault_seed, reuse, order):
         assert_same_inputs(
             build_edge_inputs(shared, *flags), oracle_inputs(shared, *flags)
         )
+    assert_same_tomo(shared)
     if not shared.any_failure():
         return
     control = collect_control_plane(SIM, ASX, NOMINAL, after)

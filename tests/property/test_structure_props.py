@@ -5,8 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.diagnosability import diagnosability
 from repro.core.graph import InferredGraph
 from repro.core.linkspace import (
+    LogicalLink,
     UhNode,
     ip_link,
     physical_link,
@@ -69,6 +71,67 @@ def test_inferred_graph_traversals_partition_tokens(paths):
     # Token ordering is a total order.
     keys = [sort_key(t) for t in graph.tokens()]
     assert keys == sorted(keys)
+
+
+endpoints = st.one_of(
+    addresses,
+    st.builds(
+        UhNode,
+        st.just("10.0.0.1"),
+        st.just("10.0.0.2"),
+        st.sampled_from(["pre", "post"]),
+        st.integers(0, 4),
+    ),
+)
+tokens = st.one_of(
+    st.builds(ip_link, endpoints, endpoints),
+    st.builds(LogicalLink, addresses, addresses, st.integers(-1, 3)),
+)
+pair_paths = st.lists(
+    st.tuples(st.tuples(addresses, addresses), st.lists(tokens, max_size=6)),
+    max_size=6,
+)
+
+
+def fresh_diagnosability(graph):
+    links = list(graph)
+    assert len(links) == len(graph)
+    if not links:
+        return 0.0
+    return len({graph.traversed_by(token) for token in links}) / len(links)
+
+
+def assert_memos_fresh(graph):
+    projected = graph.physical_links()
+    assert projected == undirected_projection(graph)
+    assert graph.physical_links() is projected  # memoised
+    assert diagnosability(graph) == fresh_diagnosability(graph)
+
+
+@given(base_paths=pair_paths, own_paths=pair_paths, later_paths=pair_paths)
+@settings(max_examples=200)
+def test_graph_memos_equal_a_fresh_computation(
+    base_paths, own_paths, later_paths
+):
+    """The memoised undirected projection and D(G) equal a fresh
+    computation on a fresh graph, on a copy-on-write graph over it, and
+    again after a further ``add_path`` to either kind."""
+    base = InferredGraph()
+    for pair, links in base_paths:
+        base.add_path(pair, links)
+    assert_memos_fresh(base)
+    extended = InferredGraph(base=base)
+    for pair, links in own_paths:
+        extended.add_path(pair, links)
+    assert_memos_fresh(extended)
+    assert_memos_fresh(base)
+    for pair, links in later_paths:
+        extended.add_path(pair, links)
+        assert_memos_fresh(extended)
+    solo = InferredGraph()
+    for pair, links in base_paths + later_paths:
+        solo.add_path(pair, links)
+        assert_memos_fresh(solo)
 
 
 @st.composite

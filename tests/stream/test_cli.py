@@ -126,6 +126,34 @@ class TestStreamCli:
         assert (tmp_path / "stream.journal.rate0.0").read_bytes() == written
 
 
+    def test_a_journal_from_before_tuple_tokens_is_refused(
+        self, tmp_path, capsys, dataclass_era_record
+    ):
+        """A v1 journal (its reports' token frozensets pickled as
+        dataclasses) is refused when opened, with or without --resume:
+        one error line, exit 2, and the file keeps its bytes."""
+        import pickle
+
+        journal = tmp_path / "stream.journal"
+        args = FAST_ARGS + ["--journal", str(journal)]
+        assert repro_main(args) == 0
+        capsys.readouterr()
+        path = tmp_path / "stream.journal.rate0.0"
+        with open(path, "rb") as handle:
+            header = pickle.load(handle)
+        header["format"] = "repro-run-journal-v1"
+        path.write_bytes(pickle.dumps(header) + dataclass_era_record)
+        written = path.read_bytes()
+        for extra in ([], ["--resume"]):
+            assert repro_main(args + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.strip().splitlines()) == 1
+            assert "is not a repro-run-journal-v2 journal" in captured.err
+            assert path.read_bytes() == written
+
+
 class TestStreamUsageErrors:
     """Flags whose prerequisite is missing are refused, not ignored."""
 

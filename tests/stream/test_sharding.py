@@ -27,6 +27,7 @@ from repro.stream import (
     stable_hash,
 )
 
+from . import window_oracle
 from .test_window import A, B, C, asn_of, probe
 
 SETUP_ARGS = dict(seed=3, n_sensors=6)
@@ -203,7 +204,7 @@ class TestMergedViews:
         _fill(shard0, self.PAIRS[:2])
         _fill(shard1, self.PAIRS[2:])
 
-        expected = single.snapshot(asn_of)
+        expected = window_oracle.snapshot(single, asn_of)
         merged = merged_snapshot([shard0, shard1], asn_of)
         assert merged is not None
         assert merged.before.pairs() == expected.before.pairs()
@@ -238,7 +239,7 @@ class TestMergedViews:
         for window in shards:
             window.observe(event)
 
-        expected = single.control_view(64500)
+        expected = window_oracle.control_view(single, 64500)
         merged = merged_control_view(shards, 64500)
         assert merged.withdrawals == expected.withdrawals
         assert merged.igp_link_down == expected.igp_link_down

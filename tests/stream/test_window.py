@@ -1,6 +1,7 @@
 """Sliding-window tests: slot semantics, tick/LRU eviction, dark
-sensors, and snapshot assembly that satisfies the batch invariants by
-construction."""
+sensors, and snapshot assembly (``merged_snapshot`` /
+``merged_control_view`` over one window) that satisfies the batch
+invariants by construction."""
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.stream import (
     SensorHeartbeatEvent,
     SlidingWindow,
     WithdrawalEvent,
+    merged_control_view,
+    merged_snapshot,
 )
 
 A, B, C = "10.0.0.1", "10.0.0.2", "10.0.0.3"
@@ -55,9 +58,9 @@ class TestSlots:
     def test_snapshot_requires_both_slots(self):
         window = SlidingWindow(width=4)
         window.observe(probe(A, B, EPOCH_PRE))
-        assert window.snapshot(asn_of) is None
+        assert merged_snapshot([window], asn_of) is None
         window.observe(probe(A, B, EPOCH_POST, reached=False))
-        snapshot = window.snapshot(asn_of)
+        snapshot = merged_snapshot([window], asn_of)
         assert snapshot is not None
         assert snapshot.after.pairs() == ((A, B),)
         assert snapshot.any_failure()
@@ -73,7 +76,7 @@ class TestSlots:
         seed_pair(window, A, B)
         seed_pair(window, A, C)  # evicts the (A, B) entries
         assert window.counters()["lru_evictions"] == 2
-        snapshot = window.snapshot(asn_of)
+        snapshot = merged_snapshot([window], asn_of)
         assert snapshot.after.pairs() == ((A, C),)
 
 
@@ -83,14 +86,14 @@ class TestEviction:
         seed_pair(window, tick=0)
         # horizon = now - width = 0: both tick-0 slots are stale.
         assert window.evict(now=2) == 2
-        assert window.snapshot(asn_of) is None
+        assert merged_snapshot([window], asn_of) is None
         assert window.counters()["stale_evictions"] == 2
 
     def test_fresh_observations_survive(self):
         window = SlidingWindow(width=4)
         seed_pair(window, tick=3)
         window.evict(now=5)
-        assert window.snapshot(asn_of) is not None
+        assert merged_snapshot([window], asn_of) is not None
 
     def test_control_plane_messages_age_out(self):
         window = SlidingWindow(width=2)
@@ -104,7 +107,7 @@ class TestEviction:
             )
         )
         window.evict(now=3)
-        assert window.control_view(64500).igp_link_down == ()
+        assert merged_control_view([window], 64500).igp_link_down == ()
 
 
 class TestDarkSensors:
@@ -112,7 +115,7 @@ class TestDarkSensors:
         window = SlidingWindow(width=4)
         seed_pair(window, A, B)
         window.observe(SensorDropoutEvent(tick=1, seq=9, address=B))
-        assert window.snapshot(asn_of) is None
+        assert merged_snapshot([window], asn_of) is None
         assert window.dark_sensors() == (B,)
 
     def test_heartbeat_restores_pair(self):
@@ -120,7 +123,7 @@ class TestDarkSensors:
         seed_pair(window, A, B)
         window.observe(SensorDropoutEvent(tick=1, seq=9, address=B))
         window.observe(SensorHeartbeatEvent(tick=2, seq=10, address=B))
-        assert window.snapshot(asn_of) is not None
+        assert merged_snapshot([window], asn_of) is not None
         assert window.dark_sensors() == ()
 
 
@@ -145,7 +148,7 @@ class TestControlView:
         # (the event seq), matching what the batch collector would list.
         window.observe(WithdrawalEvent(tick=0, seq=6, observation=late))
         window.observe(WithdrawalEvent(tick=0, seq=5, observation=early))
-        view = window.control_view(64500)
+        view = merged_control_view([window], 64500)
         assert view.withdrawals == (early, late)
         assert view.asx_asn == 64500
 
@@ -167,14 +170,14 @@ class TestCacheAccountingThroughWindow:
             assert counters["hits"] == 0 and counters["misses"] == 0
             assert counters["entries"] == 0
         # An empty window snapshots to None without spending lookups.
-        assert window.snapshot(asn_of) is None
+        assert merged_snapshot([window], asn_of) is None
         assert window._baseline.counters()["misses"] == 0
 
     def test_snapshot_spends_exactly_one_lookup_per_slot(self):
         window = SlidingWindow(width=4)
         seed_pair(window, A, B, tick=0)
         seed_pair(window, B, C, tick=0)
-        assert window.snapshot(asn_of) is not None
+        assert merged_snapshot([window], asn_of) is not None
         for cache in (window._baseline, window._current):
             assert cache.counters() == {
                 "hits": 2,
@@ -201,7 +204,7 @@ class TestCacheAccountingThroughWindow:
         assert window.usable_pairs() == ((B, C),)
         for cache in (window._baseline, window._current):
             assert cache.hits == 0 and cache.misses == 0
-        snapshot = window.snapshot(asn_of)
+        snapshot = merged_snapshot([window], asn_of)
         assert snapshot.after.pairs() == ((B, C),)
         assert window._baseline.hits == 1  # only the usable pair
         window.observe(SensorHeartbeatEvent(tick=2, seq=101, address=A))
