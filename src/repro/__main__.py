@@ -56,6 +56,7 @@ from repro.errors import (
 from repro.experiments.__main__ import worker_count
 from repro.experiments.runner import ground_truth_links, make_session, run_scenario
 from repro.experiments.scenarios import SCENARIO_KINDS
+from repro.faults import CHAOS_MODES
 from repro.measurement.collector import collect_control_plane, take_snapshot
 from repro.measurement.sensors import deploy_sensors, random_stub_placement
 from repro.netsim.gen.internet import research_internet
@@ -235,6 +236,15 @@ def _interrupted(command: str, journal) -> int:
     return 130
 
 
+def _chaos_fingerprint(fingerprint: dict, chaos: float) -> dict:
+    """A journal fingerprint, naming the chaos modes when ``chaos > 0``:
+    the rate alone does not say which failures a journalled run
+    injected.  Runs without chaos keep the plain fingerprint."""
+    if chaos > 0:
+        fingerprint["chaos_modes"] = CHAOS_MODES
+    return fingerprint
+
+
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.experiments.journal import RunJournal
     from repro.experiments.report import render_stream_report
@@ -252,20 +262,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         entries = load_dead_letters(args.dlq)
         print(f"=== dead letters ({len(entries)} entries) ===")
         for index, entry in enumerate(entries):
-            shard = entry.get("shard")
+            shard = entry["shard"]
             where = f"shard {shard}" if shard is not None else "unsharded"
-            if entry["kind"] == "episode":
-                print(
-                    f"  {index}: episode {entry['episode_id']} "
-                    f"{entry['transition']} @tick {entry['tick']} "
-                    f"({len(entry['pairs'])} pairs, {where}) — "
-                    f"{entry['reason']}"
-                )
-            else:
-                print(
-                    f"  {index}: event {entry['event'].get('type')} "
-                    f"@tick {entry['tick']} ({where}) — {entry['reason']}"
-                )
+            print(
+                f"  {index}: event {entry['event'].get('type')} "
+                f"@tick {entry['tick']} ({where}) — {entry['reason']}"
+            )
         return 0
 
     tenants = tenant_of = None
@@ -300,14 +302,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if args.journal:
             # Everything that shapes the reports but the shard count, so
             # serial and sharded runs resume each other's journals.
-            fingerprint = {
-                "format": "repro-stream-journal",
-                "setup": setup_args,
-                "config": config,
-                "policy": args.policy,
-                "window": args.window,
-                "tenants": tenants,
-            }
+            fingerprint = _chaos_fingerprint(
+                {
+                    "format": "repro-stream-journal",
+                    "setup": setup_args,
+                    "config": config,
+                    "policy": args.policy,
+                    "window": args.window,
+                    "tenants": tenants,
+                },
+                args.chaos,
+            )
             # Opening checks the header: every rate's journal is checked
             # before the first replay, so a refusal leaves no output.
             journal = RunJournal(f"{args.journal}.rate{rate}", fingerprint)
@@ -405,14 +410,17 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.journal:
         # As for stream: every report-shaping argument but the shard
         # count (--retention sizes the flight recorder, not the reports).
-        fingerprint = {
-            "format": "repro-monitor-journal",
-            "setup": setup_args,
-            "scenario": config,
-            "policy": args.policy,
-            "window": args.window,
-            "chaos": args.chaos,
-        }
+        fingerprint = _chaos_fingerprint(
+            {
+                "format": "repro-monitor-journal",
+                "setup": setup_args,
+                "scenario": config,
+                "policy": args.policy,
+                "window": args.window,
+                "chaos": args.chaos,
+            },
+            args.chaos,
+        )
         journal = RunJournal(args.journal, fingerprint)
         if args.resume:
             cached = journal.load_completed()
@@ -737,8 +745,8 @@ def main(argv=None) -> int:
         "--chaos",
         type=_fault_rate,
         default=0.0,
-        help="service-chaos rate in [0, 1]: seeded shard crashes/stalls, "
-        "slow shards and worker poison, handled by the supervision layer "
+        help="service-chaos rate in [0, 1]: seeded shard crashes/stalls "
+        "and slow shards, handled by the supervision layer "
         "(implies >= 2 shards)",
     )
     stream.add_argument(

@@ -89,16 +89,6 @@ class InferredGraph:
                     pairs = own[token] = set(inherited)
             pairs.add(pair)
 
-    def merge(self, other: "InferredGraph") -> "InferredGraph":
-        """Union of two graphs (used to combine T- and T+ coverage)."""
-        merged = InferredGraph()
-        for graph in (self, other):
-            for token in graph:
-                pairs = merged._traversals.setdefault(token, set())
-                pairs.update(graph._pairs(token))
-        merged._size = len(merged._traversals)
-        return merged
-
     # --------------------------------------------------------------- queries
 
     def _pairs(self, token: LinkToken) -> Optional[Set[Pair]]:
@@ -163,6 +153,3 @@ class InferredGraph:
             return own
         return self._base.physical_links() | own
 
-    def hitting_sets(self) -> Tuple[FrozenSet[Pair], ...]:
-        """h(l) for every link, in token order (repeats included)."""
-        return tuple(self.traversed_by(token) for token in self.tokens())

@@ -132,9 +132,9 @@ class EpisodeOverflowError(StreamError):
 
 
 class SupervisionError(StreamError):
-    """The shard supervisor was misconfigured or asked something
-    impossible (supervising an unsharded engine, restarting a shard it
-    never registered, a dead-letter queue path that cannot be written)."""
+    """A dead-letter journal cannot be read back: its header is not a
+    ``repro-dlq-v1`` header, or one of its entries is not a
+    dead-lettered event."""
 
 
 class MonitorError(ReproError):

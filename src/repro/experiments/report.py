@@ -288,31 +288,9 @@ def render_stream_report(result: "StreamRunResult") -> str:
             f"buffered={sup['events_buffered']}  "
             f"checkpoints={sup['checkpoints_saved']}"
         )
-        breakers = result.supervision["breakers"]
-        opened = sum(b["times_opened"] for b in breakers.values())
-        if opened or result.supervision["diagnoses_short_circuited"]:
-            open_now = sorted(
-                label
-                for label, b in breakers.items()
-                if b["state"] != "closed"
-            )
+        if result.supervision["dead_letters"]:
             lines.append(
-                f"   breakers: opened={opened}  "
-                f"reclosed={sum(b['times_reclosed'] for b in breakers.values())}  "
-                f"short-circuited="
-                f"{result.supervision['diagnoses_short_circuited']}  "
-                f"probes={sum(b['probes'] for b in breakers.values())}  "
-                f"open now={','.join(open_now) or 'none'}"
-            )
-        dead = (
-            result.supervision["dead_letters"]
-            + result.supervision["transitions_dead_lettered"]
-        )
-        if dead or result.supervision["diagnoses_poisoned"]:
-            lines.append(
-                f"   dead letters: entries={result.supervision['dead_letters']}  "
-                f"transitions={result.supervision['transitions_dead_lettered']}  "
-                f"poisoned diagnoses={result.supervision['diagnoses_poisoned']}"
+                f"   dead letters: entries={result.supervision['dead_letters']}"
             )
     return "\n".join(lines)
 

@@ -20,9 +20,8 @@ Corrupted records are screened by :mod:`repro.validate` before they
 reach a diagnoser.
 
 A third family, the *chaos* modes (:data:`CHAOS_MODES`), faults the
-diagnosis service itself — shard crashes, stalls, slow shards, poisoned
-diagnosis workers — and drives the supervision layer of
-:mod:`repro.stream.supervise`.
+diagnosis service itself — shard crashes, stalls and slow shards — and
+drives the supervision layer of :mod:`repro.stream.supervise`.
 
 Injection happens at the measurement seams (probing, sensors, Looking
 Glass, collector feeds); the diagnosis layer never sees this package,

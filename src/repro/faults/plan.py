@@ -67,7 +67,6 @@ CHAOS_MODES = (
     "shard-crash",    # a shard loses all in-memory state mid-tick
     "shard-stall",    # a shard stops responding for N ticks, then resumes
     "slow-shard",     # a shard's tick output arrives one tick late
-    "worker-poison",  # a diagnoser variant crashes on one episode's input
 )
 
 #: The long-horizon *monitoring* scenario modes (:mod:`repro.monitor`).
@@ -167,10 +166,6 @@ class FaultConfig:
         Per-(shard, tick) probability that the shard's tick output is
         one tick late: its events for tick *t* are folded only after
         tick *t* has otherwise completed.
-    worker_poison_rate:
-        Per-(variant, episode) probability that the diagnosis worker for
-        that variant crashes on that episode's input — the poison-pill
-        mode the circuit breaker and dead-letter queue exist for.
     """
 
     trace_drop_rate: float = 0.0
@@ -195,7 +190,6 @@ class FaultConfig:
     shard_crash_rate: float = 0.0
     shard_stall_rate: float = 0.0
     slow_shard_rate: float = 0.0
-    worker_poison_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -250,14 +244,13 @@ class FaultConfig:
         """Every *chaos* mode at the same rate, nothing else.
 
         This is what ``--chaos RATE`` builds: the measurement plane is
-        clean, but the diagnosis service itself crashes, stalls, lags,
-        and chokes on poison inputs at ``rate``.
+        clean, but the diagnosis service's shards crash, stall and lag
+        at ``rate``.
         """
         return cls(
             shard_crash_rate=rate,
             shard_stall_rate=rate,
             slow_shard_rate=rate,
-            worker_poison_rate=rate,
         )
 
     _CORRUPTION_FIELDS = (
@@ -283,7 +276,6 @@ class FaultConfig:
         "shard_crash_rate",
         "shard_stall_rate",
         "slow_shard_rate",
-        "worker_poison_rate",
     )
 
     def any_corruption(self) -> bool:
@@ -569,12 +561,6 @@ class FaultPlan:
         """Is shard ``shard``'s output for tick ``tick`` one tick late?"""
         return self._fires(
             self.config.slow_shard_rate, "slow-shard", shard, tick
-        )
-
-    def worker_poisoned(self, variant: str, episode_id: str) -> bool:
-        """Does the ``variant`` worker crash on this episode's input?"""
-        return self._fires(
-            self.config.worker_poison_rate, "worker-poison", variant, episode_id
         )
 
     # ------------------------------------------------------------ plumbing

@@ -26,8 +26,8 @@ This package is that online layer over the existing batch machinery:
   merging in global ``(tick, seq)`` order;
 * :mod:`repro.stream.supervise` — the self-healing layer a supervised
   engine calls: shard restart from in-memory checkpoints and replay,
-  per-variant circuit breakers, a dead-letter queue, seeded chaos
-  injection.
+  darkness buffers with a dead-letter queue for their overflow, seeded
+  chaos injection.
 
 CLI: ``python -m repro stream`` replays a configured stream (optionally
 sharded via ``--shards`` / multi-tenant via ``--tenants`` / under
@@ -82,7 +82,6 @@ from repro.stream.router import (
 )
 from repro.stream.supervise import (
     DLQ_FORMAT,
-    CircuitBreaker,
     DeadLetterQueue,
     ShardSupervisor,
     SupervisionConfig,
@@ -135,7 +134,6 @@ __all__ = [
     "merged_snapshot",
     "merged_control_view",
     "DLQ_FORMAT",
-    "CircuitBreaker",
     "DeadLetterQueue",
     "ShardSupervisor",
     "SupervisionConfig",

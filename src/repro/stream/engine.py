@@ -25,7 +25,8 @@ buffer past ``overflow_limit`` raises
 
 Passing any of ``plan``, ``supervision`` or ``dead_letters`` attaches a
 :class:`~repro.stream.supervise.ShardSupervisor`, which the engine calls
-at its hook points (listed on that class).
+at its intake, tick and flush hooks (listed on that class); diagnosis
+never passes through it.
 
 Determinism: with admission disabled and unbounded window capacity,
 every ``shards`` count replays bit-identically (per-shard LRU caps may
@@ -239,7 +240,6 @@ class StreamEngine:
             config=supervision,
             plan=plan,
             dead_letters=dead_letters,
-            variants=list(self.diagnosers),
         ) if supervised else None
         self.max_pending = max_pending
         self.overflow_limit = overflow_limit
@@ -348,12 +348,6 @@ class StreamEngine:
         return self.router.shard_for_destination(transition.pairs[0][1])
 
     def _schedule(self, transition: EpisodeTransition) -> None:
-        if self.supervisor is not None and self.supervisor.divert(
-            transition, self._owner_shard(transition)
-        ):
-            # Parking further work of a struck-out episode beats wedging
-            # the queue with diagnoses that will hard-fail again.
-            return
         self.transitions_scheduled += 1
         if transition.kind == UPDATE:
             for work in self._pending + self._deferred:
@@ -474,9 +468,7 @@ class StreamEngine:
             diagnoses: List[EpisodeDiagnosis] = []
             if transition.kind != CLOSE and diagnosable:
                 for label in self.diagnosers:
-                    verdict = self._diagnose_one(
-                        label, snapshot, control, transition, now
-                    )
+                    verdict = self._diagnose_one(label, snapshot, control)
                     if verdict.error is not None:
                         self.diagnoses_failed += 1
                     if verdict.verdict is not None:
@@ -498,37 +490,20 @@ class StreamEngine:
         label: str,
         snapshot: MeasurementSnapshot,
         control: Optional[ControlPlaneView],
-        transition: EpisodeTransition,
-        now: int,
     ) -> EpisodeDiagnosis:
-        diagnoser = self.diagnosers[label]
-        supervisor = self.supervisor
-        refusal = None
-        if supervisor is not None:
-            refusal = supervisor.gate_diagnosis(
-                label, diagnoser, transition.episode_id, now
-            )
-        if refusal is not None:
-            verdict = _empty_diagnosis(label, error=refusal)
-        else:
-            try:
-                verdict = _summarise(
-                    diagnoser.diagnose(
-                        snapshot, control=control, lg_lookup=self.lg_lookup
-                    )
+        try:
+            return _summarise(
+                self.diagnosers[label].diagnose(
+                    snapshot, control=control, lg_lookup=self.lg_lookup
                 )
-            except Exception as exc:  # best-effort: degrade, never crash
-                logger.debug(
-                    "%s failed on window inputs (%s: %s); emitting an empty "
-                    "verdict",
-                    label, type(exc).__name__, exc,
-                )
-                verdict = _empty_diagnosis(label, error=type(exc).__name__)
-        if supervisor is not None:
-            supervisor.record_diagnosis(
-                label, transition.episode_id, now, verdict.error
             )
-        return verdict
+        except Exception as exc:  # best-effort: degrade, never crash
+            logger.debug(
+                "%s failed on window inputs (%s: %s); emitting an empty "
+                "verdict",
+                label, type(exc).__name__, exc,
+            )
+            return _empty_diagnosis(label, error=type(exc).__name__)
 
     # ------------------------------------------------------------- counters
 
@@ -553,7 +528,7 @@ class StreamEngine:
         counts.update(self.admission.counters())
         counts["cross_shard_episodes"] = self.merger.cross_shard_episodes
         if self.supervisor is not None:
-            counts.update(self.supervisor.engine_counters())
+            counts.update(self.supervisor.counters())
         return counts
 
     def ingest_counters(self) -> Dict[str, int]:

@@ -26,18 +26,13 @@ its hook points (see the class docstring for the list):
   tail of events folded since it plus the darkness buffer — re-screened
   through the same ingestor, so counters land on exactly the totals an
   undisturbed run reports.
-* :class:`CircuitBreaker` guards each diagnosis variant: repeated hard
-  failures (worker timeout/poison, queue overflow) open the
-  breaker, opened work is short-circuited to an accounted empty verdict,
-  and after a cooldown a single half-open probe decides whether to
-  re-close.  All timing is logical ticks — deterministic.
-* :class:`DeadLetterQueue` journals poison episodes and overflowed
-  events as replayable JSON lines (``repro-dlq-v1``) with provenance:
-  what, why, which shard, which tick.  ``python -m repro stream --dlq``
-  inspects it.
+* :class:`DeadLetterQueue` journals the events a dark shard's full
+  buffer could not hold as replayable JSON lines (``repro-dlq-v1``)
+  with provenance: what, why, which shard, which tick.
+  ``python -m repro stream --dlq`` inspects it.
 
 **Determinism contract.**  Supervised replay with a seeded chaos plan is
-a pure function of (event log, config, seed): every crash/stall/poison
+a pure function of (event log, config, seed): every crash/stall/slow
 decision, every recovery, every dead-letter entry reproduces exactly.
 When a crash's darkness fits inside the episode debounce window, the
 recovered run's final verdicts are *byte-identical* to an undisturbed
@@ -53,7 +48,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import StreamError, SupervisionError
 from repro.faults import FaultPlan
-from repro.stream.episodes import CLOSE, EpisodeTransition
 from repro.stream.events import (
     JsonLinesWriter,
     StreamEvent,
@@ -65,7 +59,6 @@ from repro.stream.router import StreamShard
 __all__ = [
     "DLQ_FORMAT",
     "SupervisionConfig",
-    "CircuitBreaker",
     "DeadLetterQueue",
     "load_dead_letters",
     "ShardSupervisor",
@@ -82,15 +75,6 @@ RUNNING = "running"
 CRASHED = "crashed"
 STALLED = "stalled"
 
-# Breaker states.
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
-
-# Diagnosis error names the breaker treats as hard infrastructure
-# failures (as opposed to a diagnoser legitimately declining a window).
-HARD_FAILURES = frozenset({"JobTimeoutError", "EpisodeOverflowError"})
-
 
 @dataclass(frozen=True)
 class SupervisionConfig:
@@ -99,28 +83,15 @@ class SupervisionConfig:
     ``checkpoint_every``: healthy shards snapshot every N ticks;
     ``restart_after``: ticks a crashed shard stays dark before restart;
     ``buffer_limit``: max events buffered per dark shard (beyond goes to
-    the dead-letter queue); ``breaker_threshold``: consecutive hard
-    failures that open a variant's breaker; ``breaker_cooldown``: ticks
-    an open breaker waits before its half-open probe;
-    ``episode_strikes``: hard-failed diagnoses after which an episode's
-    further transitions are dead-lettered instead of re-queued.
+    the dead-letter queue).
     """
 
     checkpoint_every: int = 2
     restart_after: int = 1
     buffer_limit: int = 4096
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 4
-    episode_strikes: int = 2
 
     def __post_init__(self) -> None:
-        for name in (
-            "checkpoint_every",
-            "restart_after",
-            "breaker_threshold",
-            "breaker_cooldown",
-            "episode_strikes",
-        ):
+        for name in ("checkpoint_every", "restart_after"):
             if getattr(self, name) < 1:
                 raise StreamError(
                     f"supervision {name} must be >= 1, got {getattr(self, name)}"
@@ -131,95 +102,13 @@ class SupervisionConfig:
             )
 
 
-class CircuitBreaker:
-    """A circuit breaker on the logical clock.
-
-    CLOSED admits everything and counts consecutive hard failures;
-    ``threshold`` of them in a row OPEN the breaker.  OPEN short-circuits
-    every request until ``cooldown`` ticks have passed, then admits one
-    HALF_OPEN probe: success re-closes, failure re-opens and restarts
-    the cooldown.  No wall clock anywhere, so a replayed chaos schedule
-    trips and recovers the breaker at exactly the same ticks every run.
-    """
-
-    def __init__(self, threshold: int = 3, cooldown: int = 4) -> None:
-        if threshold < 1 or cooldown < 1:
-            raise StreamError(
-                "breaker threshold and cooldown must be >= 1 "
-                f"(threshold={threshold}, cooldown={cooldown})"
-            )
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.state = BREAKER_CLOSED
-        self._consecutive_failures = 0
-        self._opened_at: Optional[int] = None
-        self._probe_pending = False
-        self.times_opened = 0
-        self.times_reclosed = 0
-        self.short_circuits = 0
-        self.probes = 0
-
-    def allow(self, tick: int) -> bool:
-        """May a request proceed at ``tick``?  False means short-circuit."""
-        if self.state == BREAKER_CLOSED:
-            return True
-        if self.state == BREAKER_OPEN:
-            if (
-                self._opened_at is not None
-                and tick - self._opened_at >= self.cooldown
-            ):
-                self.state = BREAKER_HALF_OPEN
-                self._probe_pending = True
-                self.probes += 1
-                return True
-            self.short_circuits += 1
-            return False
-        # HALF_OPEN: one probe in flight at a time.
-        if self._probe_pending:
-            self.short_circuits += 1
-            return False
-        self._probe_pending = True
-        self.probes += 1
-        return True
-
-    def record_success(self) -> None:
-        """The admitted request succeeded."""
-        self._consecutive_failures = 0
-        self._probe_pending = False
-        if self.state != BREAKER_CLOSED:
-            self.times_reclosed += 1
-        self.state = BREAKER_CLOSED
-
-    def record_failure(self, tick: int) -> None:
-        """The admitted request hard-failed at ``tick``."""
-        self._consecutive_failures += 1
-        self._probe_pending = False
-        if self.state == BREAKER_HALF_OPEN or (
-            self.state == BREAKER_CLOSED
-            and self._consecutive_failures >= self.threshold
-        ):
-            self.state = BREAKER_OPEN
-            self._opened_at = tick
-            self._consecutive_failures = 0
-            self.times_opened += 1
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "times_opened": self.times_opened,
-            "times_reclosed": self.times_reclosed,
-            "short_circuits": self.short_circuits,
-            "probes": self.probes,
-        }
-
-
 class DeadLetterQueue:
-    """Journalled parking lot for work the service refuses to retry.
+    """Journalled parking lot for the events a dark shard's buffer could
+    not hold.
 
-    Two kinds of entries: **events** a dark shard's buffer could not
-    hold, and **episode transitions** whose diagnoses kept hard-failing
-    past the strike limit.  Each entry carries replayable provenance —
-    the serialised payload, the reason, the owning shard, the tick — as
-    one JSON line of the event log's format
+    Each entry carries replayable provenance — the serialised event, the
+    reason, the owning shard, the tick — as one JSON line of the event
+    log's format
     (:class:`~repro.stream.events.JsonLinesWriter`: flushed per line,
     torn tail dropped on load).  ``path=None`` keeps entries in memory
     only.
@@ -234,11 +123,6 @@ class DeadLetterQueue:
             else None
         )
 
-    def _put(self, entry: Dict[str, Any]) -> None:
-        self.entries.append(entry)
-        if self._writer is not None:
-            self._writer.write(entry)
-
     def put_event(
         self,
         event: StreamEvent,
@@ -246,34 +130,16 @@ class DeadLetterQueue:
         shard: Optional[int] = None,
     ) -> None:
         """Dead-letter one stream event (replayable via its dict form)."""
-        self._put(
-            {
-                "kind": "event",
-                "reason": reason,
-                "shard": shard,
-                "tick": event.tick,
-                "event": stream_event_to_dict(event),
-            }
-        )
-
-    def put_episode(
-        self,
-        transition: EpisodeTransition,
-        reason: str,
-        shard: Optional[int] = None,
-    ) -> None:
-        """Dead-letter one episode transition with its alarmed pairs."""
-        self._put(
-            {
-                "kind": "episode",
-                "reason": reason,
-                "shard": shard,
-                "tick": transition.tick,
-                "episode_id": transition.episode_id,
-                "transition": transition.kind,
-                "pairs": [list(pair) for pair in transition.pairs],
-            }
-        )
+        entry = {
+            "kind": "event",
+            "reason": reason,
+            "shard": shard,
+            "tick": event.tick,
+            "event": stream_event_to_dict(event),
+        }
+        self.entries.append(entry)
+        if self._writer is not None:
+            self._writer.write(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -286,8 +152,33 @@ class DeadLetterQueue:
 
 def load_dead_letters(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load a dead-letter journal; torn trailing line dropped, like the
-    event log."""
-    return list(read_json_lines(path, DLQ_FORMAT, SupervisionError))
+    event log.
+
+    Every entry must have the shape :meth:`DeadLetterQueue.put_event`
+    writes; any other line (including the episode entries older journals
+    held) raises :class:`~repro.errors.SupervisionError` naming the file
+    and the entry's position.
+    """
+    entries = list(read_json_lines(path, DLQ_FORMAT, SupervisionError))
+    for index, entry in enumerate(entries):
+        if not _is_event_entry(entry):
+            raise SupervisionError(
+                f"{path} entry {index} is not a dead-lettered event: "
+                f"{entry!r:.80}"
+            )
+    return entries
+
+
+def _is_event_entry(entry: Any) -> bool:
+    return (
+        isinstance(entry, dict)
+        and entry.get("kind") == "event"
+        and isinstance(entry.get("event"), dict)
+        and type(entry.get("tick")) is int
+        and isinstance(entry.get("reason"), str)
+        and "shard" in entry
+        and (entry["shard"] is None or type(entry["shard"]) is int)
+    )
 
 
 class ShardSupervisor:
@@ -295,15 +186,12 @@ class ShardSupervisor:
 
     It owns everything supervision adds to a
     :class:`~repro.stream.engine.StreamEngine`: shard liveness, darkness
-    buffers and replay tails, checkpointed restart, the per-variant
-    :class:`CircuitBreaker` instances (one per label in ``variants``),
-    worker poison, episode strikes and the :class:`DeadLetterQueue`.
-    The engine calls :meth:`is_dark` / :meth:`buffer_event` /
-    :meth:`record_tail` in ``offer``; :meth:`begin_tick` (restarts),
-    :meth:`alarm_view` (held views) and :meth:`end_tick` (chaos dice,
-    checkpoints) around the merge in ``advance``; :meth:`divert` when
-    scheduling; :meth:`gate_diagnosis` and :meth:`record_diagnosis`
-    around diagnosis; :meth:`force_recover` in ``flush``.  Everything runs on
+    buffers and replay tails, checkpointed restart and the
+    :class:`DeadLetterQueue`.  The engine calls :meth:`is_dark` /
+    :meth:`buffer_event` / :meth:`record_tail` in ``offer``;
+    :meth:`begin_tick` (restarts), :meth:`alarm_view` (held views) and
+    :meth:`end_tick` (chaos dice, checkpoints) around the merge in
+    ``advance``; :meth:`force_recover` in ``flush``.  Everything runs on
     the logical clock, so every decision replays.
 
     Crash semantics: the failure is *detected* at the end of the tick it
@@ -322,7 +210,6 @@ class ShardSupervisor:
         config: Optional[SupervisionConfig] = None,
         plan: Optional[FaultPlan] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
-        variants: Sequence[str] = (),
     ) -> None:
         self.shards = list(shards)
         self.config = config or SupervisionConfig()
@@ -330,13 +217,6 @@ class ShardSupervisor:
         self.dead_letters = (
             dead_letters if dead_letters is not None else DeadLetterQueue()
         )
-        self.breakers: Dict[str, CircuitBreaker] = {
-            label: CircuitBreaker(
-                threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-            )
-            for label in variants
-        }
         n = len(self.shards)
         self._status = [RUNNING] * n
         self._darkened_at: List[Optional[int]] = [None] * n
@@ -353,9 +233,6 @@ class ShardSupervisor:
         # Last-known alarmed set per shard: what the merger sees while
         # the shard is dark or late.
         self._hold: List[Tuple[Pair, ...]] = [() for _ in range(n)]
-        # Hard-failed diagnoses per episode, and the struck-out episodes.
-        self._episode_failures: Dict[int, int] = {}
-        self._dead_episodes: set = set()
         # accounting
         self.checkpoints_saved = 0
         self.shard_crashes = 0
@@ -369,9 +246,6 @@ class ShardSupervisor:
         self.episodes_delayed = 0
         self.ticks_to_recover: List[int] = []
         self.incidents: List[Dict[str, Any]] = []
-        self.diagnoses_short_circuited = 0
-        self.diagnoses_poisoned = 0
-        self.transitions_dead_lettered = 0
 
     # ------------------------------------------------------------- liveness
 
@@ -553,58 +427,6 @@ class ShardSupervisor:
                 # Everything in the tail is inside the checkpoint now.
                 self._tails[index] = []
 
-    # ------------------------------------------------------------ dead work
-
-    def divert(
-        self, transition: EpisodeTransition, shard: Optional[int]
-    ) -> bool:
-        """Dead-letter the transition if its episode used up its strikes
-        (a close always goes through: the episode must end cleanly).
-        Returns ``True`` when it was diverted from the queue."""
-        if (
-            transition.episode_id not in self._dead_episodes
-            or transition.kind == CLOSE
-        ):
-            return False
-        self.transitions_dead_lettered += 1
-        self.dead_letters.put_episode(
-            transition, reason="episode-strikes", shard=shard
-        )
-        return True
-
-    # ------------------------------------------------------------ diagnosis
-
-    def gate_diagnosis(
-        self, label: str, diagnoser, episode_id: int, tick: int
-    ) -> Optional[str]:
-        """``None`` lets an inline diagnosis run; otherwise the error name
-        of the empty verdict replacing it: ``CircuitOpen`` when the
-        breaker short-circuits, ``JobTimeoutError`` when chaos poisons
-        the worker (modelled as the timeout the runner would see)."""
-        if not self.breakers[label].allow(tick):
-            self.diagnoses_short_circuited += 1
-            return "CircuitOpen"
-        if self.plan is not None and self.plan.worker_poisoned(
-            diagnoser.variant, str(episode_id)
-        ):
-            self.diagnoses_poisoned += 1
-            return "JobTimeoutError"
-        return None
-
-    def record_diagnosis(
-        self, label: str, episode_id: int, tick: int, error: Optional[str]
-    ) -> None:
-        """Feed one inline diagnosis outcome to its breaker and to the
-        episode's strike count."""
-        if error in HARD_FAILURES:
-            self.breakers[label].record_failure(tick)
-            failures = self._episode_failures.get(episode_id, 0) + 1
-            self._episode_failures[episode_id] = failures
-            if failures >= self.config.episode_strikes:
-                self._dead_episodes.add(episode_id)
-        elif error is None:
-            self.breakers[label].record_success()
-
     # ------------------------------------------------------------- counters
 
     def counters(self) -> Dict[str, int]:
@@ -622,37 +444,12 @@ class ShardSupervisor:
             "shards_checkpointed": len(self._checkpoints),
         }
 
-    def engine_counters(self) -> Dict[str, int]:
-        """Everything supervision adds to the engine's ``counters()``."""
-        breakers = self.breakers.values()
-        counts = {
-            "diagnoses_short_circuited": self.diagnoses_short_circuited,
-            "diagnoses_poisoned": self.diagnoses_poisoned,
-            "transitions_dead_lettered": self.transitions_dead_lettered,
-            "breaker_opened": sum(b.times_opened for b in breakers),
-            "breaker_reclosed": sum(b.times_reclosed for b in breakers),
-            "breaker_short_circuits": sum(b.short_circuits for b in breakers),
-            "breaker_probes": sum(b.probes for b in breakers),
-        }
-        counts.update(self.counters())
-        counts["dead_lettered"] = (
-            self.events_dead_lettered + self.transitions_dead_lettered
-        )
-        return counts
-
     def supervision_stats(self) -> Dict[str, Any]:
         """The supervision block for reports and benchmark artifacts."""
         return {
             "counters": self.counters(),
             "ticks_to_recover": list(self.ticks_to_recover),
             "incidents": list(self.incidents),
-            "breakers": {
-                label: dict(breaker.counters(), state=breaker.state)
-                for label, breaker in self.breakers.items()
-            },
-            "diagnoses_short_circuited": self.diagnoses_short_circuited,
-            "diagnoses_poisoned": self.diagnoses_poisoned,
-            "transitions_dead_lettered": self.transitions_dead_lettered,
             "dead_letters": len(self.dead_letters),
         }
 

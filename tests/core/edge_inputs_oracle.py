@@ -88,6 +88,17 @@ def from_logical_paths(
     return graph
 
 
+def merge(first: InferredGraph, second: InferredGraph) -> InferredGraph:
+    """The union of two graphs, built afresh: the reference T- ∪ T+ graph
+    that a graph extending its T- base copy-on-write must equal."""
+    merged = InferredGraph()
+    for graph in (first, second):
+        for token in graph:
+            for pair in graph.traversed_by(token):
+                merged.add_path(pair, (token,))
+    return merged
+
+
 def reroute_sets(snapshot: MeasurementSnapshot) -> Dict[Pair, TokenSet]:
     """:func:`repro.core.reroute.reroute_sets` at its defaults (logical
     tokens, unidentified tokens dropped) over the memo-free logicalize."""
@@ -151,8 +162,9 @@ def build_edge_inputs(
                     continue
                 partial.add(token)
 
-    graph = from_logical_paths(snapshot.before.paths(), asn_of).merge(
-        from_logical_paths(snapshot.after.paths(), asn_of)
+    graph = merge(
+        from_logical_paths(snapshot.before.paths(), asn_of),
+        from_logical_paths(snapshot.after.paths(), asn_of),
     )
 
     reroute_map = reroute_sets(snapshot)

@@ -92,6 +92,30 @@ class TestMonitorCli:
         assert captured.err.startswith("error: ")
         assert "different run" in captured.err
 
+    def test_a_chaos_journal_without_the_chaos_modes_is_refused(
+        self, tmp_path, capsys
+    ):
+        """As for stream: a chaos run's fingerprint names the chaos
+        modes, and a journal holding only the rate is refused."""
+        import pickle
+
+        journal = tmp_path / "monitor.journal"
+        args = FAST_ARGS + ["--chaos", "0.05", "--journal", str(journal)]
+        assert repro_main(args) == 0
+        capsys.readouterr()
+        with open(journal, "rb") as handle:
+            header = pickle.load(handle)
+            records = handle.read()
+        del header["fingerprint"]["chaos_modes"]
+        journal.write_bytes(pickle.dumps(header) + records)
+        written = journal.read_bytes()
+        assert repro_main(args + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "different run" in captured.err
+        assert journal.read_bytes() == written
+
     def test_resume_without_journal_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             repro_main(FAST_ARGS + ["--resume"])

@@ -253,7 +253,7 @@ REPLAYS = {
                      recovery_rounds=3, fault_rate=0.2, seed=3),
         dict(shards=2),
     ),
-    # Seeded shard crashes, stalls and worker poison.
+    # Seeded shard crashes, stalls and slow shards.
     "chaos": (
         dict(seed=7, n_sensors=6, algorithms=("nd-bgpigp", "ensemble")),
         ReplayConfig(kind="link-1", episodes=2, incident_rounds=2,

@@ -1,8 +1,8 @@
 """The acceptance contract for the self-healing layer: a seeded chaos
-replay (shard crashes + stalls + slow shards + worker poison) completes
-with zero unhandled exceptions, accounts every offered event exactly
-once, and re-running the same seed is bit-identical — including the
-full incident schedule and every recovery."""
+replay (shard crashes + stalls + slow shards) completes with zero
+unhandled exceptions and no failed diagnosis, accounts every offered
+event exactly once, and re-running the same seed is bit-identical —
+including the full incident schedule and every recovery."""
 
 import pytest
 
@@ -35,8 +35,9 @@ def chaos_result():
 
 class TestChaosCompletion:
     def test_chaos_replay_completes_and_reports(self, chaos_result):
-        """Crashes, stalls and poison all fire on this seed — and the
-        run still finishes every injected episode."""
+        """Crashes and stalls both fire on this seed — and the run still
+        finishes every injected episode with every diagnosis intact:
+        shard chaos delays inputs, it never fails a diagnoser."""
         assert chaos_result.supervision is not None
         counters = chaos_result.supervision["counters"]
         assert counters["shard_crashes"] > 0
@@ -44,8 +45,13 @@ class TestChaosCompletion:
         assert counters["recoveries"] == (
             counters["shard_crashes"] + counters["shard_stalls"]
         )
-        assert chaos_result.supervision["diagnoses_poisoned"] > 0
         assert chaos_result.reports  # verdicts were still produced
+        assert chaos_result.engine_counters["diagnoses_failed"] == 0
+        assert all(
+            diagnosis.error is None
+            for report in chaos_result.reports
+            for diagnosis in report.diagnoses
+        )
 
     def test_every_offered_event_is_accounted_exactly_once(
         self, chaos_result
@@ -70,9 +76,8 @@ class TestChaosCompletion:
         assert all(ticks >= 0 for ticks in recoveries)
         # Buffered events were all folded back (or dead-lettered).
         assert counters["events_buffered"] >= 0
-        assert chaos_result.engine_counters["dead_lettered"] == (
+        assert chaos_result.supervision["dead_letters"] == (
             counters["events_dead_lettered"]
-            + chaos_result.supervision["transitions_dead_lettered"]
         )
 
 
@@ -82,7 +87,7 @@ class TestChaosDeterminism:
         assert again.reports == chaos_result.reports
         assert again.episodes == chaos_result.episodes
         # The whole supervision record replays: incident schedule,
-        # recovery times, breaker trips, dead letters.
+        # recovery times, dead letters.
         assert again.supervision == chaos_result.supervision
         assert again.engine_counters == chaos_result.engine_counters
         assert again.ingest_counters == chaos_result.ingest_counters
@@ -140,3 +145,18 @@ class TestChaosCli:
         captured = capsys.readouterr()
         assert "--dlq-inspect needs --dlq" in captured.err
         assert captured.out == ""
+
+    def test_dlq_inspect_refuses_a_malformed_entry(self, tmp_path, capsys):
+        """Valid JSON of the wrong shape is a typed error: one ``error:``
+        line and exit 2, not a traceback."""
+        dlq = tmp_path / "dead.jsonl"
+        dlq.write_text('{"format": "repro-dlq-v1"}\n[1, 2]\n')
+        code = repro_main(
+            self.FAST_ARGS + ["--dlq", str(dlq), "--dlq-inspect"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "entry 0" in captured.err

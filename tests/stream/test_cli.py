@@ -153,6 +153,55 @@ class TestStreamCli:
             assert "is not a repro-run-journal-v2 journal" in captured.err
             assert path.read_bytes() == written
 
+    def test_a_chaos_journal_without_the_chaos_modes_is_refused(
+        self, tmp_path, capsys
+    ):
+        """A chaos run's fingerprint names the chaos modes, so a journal
+        whose header holds only the chaos rate (written under another
+        set of modes, its reports may carry their failures) is refused
+        with or without --resume: one error line, exit 2, and the file
+        keeps its bytes."""
+        import pickle
+
+        journal = tmp_path / "stream.journal"
+        args = FAST_ARGS + ["--chaos", "0.15", "--journal", str(journal)]
+        assert repro_main(args) == 0
+        capsys.readouterr()
+        path = tmp_path / "stream.journal.rate0.0"
+        with open(path, "rb") as handle:
+            header = pickle.load(handle)
+            records = handle.read()
+        del header["fingerprint"]["chaos_modes"]
+        path.write_bytes(pickle.dumps(header) + records)
+        written = path.read_bytes()
+        for extra in ([], ["--resume"]):
+            assert repro_main(args + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.strip().splitlines()) == 1
+            assert "different run" in captured.err
+            assert path.read_bytes() == written
+
+    def test_a_journal_without_chaos_keeps_its_fingerprint(
+        self, tmp_path, capsys
+    ):
+        """Runs without chaos fingerprint as before the chaos modes were
+        added, so their journals still resume."""
+        import pickle
+
+        journal = tmp_path / "stream.journal"
+        args = FAST_ARGS + ["--journal", str(journal)]
+        assert repro_main(args) == 0
+        capsys.readouterr()
+        with open(tmp_path / "stream.journal.rate0.0", "rb") as handle:
+            fingerprint = pickle.load(handle)["fingerprint"]
+        assert sorted(fingerprint) == [
+            "config", "format", "policy", "setup", "tenants", "window",
+        ]
+        assert repro_main(args + ["--resume"]) == 0
+        assert "reused=0" not in capsys.readouterr().out
+
 
 class TestStreamUsageErrors:
     """Flags whose prerequisite is missing are refused, not ignored."""

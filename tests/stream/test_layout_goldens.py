@@ -125,12 +125,12 @@ GOLDEN = {
     "serial": {"reports": SERIAL_REPORTS},
     "sharded-tenants": {"reports": SERIAL_REPORTS},
     "chaos": {
-        "reports": "82f7e05945c283c05a040907d182eb798c3166ef52a942fa79dea865d02181a1",
-        "supervision": "7ba5577b81cf89a14d8d89018cb074d0d973a2d87ad5d2da6783dd74e59c8d14",
+        "reports": "b300206bb160455f3aedeab31591fe2e45245ead2e3396d9e42593d100ecfd5d",
+        "supervision": "73b930f6d09c11d49c94edf36bf22ebfb0c6ebb1e2cf5bc222d5eea06e869099",
     },
     "monitor-chaos": {
         "reports": "529d01f0c94987b7143ff5357222c9d59f908794feff33e0111661948f815b1a",
-        "supervision": "99b5a222b818737495ace68dbc23b889d21abd3624595d6488edbabcc6e81090",
+        "supervision": "13f62713e08e14ce336bf6f880cd08b6ef7e3bb1432a77dd9f00589f2cc77fd6",
     },
 }
 

@@ -1,17 +1,15 @@
-"""Supervision-layer guarantees: the breaker state machine on logical
-ticks, dead-letter provenance round trips, darkness buffering with
-bounded memory, stale-alarm holds, and the headline recovery contract —
-a scripted shard crash or stall heals to final verdicts byte-identical
-to the undisturbed run."""
+"""Supervision-layer guarantees: dead-letter provenance round trips and
+typed refusal of malformed entries, darkness buffering with bounded
+memory, stale-alarm holds, and the headline recovery contract — a
+scripted shard crash or stall heals to final verdicts byte-identical to
+the undisturbed run."""
 
 import json
 
 import pytest
 
 from repro.errors import StreamError, SupervisionError
-from repro.faults import FaultConfig
 from repro.stream import (
-    CircuitBreaker,
     DeadLetterQueue,
     ReachabilityEvent,
     ReplayConfig,
@@ -19,9 +17,6 @@ from repro.stream import (
     StreamEngine,
     StreamShard,
     SupervisionConfig,
-    UPDATE,
-    CLOSE,
-    EpisodeTransition,
     load_dead_letters,
     make_replay_setup,
     run_replay,
@@ -48,12 +43,10 @@ class ScriptedPlan:
     """Duck-typed stand-in for FaultPlan's chaos surface: failures fire
     exactly where the test scripts them, nowhere else."""
 
-    def __init__(self, crashes=(), stalls=None, slow=(), poison=False):
+    def __init__(self, crashes=(), stalls=None, slow=()):
         self.crashes = set(crashes)  # {(shard, tick)}
         self.stalls = dict(stalls or {})  # {(shard, tick): dark_ticks}
         self.slow = set(slow)  # {(shard, tick)}
-        self.poison = poison
-        self.config = FaultConfig(worker_poison_rate=1.0 if poison else 0.0)
 
     def shard_crashes(self, shard, tick):
         return (shard, tick) in self.crashes
@@ -64,16 +57,13 @@ class ScriptedPlan:
     def shard_slow(self, shard, tick):
         return (shard, tick) in self.slow
 
-    def worker_poisoned(self, _variant, _episode_id):
-        return self.poison
-
 
 class TestSupervisionConfig:
     def test_rejects_non_positive_tunables(self):
         with pytest.raises(StreamError):
             SupervisionConfig(checkpoint_every=0)
         with pytest.raises(StreamError):
-            SupervisionConfig(breaker_threshold=0)
+            SupervisionConfig(restart_after=0)
         with pytest.raises(StreamError):
             SupervisionConfig(buffer_limit=-1)
 
@@ -81,89 +71,26 @@ class TestSupervisionConfig:
         assert SupervisionConfig(buffer_limit=0).buffer_limit == 0
 
 
-class TestCircuitBreaker:
-    def test_closed_until_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=4)
-        for tick in range(2):
-            assert breaker.allow(tick)
-            breaker.record_failure(tick)
-        assert breaker.state == "closed"
-        breaker.record_failure(2)
-        assert breaker.state == "open"
-        assert breaker.times_opened == 1
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=4)
-        breaker.record_failure(0)
-        breaker.record_success()
-        breaker.record_failure(1)
-        assert breaker.state == "closed"
-
-    def test_open_short_circuits_until_cooldown(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=3)
-        breaker.record_failure(5)
-        assert not breaker.allow(6)
-        assert not breaker.allow(7)
-        assert breaker.short_circuits == 2
-        # Cooldown elapsed: one half-open probe is admitted...
-        assert breaker.allow(8)
-        assert breaker.state == "half-open"
-        assert breaker.probes == 1
-        # ...and only one, while it is in flight.
-        assert not breaker.allow(8)
-
-    def test_probe_success_recloses(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=2)
-        breaker.record_failure(0)
-        assert breaker.allow(2)
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.times_reclosed == 1
-        assert breaker.allow(3)
-
-    def test_probe_failure_reopens_and_restarts_cooldown(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=2)
-        breaker.record_failure(0)
-        assert breaker.allow(2)  # probe
-        breaker.record_failure(2)
-        assert breaker.state == "open"
-        assert breaker.times_opened == 2
-        assert not breaker.allow(3)
-        assert breaker.allow(4)  # new cooldown from tick 2
-
-    def test_rejects_bad_tunables(self):
-        with pytest.raises(StreamError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(StreamError):
-            CircuitBreaker(cooldown=0)
-
-
 class TestDeadLetterQueue:
     def test_in_memory_entries_carry_provenance(self):
         dlq = DeadLetterQueue()
         dlq.put_event(reach(A, B, tick=3, seq=9), reason="overflow", shard=1)
-        transition = EpisodeTransition(
-            kind=UPDATE, episode_id=4, tick=5, pairs=((A, B),)
-        )
-        dlq.put_episode(transition, reason="episode-strikes", shard=0)
+        dlq.put_event(reach(A, C, tick=4, seq=10), reason="overflow")
         assert len(dlq) == 2
-        event_entry, episode_entry = dlq.entries
+        event_entry, unsharded = dlq.entries
         assert event_entry["kind"] == "event"
+        assert event_entry["reason"] == "overflow"
         assert event_entry["shard"] == 1
         assert event_entry["tick"] == 3
         assert event_entry["event"]["src"] == A
-        assert episode_entry["kind"] == "episode"
-        assert episode_entry["episode_id"] == 4
-        assert episode_entry["pairs"] == [[A, B]]
+        assert unsharded["shard"] is None
+        assert unsharded["tick"] == 4
 
     def test_journal_round_trip(self, tmp_path):
         path = tmp_path / "dead.jsonl"
         dlq = DeadLetterQueue(path)
         dlq.put_event(reach(A, B, tick=1), reason="overflow", shard=0)
-        dlq.put_episode(
-            EpisodeTransition(kind=UPDATE, episode_id=2, tick=4, pairs=()),
-            reason="episode-strikes",
-        )
+        dlq.put_event(reach(A, C, tick=4, seq=1), reason="overflow")
         dlq.close()
         assert load_dead_letters(path) == dlq.entries
 
@@ -184,6 +111,51 @@ class TestDeadLetterQueue:
         path.write_text(json.dumps({"format": "something-else"}) + "\n")
         with pytest.raises(SupervisionError):
             load_dead_letters(path)
+
+    def _journal_with(self, tmp_path, line):
+        """A dead-letter journal of one good entry followed by ``line``."""
+        path = tmp_path / "dead.jsonl"
+        dlq = DeadLetterQueue(path)
+        dlq.put_event(reach(A, B, tick=1), reason="overflow", shard=0)
+        dlq.close()
+        with open(path, "a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        return path
+
+    def _refused(self, path):
+        with pytest.raises(SupervisionError) as error:
+            load_dead_letters(path)
+        assert str(path) in str(error.value)
+        assert "entry 1" in str(error.value)
+
+    def test_an_episode_entry_of_an_older_journal_is_refused(self, tmp_path):
+        """Journals once also dead-lettered episode transitions; those
+        entries are refused, not mis-rendered as events."""
+        self._refused(
+            self._journal_with(
+                tmp_path,
+                {
+                    "kind": "episode",
+                    "reason": "episode-strikes",
+                    "shard": 0,
+                    "tick": 4,
+                    "episode_id": 2,
+                    "transition": "update",
+                    "pairs": [[A, B]],
+                },
+            )
+        )
+
+    def test_a_non_dict_entry_is_refused(self, tmp_path):
+        self._refused(self._journal_with(tmp_path, [1, 2]))
+
+    def test_an_event_entry_without_its_event_is_refused(self, tmp_path):
+        self._refused(
+            self._journal_with(
+                tmp_path,
+                {"kind": "event", "reason": "overflow", "shard": 0, "tick": 1},
+            )
+        )
 
 
 class TestShardSupervisorUnits:
@@ -260,31 +232,6 @@ class TestShardSupervisorUnits:
         assert supervisor.recoveries == 1
         assert supervisor.ticks_to_recover == [2]
         assert supervisor.episodes_delayed == 1
-
-
-class TestEpisodeStrikes:
-    def test_struck_episodes_divert_to_the_dead_letter_queue(self):
-        engine = StreamEngine(
-            asn_of=asn_of,
-            diagnosers={},
-            shards=2,
-            supervision=SupervisionConfig(),
-        )
-        supervisor = engine.supervisor
-        supervisor._dead_episodes.add(7)
-        engine._schedule(
-            EpisodeTransition(kind=UPDATE, episode_id=7, tick=3, pairs=((A, B),))
-        )
-        assert supervisor.transitions_dead_lettered == 1
-        entry = supervisor.dead_letters.entries[0]
-        assert entry["reason"] == "episode-strikes"
-        assert entry["episode_id"] == 7
-        # The close still goes through: the episode must end cleanly.
-        engine._schedule(
-            EpisodeTransition(kind=CLOSE, episode_id=7, tick=4, pairs=())
-        )
-        assert supervisor.transitions_dead_lettered == 1
-        engine.close()
 
 
 class TestDarkShardOffer:
@@ -398,30 +345,6 @@ class TestScriptedRecovery:
                 or counters["episodes_delayed"] > 0
                 or counters["pairs_uncovered"] > 0
             )
-
-    def test_poison_opens_the_breaker_and_accounts_every_verdict(
-        self, golden_log
-    ):
-        reports, engine = self._supervised(
-            golden_log,
-            ScriptedPlan(poison=True),
-            breaker_threshold=2,
-            breaker_cooldown=2,
-            episode_strikes=2,
-        )
-        stats = engine.supervision_stats()
-        assert stats["diagnoses_poisoned"] > 0
-        opened = sum(
-            b["times_opened"] for b in stats["breakers"].values()
-        )
-        assert opened > 0
-        # Every diagnosis still produced a verdict: poisoned ones carry
-        # the timeout error, short-circuited ones the breaker marker.
-        for report in reports:
-            for diagnosis in report.diagnoses:
-                assert diagnosis.error in (
-                    None, "JobTimeoutError", "CircuitOpen"
-                )
 
     def test_supervision_without_chaos_is_transparent(self, golden_log):
         """No plan, no incidents: the supervised engine is report- and
