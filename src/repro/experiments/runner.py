@@ -50,7 +50,7 @@ from repro.core.diagnoser import NetDiagnoser
 from repro.core.graph import InferredGraph
 from repro.core.linkspace import PhysicalLink, physical_link
 from repro.core.metrics import MetricPair, as_projection, sensitivity, specificity
-from repro.core.pathset import EPOCH_PRE, PathStore
+from repro.core.pathset import EPOCH_POST, EPOCH_PRE, PathStore
 from repro.core.result import DiagnosisResult
 from repro.errors import ControlPlaneFeedError, JobTimeoutError, ScenarioError
 from repro.faults import (
@@ -120,7 +120,7 @@ class Session:
     sensors: List[Sensor]
     base_state: NetworkState
     sampler: ScenarioSampler
-    _baseline: Optional[tuple] = field(default=None, init=False, repr=False)
+    _rounds: Dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
     _coverage: Optional[FrozenSet[int]] = field(default=None, init=False, repr=False)
     _probed: Optional[FrozenSet[PhysicalLink]] = field(
         default=None, init=False, repr=False
@@ -130,15 +130,20 @@ class Session:
     def net(self) -> Internetwork:
         return self.sim.net
 
-    def baseline_round(self, blocked_ases: FrozenSet[int]) -> PathStore:
-        """The T- mesh under the base state, probed once per blocked-AS set
-        (one slot), so its paths and graphs keep their memos."""
-        if self._baseline is None or self._baseline[0] != blocked_ases:
+    def baseline_round(
+        self, blocked_ases: FrozenSet[int], epoch: str = EPOCH_PRE
+    ) -> PathStore:
+        """The mesh under the base state with ``epoch``'s tags, probed once
+        per blocked-AS set (one slot per epoch), so its paths and graphs
+        keep their memos.  The T+ round reads its untouched pairs' paths
+        off the ``EPOCH_POST`` one."""
+        slot = self._rounds.get(epoch)
+        if slot is None or slot[0] != blocked_ases:
             store = probe_mesh(
-                self.sim, self.sensors, self.base_state, blocked_ases, EPOCH_PRE
+                self.sim, self.sensors, self.base_state, blocked_ases, epoch
             )
-            self._baseline = (blocked_ases, store)
-        return self._baseline[1]
+            slot = self._rounds[epoch] = (blocked_ases, store)
+        return slot[1]
 
     def base_coverage(self) -> FrozenSet[int]:
         """:func:`covered_ases` under the base state, computed once."""
@@ -311,7 +316,8 @@ def run_scenario(
         else None
     )
 
-    # Faults and screening act on a fresh T- round.
+    # Faults and screening act on fresh rounds; otherwise the T- round is
+    # reused whole and the T+ round for every pair the event leaves alone.
     fresh = faults is not None or validator is not None
     snapshot = take_snapshot(
         sim,
@@ -323,6 +329,9 @@ def run_scenario(
         report=report,
         validator=validator,
         baseline=None if fresh else session.baseline_round(blocked_ases),
+        baseline_post=(
+            None if fresh else session.baseline_round(blocked_ases, EPOCH_POST)
+        ),
     )
     control = None
     if asx is not None:

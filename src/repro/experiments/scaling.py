@@ -27,6 +27,7 @@ from repro.measurement.sensors import random_stub_placement
 from repro.netsim.gen.internet import research_internet
 from repro.netsim.gen.powerlaw import powerlaw_internet
 from repro.netsim.topology import NetworkState
+from repro.netsim.traceroute import trace_route
 
 __all__ = ["ScalePoint", "scaling_sweep", "render_scaling", "TOPOLOGY_STYLES"]
 
@@ -104,14 +105,21 @@ def _scale_point(
     )
     convergence = time.perf_counter() - started
 
+    # The sampler already probed the mesh, and the simulator keeps those
+    # walks: time one real walk per ordered pair over the same routing.
+    sim = session.sim
+    routing = sim.routing(session.base_state)
     started = time.perf_counter()
-    # The sampler already probed the mesh; time a fresh walk.
-    session.sim._trace_cache.clear()
     for src in session.sensors:
         for dst in session.sensors:
             if src.sensor_id != dst.sensor_id:
-                session.sim.trace(
-                    session.base_state, src.router_id, dst.router_id
+                trace_route(
+                    topo.net,
+                    routing,
+                    session.base_state,
+                    src.router_id,
+                    dst.router_id,
+                    igp_cache=sim.igp_cache,
                 )
     mesh = time.perf_counter() - started
 

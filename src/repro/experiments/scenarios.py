@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ScenarioError
 from repro.measurement.sensors import Sensor
@@ -93,11 +93,18 @@ class ScenarioSampler:
         net = self.sim.net
         links: Set[int] = set()
         routers: Set[int] = set()
+        #: Each ordered sensor pair's walk key and whether its probe
+        #: reaches under the simulator's pinned baseline (the base state,
+        #: unless another state was converged first).
+        self._pairs: List[Tuple[tuple, bool]] = []
         for src in self.sensors:
             for dst in self.sensors:
                 if src.sensor_id == dst.sensor_id:
                     continue
                 trace = self.sim.trace(self.base_state, src.router_id, dst.router_id)
+                self._pairs.append(
+                    ((src.router_id, dst.router_id, ()), trace.reached)
+                )
                 path = trace.router_path()
                 routers.update(path)
                 for a, b in zip(path, path[1:]):
@@ -122,6 +129,14 @@ class ScenarioSampler:
         )
         if not self.failure_pool:
             raise ScenarioError("no probed links eligible for failure sampling")
+        pinned = self.sim.engine.baseline[0]
+        if pinned != self.base_state:
+            # An untouched pair reaches as under the simulator's pinned
+            # baseline, which another state converged first.
+            self._pairs = [
+                (key, self.sim.trace(pinned, key[0], key[1]).reached)
+                for key, _reached in self._pairs
+            ]
 
     # ------------------------------------------------------------- sampling
 
@@ -310,10 +325,15 @@ class ScenarioSampler:
         return False
 
     def _mesh_broken(self, state: NetworkState) -> bool:
-        for src in self.sensors:
-            for dst in self.sensors:
-                if src.sensor_id == dst.sensor_id:
-                    continue
-                if not self.sim.trace(state, src.router_id, dst.router_id).reached:
-                    return True
+        """True when some sensor pair fails to reach under ``state``.
+
+        Only the pairs whose walk ``state`` touches are traced; every
+        other pair reaches exactly as under the pinned baseline.
+        """
+        touched = self.sim.touched_walks(state)
+        for key, reached in self._pairs:
+            if key in touched:
+                reached = self.sim.trace(state, key[0], key[1]).reached
+            if not reached:
+                return True
         return False

@@ -133,6 +133,7 @@ def take_snapshot(
     report: Optional[DegradationReport] = None,
     validator: Optional[Validator] = None,
     baseline: Optional[PathStore] = None,
+    baseline_post: Optional[PathStore] = None,
 ) -> MeasurementSnapshot:
     """Probe the mesh at T- and T+ and assemble the snapshot.
 
@@ -146,9 +147,20 @@ def take_snapshot(
 
     ``baseline`` is a T- round already probed with the same sensors,
     state and blocked ASes; faults and screening need a fresh one.
+    ``baseline_post`` is the same round probed with the T+ epoch's tags,
+    under the simulator's pinned baseline as ``before_state``: each pair
+    ``after_state`` does not touch takes its T+ path from it, and only
+    the touched pairs are probed again.
     """
-    if baseline is not None and (faults is not None or validator is not None):
-        raise MeasurementError("a reused T- round cannot be faulted or screened")
+    if (baseline is not None or baseline_post is not None) and (
+        faults is not None or validator is not None
+    ):
+        raise MeasurementError("a reused round cannot be faulted or screened")
+    if baseline_post is not None and sim.engine.baseline[0] != before_state:
+        raise MeasurementError(
+            "a reused T+ round needs the simulator's pinned baseline as the "
+            "before state"
+        )
     mapper = sim.mapper
     up = surviving_sensors(sensors, faults, report)
     before = baseline
@@ -157,7 +169,8 @@ def take_snapshot(
             sim, up, before_state, blocked_ases, EPOCH_PRE, faults, report
         )
     after = probe_mesh(
-        sim, up, after_state, blocked_ases, EPOCH_POST, faults, report
+        sim, up, after_state, blocked_ases, EPOCH_POST, faults, report,
+        untouched=baseline_post,
     )
     if faults is not None:
         after = _replay_stale_rounds(before, after, faults, report)

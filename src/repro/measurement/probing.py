@@ -22,6 +22,7 @@ from typing import FrozenSet, List, Optional, Sequence
 
 from repro.core.linkspace import Endpoint, UhNode
 from repro.core.pathset import EPOCH_PRE, PathStore, ProbePath
+from repro.errors import MeasurementError
 from repro.faults import DegradationReport, FaultPlan
 from repro.measurement.sensors import Sensor
 from repro.netsim.simulator import Simulator
@@ -122,21 +123,34 @@ def probe_mesh(
     epoch: str = EPOCH_PRE,
     faults: Optional[FaultPlan] = None,
     report: Optional[DegradationReport] = None,
+    untouched: Optional[PathStore] = None,
 ) -> PathStore:
     """The full measurement mesh: one probe per ordered sensor pair.
 
     Probes the fault plan dropped are simply absent from the store — the
     collector reconciles the before/after rounds over the surviving
     pairs.
+
+    ``untouched`` is the same mesh (sensors, blocked ASes, epoch) probed
+    without faults under the simulator's pinned baseline.  Each pair whose
+    walk ``state`` does not touch (:meth:`Simulator.touched_walks`) takes
+    its path from it, keyed by sensor pair, instead of being probed again.
     """
+    if untouched is not None and faults is not None:
+        raise MeasurementError("reused probes cannot be faulted")
+    touched = sim.touched_walks(state) if untouched is not None else None
+    blocked = tuple(sorted(blocked_ases))
     store = PathStore()
     for src in sensors:
         for dst in sensors:
             if src.sensor_id == dst.sensor_id:
                 continue
-            path = probe_pair(
-                sim, src, dst, state, blocked_ases, epoch, faults, report
-            )
+            if touched is None or (src.router_id, dst.router_id, blocked) in touched:
+                path = probe_pair(
+                    sim, src, dst, state, blocked_ases, epoch, faults, report
+                )
+            else:
+                path = untouched.get((src.address, dst.address))
             if path is not None:
                 store.add(path)
     return store

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import scaling
 from repro.experiments.scaling import ScalePoint, render_scaling, scaling_sweep
 
 
@@ -34,3 +35,20 @@ class TestScalingSweep:
         assert len(lines) == 3  # header + two rows
         assert "ASes" in lines[0] and "bgpigp" in lines[0]
         assert "23" in lines[1]
+
+
+def test_mesh_timing_walks_every_ordered_pair(monkeypatch):
+    """The timed mesh makes one real walk per ordered sensor pair; the
+    simulator's own walks, made while the sampler probed the mesh, do
+    not stand in for it."""
+    walks = []
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args[3:5])
+        return trace_route(*args, **kwargs)
+
+    trace_route = scaling.trace_route
+    monkeypatch.setattr(scaling, "trace_route", counting_walk)
+    point = scaling._scale_point((4, 16), n_sensors=5, failures=1, seed=1)
+    assert len(walks) == 5 * 4
+    assert point.mesh_seconds > 0.0

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import random
 
+from repro.core.pathset import EPOCH_POST
 from repro.diagnosers import make_diagnosers
 from repro.experiments.runner import covered_ases, make_session, run_scenario
+from repro.measurement.collector import take_snapshot
+from repro.measurement.probing import probe_mesh
 from repro.measurement.sensors import random_stub_placement
 
 KINDS = ("link-1", "link-2", "router", "misconfig")
@@ -61,3 +64,33 @@ def test_base_coverage_is_computed_once(research_topo):
     covered = session.base_coverage()
     assert covered == covered_ases(session, session.base_state)
     assert session.base_coverage() is covered
+
+
+def test_t_plus_round_reuse_with_shared_gateways(research_topo):
+    """Two sensors on one gateway (the Fig. 5 placements): the T+ round
+    reads untouched pairs off the session's post-epoch slot by sensor
+    pair, so it holds one path per pair and equals a fresh probe."""
+    rng = random.Random("session-post")
+    routers = random_stub_placement(research_topo, 5, rng)
+    session = make_session(research_topo, routers + routers[:2], rng)
+    diagnosers = make_diagnosers(("nd-edge",))
+    post = session.baseline_round(frozenset(), EPOCH_POST)
+    for kind in KINDS:
+        scenario = session.sampler.sample(kind)
+        run_scenario(session, scenario, diagnosers)
+        snapshot = take_snapshot(
+            session.sim,
+            session.sensors,
+            session.base_state,
+            scenario.after_state,
+            baseline=session.baseline_round(frozenset()),
+            baseline_post=session.baseline_round(frozenset(), EPOCH_POST),
+        )
+        fresh = probe_mesh(
+            session.sim, session.sensors, scenario.after_state, epoch=EPOCH_POST
+        )
+        assert snapshot.after.pairs() == fresh.pairs()
+        assert len(fresh) == 7 * 6
+        for pair in fresh.pairs():
+            assert snapshot.after.get(pair) == fresh.get(pair)
+    assert session.baseline_round(frozenset(), EPOCH_POST) is post

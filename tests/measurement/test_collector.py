@@ -9,6 +9,8 @@ from repro.measurement.collector import (
     make_lg_lookup,
     take_snapshot,
 )
+from repro.faults import FaultConfig, FaultPlan
+from repro.measurement.probing import probe_mesh
 from repro.measurement.sensors import deploy_sensors
 from repro.netsim.events import LinkFailureEvent
 from repro.netsim.lookingglass import LookingGlassService
@@ -51,7 +53,6 @@ class TestTakeSnapshot:
     def test_a_reused_baseline_cannot_be_faulted_or_screened(
         self, setup, nominal
     ):
-        from repro.faults import FaultConfig, FaultPlan
         from repro.validate import Validator
 
         _fig, sim, sensors = setup
@@ -65,6 +66,49 @@ class TestTakeSnapshot:
             take_snapshot(
                 sim, sensors, nominal, nominal,
                 validator=Validator("strict"), baseline=baseline,
+            )
+
+
+    def test_a_reused_t_plus_round_probes_only_touched_pairs(
+        self, setup, nominal
+    ):
+        fig, sim, sensors = setup
+        after = sim.apply(LinkFailureEvent((fig.link_between("b1", "b2").lid,)))
+        fresh = take_snapshot(sim, sensors, nominal, after)
+        post = probe_mesh(sim, sensors, nominal, epoch=EPOCH_POST)
+        reused = take_snapshot(
+            sim, sensors, nominal, after, baseline=fresh.before, baseline_post=post
+        )
+        touched = sim.touched_walks(after)
+        for src in sensors:
+            for dst in sensors:
+                if src is dst:
+                    continue
+                pair = (src.address, dst.address)
+                assert reused.after.get(pair) == fresh.after.get(pair)
+                if (src.router_id, dst.router_id, ()) not in touched:
+                    assert reused.after.get(pair) is post.get(pair)
+        assert touched and reused.failed_pairs() == fresh.failed_pairs()
+        assert reused.rerouted_pairs() == fresh.rerouted_pairs()
+
+    def test_a_reused_t_plus_round_needs_the_pinned_baseline(
+        self, setup, nominal
+    ):
+        fig, sim, sensors = setup
+        lid = fig.link_between("b1", "b2").lid
+        before = sim.apply(LinkFailureEvent((lid,)))
+        baseline = take_snapshot(sim, sensors, nominal, nominal).before
+        post = probe_mesh(sim, sensors, nominal, epoch=EPOCH_POST)
+        with pytest.raises(MeasurementError):
+            take_snapshot(
+                sim, sensors, before, nominal,
+                baseline=baseline, baseline_post=post,
+            )
+        with pytest.raises(MeasurementError):
+            probe_mesh(
+                sim, sensors, before, epoch=EPOCH_POST,
+                faults=FaultPlan(0, FaultConfig(trace_drop_rate=0.5)),
+                untouched=post,
             )
 
 

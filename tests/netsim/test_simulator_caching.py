@@ -10,8 +10,10 @@ from repro.measurement.collector import take_snapshot
 from repro.measurement.sensors import deploy_sensors, random_stub_placement
 from repro.netsim.events import LinkFailureEvent
 from repro.netsim.gen.internet import research_internet
+from repro.netsim import simulator as simulator_module
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import NetworkState
+from repro.netsim.traceroute import trace_route
 
 
 class TestCaches:
@@ -103,10 +105,11 @@ class TestCaches:
 
 
 class TestAccounting:
-    def test_sampler_and_snapshot_sequence_pins_every_counter(self):
+    def test_sampler_and_snapshot_sequence_pins_every_counter(self, monkeypatch):
         # A fixed admission + T-/T+ sequence with both caches bounded, so
-        # hits, misses and evictions all move.  Trace reuse and IGP view
-        # sharing are work savings only: every counter must stay exactly
+        # hits, misses and evictions all move.  Only the walks a failure
+        # state touches reach the trace LRU, so every miss is a real walk
+        # under a failure state; the convergence counters stay exactly
         # what the plain per-state walk produced.
         topo = research_internet(n_tier2=4, n_stub=16, seed=3)
         rng = random.Random("accounting")
@@ -118,6 +121,14 @@ class TestAccounting:
             trace_cache_capacity=150,
             routing_cache_capacity=4,
         )
+        walks = []
+
+        def counting_walk(net, routing, state, *args, **kwargs):
+            if state is not sim.engine.baseline[0]:
+                walks.append(state.key)
+            return trace_route(net, routing, state, *args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "trace_route", counting_walk)
         sampler = ScenarioSampler(sim, sensors, rng)
         nominal = NetworkState.nominal()
         blocked = frozenset({topo.tier2_asns[0]})
@@ -134,12 +145,17 @@ class TestAccounting:
                 scenario.after_state,
                 blocked_ases=blocked if index % 2 else frozenset(),
             )
+        # routing() runs once per touched-set computation (73), once per
+        # walk under a failure state (282) and once per misconfiguration
+        # draw (5): 360 calls, 16 of them converges.  Evictions are the
+        # misses beyond the 150 entries kept.
+        assert sim.cache_stats()["trace_cache_misses"] == len(walks)
         assert sim.cache_stats() == {
-            "trace_cache_hits": 245,
-            "trace_cache_misses": 1338,
-            "trace_cache_evictions": 1188,
+            "trace_cache_hits": 59,
+            "trace_cache_misses": 282,
+            "trace_cache_evictions": 132,
             "trace_cache_entries": 150,
-            "routing_cache_hits": 1327,
+            "routing_cache_hits": 344,
             "routing_cache_misses": 16,
             "routing_cache_evictions": 11,
             "routing_cache_entries": 4,
@@ -155,10 +171,11 @@ class TestAccounting:
 
 class TestGcFootprint:
     def test_caches_hold_nothing_the_collector_tracks(self):
-        """A sweep keeps one trace-cache key and one trace per pair and
-        state, and one baseline walk per pair: none of the keys, the
-        traces' hop tuples or the walks' reads may stay on the
-        collector's books, or every full collection walks them all."""
+        """A sweep keeps one trace-cache key and one trace per touched
+        pair and state, and one baseline walk per pair, whose key the
+        indexes share: none of the keys or the traces' hop tuples may
+        stay on the collector's books, or every full collection walks
+        them all."""
         topo = research_internet(n_tier2=4, n_stub=16, seed=3)
         rng = random.Random("footprint")
         routers = random_stub_placement(topo, 6, rng)
@@ -180,13 +197,12 @@ class TestGcFootprint:
         for _ in range(5):
             gc.collect()
         entries = sim._trace_cache.items()
-        walks = [walk for _key, walk in sim._baseline_walks.items()]
+        walks = list(sim._walks.items())
         assert any(key[0] != nominal.key for key, _trace in entries)
-        assert any(walk.reads is not None for walk in walks)
-        assert [key for key, _trace in entries if gc.is_tracked(key)] == []
+        assert sim._igp_index  # the walks were indexed
+        assert [key for key, _trace in entries + walks if gc.is_tracked(key)] == []
         assert [
             trace
-            for _key, trace in entries
+            for _key, trace in entries + walks
             if gc.is_tracked(trace.addresses()) or gc.is_tracked(trace.router_path())
         ] == []
-        assert [walk.reads for walk in walks if gc.is_tracked(walk.reads)] == []
