@@ -60,15 +60,11 @@ WAVE_TICKS = 5
 WAVE_WIDTH = 6
 
 #: Per-(shard, tick) chaos rate for the fabric run, and the supervision
-#: tuning under test: tight checkpoints, one-tick restarts, a buffer
-#: deliberately smaller than a dark shard's per-tick load so overflow
-#: dead-lettering is exercised (and accounted) too.
+#: tuning under test: one-tick restarts, a buffer deliberately smaller
+#: than a dark shard's per-tick load so overflow dead-lettering is
+#: exercised (and accounted) too.
 CHAOS_RATE = 0.02
-SUPERVISION = SupervisionConfig(
-    checkpoint_every=2,
-    restart_after=1,
-    buffer_limit=256,
-)
+SUPERVISION = SupervisionConfig(restart_after=1, buffer_limit=256)
 
 
 def _no_asn(_address: str):
@@ -194,7 +190,6 @@ def _measure_fabric():
         ),
         "ticks_to_recover_max": max(recoveries) if recoveries else 0,
         "ticks_dark": counters["ticks_dark"],
-        "checkpoints_saved": counters["checkpoints_saved"],
         "events_buffered": counters["events_buffered"],
         "episodes_baseline": baseline_episodes,
         "episodes_chaos": chaos_engine.detector_counters()["episodes_total"],

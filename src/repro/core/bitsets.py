@@ -14,24 +14,24 @@ provides the shared dense representation:
 * :meth:`TokenUniverse.membership_matrix` encodes a family of token
   sets as one ``(n_sets, n_tokens)`` boolean matrix.
 
-Encodings are memoised in a small LRU keyed by the input family:
-solvers called twice on the same instance (ablations re-run greedy and
-exact on identical inputs) must not pay the interning twice.
+Encodings are memoised in a small :class:`~repro.cache.LruCache` keyed
+by the input family: solvers called twice on the same instance
+(ablations re-run greedy and exact on identical inputs) must not pay
+the interning twice.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache import LruCache
 from repro.core.linkspace import LinkToken, sort_key
 
 __all__ = [
     "TokenUniverse",
     "InternedFamily",
-    "CountingLru",
     "intern_family",
     "intern_universe",
     "encoding_cache_counters",
@@ -172,43 +172,7 @@ class InternedFamily:
         return effective
 
 
-class CountingLru:
-    """Tiny LRU with observable hit/miss counters.
-
-    The substrate layer has :class:`repro.netsim.cache.LruCache`; the
-    algorithm layer keeps this minimal twin so ``core`` stays free of
-    ``netsim`` imports.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._data: "OrderedDict" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_encodings = CountingLru(_ENCODING_CACHE_CAPACITY)
+_encodings = LruCache(_ENCODING_CACHE_CAPACITY)
 
 
 def intern_family(sets: Sequence[TokenSet]) -> InternedFamily:
@@ -239,5 +203,7 @@ def encoding_cache_counters() -> Dict[str, int]:
 
 
 def clear_encoding_cache() -> None:
-    """Drop every interned universe (tests use this for isolation)."""
-    _encodings.clear()
+    """Drop every interned universe and zero the counters (tests use
+    this for isolation)."""
+    global _encodings
+    _encodings = LruCache(_ENCODING_CACHE_CAPACITY)

@@ -46,7 +46,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.bitsets import CountingLru, intern_family
+from repro.cache import LruCache
+from repro.core.bitsets import intern_family
 from repro.core.linkspace import LinkToken, sort_key
 from repro.errors import DiagnosisError
 
@@ -224,7 +225,7 @@ def greedy_hitting_set(
     )
 
 
-_exact_cache = CountingLru(_EXACT_CACHE_CAPACITY)
+_exact_cache = LruCache(_EXACT_CACHE_CAPACITY)
 
 #: Cache sentinel: distinguishes "no admissible/proven solution" from a miss.
 _NO_SOLUTION = object()
@@ -236,8 +237,10 @@ def exact_cache_counters() -> Dict[str, int]:
 
 
 def clear_exact_cache() -> None:
-    """Drop every memoised exact result (tests use this for isolation)."""
-    _exact_cache.clear()
+    """Drop every memoised exact result and zero the counters (tests use
+    this for isolation)."""
+    global _exact_cache
+    _exact_cache = LruCache(_EXACT_CACHE_CAPACITY)
 
 
 def exact_hitting_set(

@@ -93,26 +93,3 @@ class PairAlarmTracker:
 
     def pairs_tracked(self) -> int:
         return len(self._alarms)
-
-    # -------------------------------------------------------- checkpointing
-
-    def state(self) -> Dict[str, object]:
-        """A picklable snapshot of the debounce state for checkpoints."""
-        return {
-            "alarms": [
-                (pair, alarm.fails, alarm.successes, alarm.alarmed)
-                for pair, alarm in sorted(self._alarms.items())
-            ],
-            "observations": self.observations,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild the tracker from a :meth:`state` snapshot."""
-        self._alarms = {}
-        for pair, fails, successes, alarmed in state["alarms"]:
-            alarm = _PairAlarm()
-            alarm.fails = fails
-            alarm.successes = successes
-            alarm.alarmed = alarmed
-            self._alarms[pair] = alarm
-        self.observations = state["observations"]

@@ -217,7 +217,6 @@ def render_stream_report(result: "StreamRunResult") -> str:
         f"   window: baseline pairs={window['baseline_pairs']}  "
         f"current pairs={window['current_pairs']}  "
         f"stale evictions={window['stale_evictions']}  "
-        f"lru evictions={window['lru_evictions']}  "
         f"dark sensors={window['dark_sensors']}",
         f"   episodes: detected={detector['episodes_total']}  "
         f"open at end={detector['episodes_open']}  "
@@ -285,8 +284,7 @@ def render_stream_report(result: "StreamRunResult") -> str:
             f"   degraded coverage: ticks dark={sup['ticks_dark']}  "
             f"pairs uncovered={sup['pairs_uncovered']}  "
             f"episodes delayed={sup['episodes_delayed']}  "
-            f"buffered={sup['events_buffered']}  "
-            f"checkpoints={sup['checkpoints_saved']}"
+            f"buffered={sup['events_buffered']}"
         )
         if result.supervision["dead_letters"]:
             lines.append(

@@ -64,7 +64,7 @@ CORRUPTION_MODES = (
 #: (:mod:`repro.stream.supervise`): a supervised engine detects each mode
 #: on the logical clock and recovers without losing accounted work.
 CHAOS_MODES = (
-    "shard-crash",    # a shard loses all in-memory state mid-tick
+    "shard-crash",    # a shard goes dark for restart_after ticks
     "shard-stall",    # a shard stops responding for N ticks, then resumes
     "slow-shard",     # a shard's tick output arrives one tick late
 )
@@ -155,9 +155,9 @@ class FaultConfig:
         vantage (its head AS is not the queried AS).
     shard_crash_rate:
         Per-(shard, tick) probability that the shard crashes at the end
-        of that tick, losing all state accumulated since its last
-        checkpoint.  The supervisor restarts it from the checkpoint and
-        replays the journalled tail.
+        of that tick.  It stays dark for the supervisor's
+        ``restart_after`` ticks with its state kept and its events
+        buffered; the restart folds the buffer back.
     shard_stall_rate:
         Per-(shard, tick) probability that the shard stops heartbeating
         for a few ticks and then resumes with its state intact (a long

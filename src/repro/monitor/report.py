@@ -106,7 +106,6 @@ def render_monitor_report(result: MonitorRunResult) -> str:
         lines.append(
             f"   supervision: crashes={sup['shard_crashes']}  "
             f"stalls={sup['shard_stalls']}  "
-            f"recoveries={sup['recoveries']}  "
-            f"checkpoints={sup['checkpoints_saved']}"
+            f"recoveries={sup['recoveries']}"
         )
     return "\n".join(lines)

@@ -29,7 +29,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from repro.core.pathset import EPOCH_PRE, Pair, ProbePath
 from repro.errors import MonitorError
 from repro.experiments.journal import RunJournal
-from repro.faults import DegradationReport
 from repro.measurement.probing import probe_pair
 from repro.monitor.classify import (
     ClassifierScore,
@@ -297,7 +296,6 @@ def run_monitor(
         open_after=config.open_after,
         close_after=config.close_after,
         policy=policy,
-        degradation=DegradationReport(),
         cached_reports=cached_reports,
     )
     engine = build_engine(

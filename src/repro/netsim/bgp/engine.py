@@ -43,11 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from repro.cache import LruCache
 from repro.errors import ConvergenceError, RoutingError
 from repro.netsim.bgp import policy
 from repro.netsim.bgp.rib import AdjRibOut, RoutingState, SessionTable
 from repro.netsim.bgp.route import BgpRoute
-from repro.netsim.cache import LruCache
 from repro.netsim.topology import Internetwork, NetworkState, Relationship
 from repro.netsim.validate import _find_cycle
 

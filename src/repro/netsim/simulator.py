@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
+from repro.cache import LruCache
 from repro.netsim.bgp.engine import (
     DEFAULT_ROUTING_CACHE_CAPACITY,
     BgpEngine,
 )
 from repro.netsim.bgp.messages import BgpWithdrawal, withdrawals_observed_by
 from repro.netsim.bgp.rib import RoutingState
-from repro.netsim.cache import LruCache
 from repro.netsim.events import Event
 from repro.netsim.forwarding import IgpCache
 from repro.netsim.igp import igp_link_down_events

@@ -11,7 +11,7 @@ This package is that online layer over the existing batch machinery:
   :mod:`repro.validate` policies (strict/repair/quarantine);
 * :mod:`repro.stream.window` — sliding-window reconciliation into the
   batch :class:`~repro.core.pathset.MeasurementSnapshot` shape, bounded
-  by :class:`~repro.netsim.cache.LruCache`;
+  by recency;
 * :mod:`repro.stream.episodes` — debounced, hysteretic failure-episode
   detection (no diagnosis storms on transient loss);
 * :mod:`repro.stream.engine` — :class:`StreamEngine`, the one engine
@@ -25,9 +25,9 @@ This package is that online layer over the existing batch machinery:
 * :mod:`repro.stream.merge` — cross-shard snapshot/control/episode
   merging in global ``(tick, seq)`` order;
 * :mod:`repro.stream.supervise` — the self-healing layer a supervised
-  engine calls: shard restart from in-memory checkpoints and replay,
-  darkness buffers with a dead-letter queue for their overflow, seeded
-  chaos injection.
+  engine calls: darkness buffers folded back into a crashed or stalled
+  shard's kept state at restart, a dead-letter queue for their
+  overflow, seeded chaos injection.
 
 CLI: ``python -m repro stream`` replays a configured stream (optionally
 sharded via ``--shards`` / multi-tenant via ``--tenants`` / under

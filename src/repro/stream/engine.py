@@ -28,11 +28,10 @@ Passing any of ``plan``, ``supervision`` or ``dead_letters`` attaches a
 at its intake, tick and flush hooks (listed on that class); diagnosis
 never passes through it.
 
-Determinism: with admission disabled and unbounded window capacity,
-every ``shards`` count replays bit-identically (per-shard LRU caps may
-shed different cold pairs).  Diagnosis runs inline, in (transition,
-variant) order, so every variant of a drain shares the merged
-snapshot's derived inputs.
+Determinism: with admission disabled, every ``shards`` count replays
+bit-identically.  Diagnosis runs inline, in (transition, variant)
+order, so every variant of a drain shares the merged snapshot's
+derived inputs.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from repro.core.pathset import (
 )
 from repro.empathy.ensemble import EnsembleDisagreement
 from repro.errors import EpisodeOverflowError, StreamError
-from repro.faults import DegradationReport, FaultPlan
+from repro.faults import FaultPlan
 from repro.stream.episodes import CLOSE, UPDATE, EpisodeTransition
 from repro.stream.events import StreamEvent
 from repro.stream.ingest import StreamIngestor
@@ -187,7 +186,6 @@ class StreamEngine:
         policy: str = "quarantine",
         max_pending: int = 8,
         overflow_limit: int = 32,
-        degradation: Optional[DegradationReport] = None,
         on_report: Optional[Callable[[EpisodeReport], None]] = None,
         cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
         shards: int = 1,
@@ -216,17 +214,13 @@ class StreamEngine:
                 window_width=window_width,
                 open_after=open_after,
                 close_after=close_after,
-                degradation=degradation,
             )
             for index in range(shards)
         ]
         # Broadcast events are screened once, here, before fan-out; the
         # global feed-dedup state must not be forked per shard.
         self.control_ingestor = StreamIngestor(
-            asn_of,
-            policy,
-            expected_epochs=(EPOCH_PRE, EPOCH_POST),
-            degradation=degradation,
+            asn_of, policy, expected_epochs=(EPOCH_PRE, EPOCH_POST)
         )
         self.merger = CrossShardMerger()
         self.admission = AdmissionController(tenants)
@@ -274,8 +268,8 @@ class StreamEngine:
 
         Control-plane and liveness events bypass admission (shedding the
         ISP's own feed would corrupt every shard's view).  A dark
-        shard's share is buffered — a pair event raw, screened on
-        replay.  Returns ``False`` when admission shed the event,
+        shard's share is buffered — a pair event raw, screened at
+        restart.  Returns ``False`` when admission shed the event,
         screening quarantined it or a full darkness buffer
         dead-lettered it.
         """
@@ -290,13 +284,10 @@ class StreamEngine:
             if admitted is None:
                 return False
             for shard in self.shards:
-                if supervisor is None:
-                    shard.observe_broadcast(admitted)
-                elif supervisor.is_dark(shard.index):
+                if supervisor is not None and supervisor.is_dark(shard.index):
                     supervisor.buffer_event(shard.index, "bcast", admitted)
                 else:
                     shard.observe_broadcast(admitted)
-                    supervisor.record_tail(shard.index, "bcast", admitted)
             self.events_admitted += 1
             return True
         if self.admission.enabled:
@@ -307,8 +298,6 @@ class StreamEngine:
             return supervisor.buffer_event(shard_index, "pair", event)
         if not self.shards[shard_index].offer(event):
             return False
-        if supervisor is not None:
-            supervisor.record_tail(shard_index, "pair", event)
         self.events_admitted += 1
         return True
 

@@ -21,18 +21,15 @@ is a violation).  Heartbeats, dropouts and bare reachability bits have
 no invariants to lie about and always pass.
 
 Accounting lands on the shared :class:`~repro.validate.ValidationReport`
-(and optionally a :class:`~repro.faults.DegradationReport`) so the
-stream CLI renders the same counters as the batch runner.
+so the stream CLI renders the same counters as the batch runner.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.pathset import ProbePath
 from repro.errors import StreamError
-from repro.faults import DegradationReport
 from repro.stream.events import (
     IgpLinkDownEvent,
     ProbeEvent,
@@ -64,8 +61,7 @@ class StreamIngestor:
     (both ``pre`` and ``post`` are legitimate in a stream — only a tag
     outside the set is a stale replay).  Both are fixed for the
     ingestor's lifetime, which is what lets it memoise the verdict per
-    path content.  The memo is a cache, not state: :meth:`state` leaves
-    it out, and a shard reset starts a fresh ingestor without it.
+    path content.
     """
 
     def __init__(
@@ -73,7 +69,6 @@ class StreamIngestor:
         asn_of: Callable[[str], Optional[int]],
         policy: str,
         expected_epochs: Tuple[str, ...],
-        degradation: Optional[DegradationReport] = None,
     ) -> None:
         if policy not in POLICIES:
             raise StreamError(
@@ -84,7 +79,7 @@ class StreamIngestor:
         self.expected_epochs = tuple(expected_epochs)
         # Reuse the batch Validator for its policy dispatch + accounting;
         # the per-event screening below feeds its bookkeeping hooks.
-        self.validator = Validator(policy=policy, degradation=degradation)
+        self.validator = Validator(policy=policy)
         self.events_screened = 0
         self.events_quarantined = 0
         self.events_repaired = 0
@@ -144,8 +139,6 @@ class StreamIngestor:
         if stale:
             report.stale_rounds_dropped += 1
             report.record_quarantine(TRACE_EPOCH)
-            if self.validator.degradation is not None:
-                self.validator.degradation.stale_rounds_dropped += 1
             self.events_quarantined += 1
             return None
         if self.policy == REPAIR:
@@ -153,14 +146,10 @@ class StreamIngestor:
             report.traces_repaired += 1
             for fixup in fixups:
                 report.record_repair(fixup)
-            if self.validator.degradation is not None:
-                self.validator.degradation.traces_repaired += 1
             self.events_repaired += 1
             return ProbeEvent(tick=event.tick, seq=event.seq, path=repaired)
         report.traces_quarantined += 1
         report.record_quarantine(violations[0].invariant)
-        if self.validator.degradation is not None:
-            self.validator.degradation.traces_quarantined += 1
         self.events_quarantined += 1
         return None
 
@@ -193,8 +182,6 @@ class StreamIngestor:
         report = self.validator.report
         report.feed_messages_quarantined += 1
         report.record_quarantine(invariant)
-        if self.validator.degradation is not None:
-            self.validator.degradation.feed_messages_quarantined += 1
         self.events_quarantined += 1
         return None
 
@@ -205,36 +192,3 @@ class StreamIngestor:
             "events_quarantined": self.events_quarantined,
             "events_repaired": self.events_repaired,
         }
-
-    # -------------------------------------------------------- checkpointing
-
-    def state(self) -> Dict[str, object]:
-        """A picklable snapshot of the screening state for checkpoints.
-
-        Captures the counters, the per-feed dedup/ordering state, and a
-        deep copy of the validation report — everything a recovered
-        shard needs so re-screening its replayed tail lands on the same
-        totals as an uninterrupted run.  The shared
-        :class:`~repro.faults.DegradationReport` (if any) is deliberately
-        *not* captured: it aggregates across shards and survives a
-        single shard's crash.
-        """
-        return {
-            "events_screened": self.events_screened,
-            "events_quarantined": self.events_quarantined,
-            "events_repaired": self.events_repaired,
-            "feed_seen": {kind: set(seen) for kind, seen in self._feed_seen.items()},
-            "feed_highest": dict(self._feed_highest),
-            "report": copy.deepcopy(self.validator.report),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild the screening state from a :meth:`state` snapshot."""
-        self.events_screened = state["events_screened"]
-        self.events_quarantined = state["events_quarantined"]
-        self.events_repaired = state["events_repaired"]
-        self._feed_seen = {
-            kind: set(seen) for kind, seen in state["feed_seen"].items()
-        }
-        self._feed_highest = dict(state["feed_highest"])
-        self.validator.report = copy.deepcopy(state["report"])

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE
 from repro.errors import StreamError
-from repro.faults import DegradationReport
 from repro.stream.episodes import PairAlarmTracker
 from repro.stream.events import (
     ProbeEvent,
@@ -321,37 +320,14 @@ class StreamShard:
         window_width: int = 4,
         open_after: int = 2,
         close_after: int = 2,
-        degradation: Optional[DegradationReport] = None,
     ) -> None:
         self.index = index
-        self._params = dict(
-            asn_of=asn_of,
-            policy=policy,
-            window_width=window_width,
-            open_after=open_after,
-            close_after=close_after,
-            degradation=degradation,
-        )
-        self.reset()
-
-    def reset(self) -> None:
-        """Wipe the shard to a just-constructed state.
-
-        This is what a crash *is* to the supervisor: the shard object
-        survives (its identity, routing slot, and configuration do not
-        live in the failed process) but every byte of accumulated state
-        is gone until a checkpoint restore and tail replay rebuild it.
-        """
-        p = self._params
         self.ingestor = StreamIngestor(
-            p["asn_of"],
-            p["policy"],
-            expected_epochs=(EPOCH_PRE, EPOCH_POST),
-            degradation=p["degradation"],
+            asn_of, policy, expected_epochs=(EPOCH_PRE, EPOCH_POST)
         )
-        self.window = SlidingWindow(p["window_width"])
+        self.window = SlidingWindow(window_width)
         self.alarms = PairAlarmTracker(
-            open_after=p["open_after"], close_after=p["close_after"]
+            open_after=open_after, close_after=close_after
         )
         self.events_offered = 0
         self.events_admitted = 0
@@ -392,31 +368,6 @@ class StreamShard:
         elif isinstance(event, SensorDropoutEvent):
             self.alarms.forget(event.address)
         self.seconds["detect"] += time.perf_counter() - started
-
-    # -------------------------------------------------------- checkpointing
-
-    def state(self) -> Dict[str, object]:
-        """A picklable snapshot of the shard for per-shard checkpoints.
-
-        Wall-clock stage timings are excluded on purpose: they are not
-        part of the deterministic state, and a recovered shard's timings
-        legitimately differ from an uninterrupted one's.
-        """
-        return {
-            "window": self.window.state(),
-            "alarms": self.alarms.state(),
-            "ingest": self.ingestor.state(),
-            "events_offered": self.events_offered,
-            "events_admitted": self.events_admitted,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild the shard from a :meth:`state` snapshot."""
-        self.window.restore_state(state["window"])
-        self.alarms.restore_state(state["alarms"])
-        self.ingestor.restore_state(state["ingest"])
-        self.events_offered = state["events_offered"]
-        self.events_admitted = state["events_admitted"]
 
     def stats(self) -> Dict[str, int]:
         """Per-shard accounting for the stream report."""

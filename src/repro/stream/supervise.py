@@ -19,13 +19,10 @@ its hook points (see the class docstring for the list):
   an episode flapping closed just because its shard stopped reporting.
   Coverage loss is counted (``pairs_uncovered``, ``episodes_delayed``),
   never hidden.
-* Every ``checkpoint_every`` ticks the supervisor keeps each healthy
-  shard's state (:meth:`~repro.stream.router.StreamShard.state`), in
-  memory, newest per shard.  On restart the shard is wiped (that is
-  what a crash *is*), restored from that snapshot, and replayed the
-  tail of events folded since it plus the darkness buffer — re-screened
-  through the same ingestor, so counters land on exactly the totals an
-  undisturbed run reports.
+* A dark shard keeps its state.  At restart (``restart_after`` ticks
+  after a crash, or when a stall's drawn length has passed) its darkness
+  buffer is folded back through the same ingestor, so counters land on
+  exactly the totals an undisturbed run reports.
 * :class:`DeadLetterQueue` journals the events a dark shard's full
   buffer could not hold as replayable JSON lines (``repro-dlq-v1``)
   with provenance: what, why, which shard, which tick.
@@ -80,22 +77,19 @@ STALLED = "stalled"
 class SupervisionConfig:
     """Tunables of the supervision layer, all in logical ticks.
 
-    ``checkpoint_every``: healthy shards snapshot every N ticks;
     ``restart_after``: ticks a crashed shard stays dark before restart;
     ``buffer_limit``: max events buffered per dark shard (beyond goes to
     the dead-letter queue).
     """
 
-    checkpoint_every: int = 2
     restart_after: int = 1
     buffer_limit: int = 4096
 
     def __post_init__(self) -> None:
-        for name in ("checkpoint_every", "restart_after"):
-            if getattr(self, name) < 1:
-                raise StreamError(
-                    f"supervision {name} must be >= 1, got {getattr(self, name)}"
-                )
+        if self.restart_after < 1:
+            raise StreamError(
+                f"supervision restart_after must be >= 1, got {self.restart_after}"
+            )
         if self.buffer_limit < 0:
             raise StreamError(
                 f"supervision buffer_limit must be >= 0, got {self.buffer_limit}"
@@ -186,22 +180,22 @@ class ShardSupervisor:
 
     It owns everything supervision adds to a
     :class:`~repro.stream.engine.StreamEngine`: shard liveness, darkness
-    buffers and replay tails, checkpointed restart and the
-    :class:`DeadLetterQueue`.  The engine calls :meth:`is_dark` /
-    :meth:`buffer_event` / :meth:`record_tail` in ``offer``;
+    buffers, restart and the :class:`DeadLetterQueue`.  The engine calls
+    :meth:`is_dark` / :meth:`buffer_event` in ``offer``;
     :meth:`begin_tick` (restarts), :meth:`alarm_view` (held views) and
-    :meth:`end_tick` (chaos dice, checkpoints) around the merge in
-    ``advance``; :meth:`force_recover` in ``flush``.  Everything runs on
-    the logical clock, so every decision replays.
+    :meth:`end_tick` (chaos dice) around the merge in ``advance``;
+    :meth:`force_recover` in ``flush``.  Everything runs on the logical
+    clock, so every decision replays.
 
-    Crash semantics: the failure is *detected* at the end of the tick it
-    fires on; the shard then serves its last-known (stale) window and
-    alarm view to the merger — accounted via ``pairs_uncovered`` — while
-    new events for it are buffered.  At restart the shard state is wiped
-    (``StreamShard.reset``), the latest checkpoint restored, and the
-    post-checkpoint tail plus the darkness buffer replayed through the
-    normal screening path, which provably reconstructs the undisturbed
-    state (the chaos tests assert byte-identical final verdicts).
+    Crash and stall semantics: the failure is *detected* at the end of
+    the tick it fires on; the shard then serves its last-known (stale)
+    window and alarm view to the merger — accounted via
+    ``pairs_uncovered`` — while new events for it are buffered.  A crash
+    and a stall differ only in their schedule and in how long they keep
+    the shard dark; at restart the darkness buffer is folded through the
+    normal screening path onto the kept state, so a crash of ``k``
+    ticks ends where a ``k``-tick stall does (the chaos tests assert
+    byte-identical final verdicts).
     """
 
     def __init__(
@@ -221,20 +215,13 @@ class ShardSupervisor:
         self._status = [RUNNING] * n
         self._darkened_at: List[Optional[int]] = [None] * n
         self._stall_ticks = [0] * n
-        # The newest checkpointed state per shard: what a restart
-        # restores before replaying the tail.
-        self._checkpoints: Dict[int, Dict[str, Any]] = {}
-        # Events folded into each shard since its last checkpoint, as
-        # ("pair", raw_event) / ("bcast", screened_event) entries — the
-        # replay tail a restart needs on top of the checkpoint.
-        self._tails: List[List[Tuple[str, StreamEvent]]] = [[] for _ in range(n)]
-        # Events offered to a shard while it was dark.
+        # Events offered to a shard while it was dark, as
+        # ("pair", raw_event) / ("bcast", screened_event) entries.
         self._buffers: List[List[Tuple[str, StreamEvent]]] = [[] for _ in range(n)]
         # Last-known alarmed set per shard: what the merger sees while
         # the shard is dark or late.
         self._hold: List[Tuple[Pair, ...]] = [() for _ in range(n)]
         # accounting
-        self.checkpoints_saved = 0
         self.shard_crashes = 0
         self.shard_stalls = 0
         self.slow_ticks = 0
@@ -256,12 +243,6 @@ class ShardSupervisor:
         return self._status[shard_index]
 
     # --------------------------------------------------------------- intake
-
-    def record_tail(
-        self, shard_index: int, kind: str, event: StreamEvent
-    ) -> None:
-        """Note one event folded into a live shard (replay tail)."""
-        self._tails[shard_index].append((kind, event))
 
     def buffer_event(
         self, shard_index: int, kind: str, event: StreamEvent
@@ -336,28 +317,15 @@ class ShardSupervisor:
     def _recover(self, shard_index: int, tick: int) -> int:
         shard = self.shards[shard_index]
         status = self._status[shard_index]
-        if status == CRASHED:
-            # The restarted process has nothing: wipe, restore the last
-            # checkpoint, replay the post-checkpoint tail through the
-            # normal screening path.
-            shard.reset()
-            state = self._checkpoints.get(shard_index)
-            if state is not None:
-                shard.restore_state(state)
-            for kind, event in self._tails[shard_index]:
-                self._refold(shard, kind, event)
-        # Both crash and stall recovery then fold the darkness buffer.
         alarmed_before = set(shard.alarms.alarmed_pairs())
         admitted = 0
         for kind, event in self._buffers[shard_index]:
-            if self._refold(shard, kind, event) and kind == "pair":
+            if kind == "bcast":
+                shard.observe_broadcast(event)
+            elif shard.offer(event):
                 admitted += 1
         alarmed_after = set(shard.alarms.alarmed_pairs())
         self.episodes_delayed += len(alarmed_after - alarmed_before)
-        # Buffered events are now part of the shard's post-checkpoint
-        # history: a second crash before the next checkpoint must replay
-        # them again.
-        self._tails[shard_index].extend(self._buffers[shard_index])
         self._buffers[shard_index] = []
         darkened_at = self._darkened_at[shard_index]
         if darkened_at is not None:
@@ -373,17 +341,10 @@ class ShardSupervisor:
         )
         return admitted
 
-    @staticmethod
-    def _refold(shard: StreamShard, kind: str, event: StreamEvent) -> bool:
-        if kind == "pair":
-            return shard.offer(event)
-        shard.observe_broadcast(event)
-        return True
-
     def end_tick(self, tick: int) -> None:
-        """Roll the chaos dice for running shards, then checkpoint the
-        healthy ones.  Crash takes precedence over stall when both fire
-        on the same tick (losing state dominates pausing)."""
+        """Roll the chaos dice for running shards.  Crash takes
+        precedence over stall when both fire on the same tick, so a
+        shard goes dark at most once per tick."""
         if self.plan is not None:
             for index, status in enumerate(self._status):
                 if status != RUNNING:
@@ -418,14 +379,6 @@ class ShardSupervisor:
                         "shard %d stalled for %d ticks at tick %d",
                         index, stall, tick,
                     )
-        if tick > 0 and tick % self.config.checkpoint_every == 0:
-            for index, status in enumerate(self._status):
-                if status != RUNNING:
-                    continue
-                self._checkpoints[index] = self.shards[index].state()
-                self.checkpoints_saved += 1
-                # Everything in the tail is inside the checkpoint now.
-                self._tails[index] = []
 
     # ------------------------------------------------------------- counters
 
@@ -440,8 +393,6 @@ class ShardSupervisor:
             "events_dead_lettered": self.events_dead_lettered,
             "pairs_uncovered": self.pairs_uncovered,
             "episodes_delayed": self.episodes_delayed,
-            "checkpoints_saved": self.checkpoints_saved,
-            "shards_checkpointed": len(self._checkpoints),
         }
 
     def supervision_stats(self) -> Dict[str, Any]:

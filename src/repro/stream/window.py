@@ -16,10 +16,8 @@ keeps exactly enough state to reconstruct the batch shape on demand:
 * the set of dark sensors (dropout seen, no heartbeat since): their
   pairs are excluded from snapshots because neither slot can be trusted.
 
-Both probe slots live in :class:`~repro.netsim.cache.LruCache` maps, so
-window memory is bounded two ways: by recency (``evict`` drops
-observations older than ``width`` ticks) and by capacity (the LRU cap
-sheds the coldest pairs first when the mesh outgrows memory).  Snapshot
+Both probe slots are plain per-pair dicts, bounded by recency:
+``evict`` drops observations older than ``width`` ticks.  Snapshot
 assembly (:func:`~repro.stream.merge.merged_snapshot` and
 :func:`~repro.stream.merge.merged_control_view`, over one or more shard
 windows) takes the intersection of live slots — exactly the pairs for
@@ -35,7 +33,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.control_plane import IgpLinkDownObservation, WithdrawalObservation
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE, ProbePath
 from repro.errors import StreamError
-from repro.netsim.cache import LruCache
 from repro.stream.events import (
     IgpLinkDownEvent,
     ProbeEvent,
@@ -54,18 +51,17 @@ class SlidingWindow:
     """Bounded per-pair observation state for the streaming engine.
 
     ``width`` is the window in logical ticks: an observation older than
-    ``now - width`` is stale and evicted.  ``capacity`` bounds each probe
-    slot map (0 = unbounded, like every :class:`LruCache`).
+    ``now - width`` is stale and evicted.
     """
 
-    def __init__(self, width: int, capacity: int = 0) -> None:
+    def __init__(self, width: int) -> None:
         if width <= 0:
             raise StreamError(f"window width must be >= 1 tick, got {width}")
         self.width = width
         # pair -> (tick, ProbePath); baseline keeps reached pre-probes,
         # current keeps post-probes (reached or not).
-        self._baseline: LruCache[Pair, Tuple[int, ProbePath]] = LruCache(capacity)
-        self._current: LruCache[Pair, Tuple[int, ProbePath]] = LruCache(capacity)
+        self._baseline: Dict[Pair, Tuple[int, ProbePath]] = {}
+        self._current: Dict[Pair, Tuple[int, ProbePath]] = {}
         # (arrival seq, observation) kept in arrival order so rebuilt
         # views list messages exactly as the batch collector would.
         self._withdrawals: List[Tuple[int, int, WithdrawalObservation]] = []
@@ -103,9 +99,9 @@ class SlidingWindow:
                 # is only invoked on previously-working pairs.
                 self.probes_ignored += 1
                 return
-            self._baseline.put(path.pair, (event.tick, path))
+            self._baseline[path.pair] = (event.tick, path)
         elif path.epoch == EPOCH_POST:
-            self._current.put(path.pair, (event.tick, path))
+            self._current[path.pair] = (event.tick, path)
         else:  # pragma: no cover - ingest screens unknown epochs out
             self.probes_ignored += 1
 
@@ -115,11 +111,13 @@ class SlidingWindow:
         """Drop every observation older than ``now - width``; returns count."""
         horizon = now - self.width
         dropped = 0
-        for cache in (self._baseline, self._current):
-            for pair, (tick, _path) in cache.items():
-                if tick <= horizon:
-                    cache.pop(pair)
-                    dropped += 1
+        for slot in (self._baseline, self._current):
+            stale = [
+                pair for pair, (tick, _path) in slot.items() if tick <= horizon
+            ]
+            for pair in stale:
+                del slot[pair]
+            dropped += len(stale)
         for name in ("_withdrawals", "_igp_downs"):
             entries = getattr(self, name)
             kept = [entry for entry in entries if entry[0] > horizon]
@@ -139,7 +137,7 @@ class SlidingWindow:
         order a single window would produce.
         """
         pairs = []
-        for pair, _entry in self._current.items():
+        for pair in self._current:
             if pair not in self._baseline:
                 continue
             src, dst = pair
@@ -149,11 +147,11 @@ class SlidingWindow:
         return tuple(sorted(pairs))
 
     def baseline_for(self, pair: Pair) -> Optional[Tuple[int, ProbePath]]:
-        """The live baseline slot for ``pair`` (counts as a lookup)."""
+        """The live baseline slot for ``pair``."""
         return self._baseline.get(pair)
 
     def current_for(self, pair: Pair) -> Optional[Tuple[int, ProbePath]]:
-        """The live current slot for ``pair`` (counts as a lookup)."""
+        """The live current slot for ``pair``."""
         return self._current.get(pair)
 
     def feed_entries(
@@ -170,51 +168,6 @@ class SlidingWindow:
         """
         return list(self._withdrawals), list(self._igp_downs)
 
-    # -------------------------------------------------------- checkpointing
-
-    def state(self) -> Dict[str, object]:
-        """A picklable snapshot of the window for shard checkpoints.
-
-        Probe slots are captured in LRU order (``LruCache.items`` is
-        LRU-first), so :meth:`restore_state`'s re-inserts rebuild the
-        exact recency order — a restored window sheds the same cold
-        pairs a never-crashed one would.
-        """
-        return {
-            "baseline": self._baseline.items(),
-            "current": self._current.items(),
-            "withdrawals": list(self._withdrawals),
-            "igp_downs": list(self._igp_downs),
-            "dark_sensors": sorted(self._dark_sensors),
-            "stale_evictions": self.stale_evictions,
-            "feed_evictions": self.feed_evictions,
-            "probes_ignored": self.probes_ignored,
-            "lru_counters": tuple(
-                (cache.hits, cache.misses, cache.evictions)
-                for cache in (self._baseline, self._current)
-            ),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild the window from a :meth:`state` snapshot."""
-        for cache, key in (
-            (self._baseline, "baseline"),
-            (self._current, "current"),
-        ):
-            cache.clear()
-            for pair, entry in state[key]:
-                cache.put(pair, entry)
-        self._withdrawals = list(state["withdrawals"])
-        self._igp_downs = list(state["igp_downs"])
-        self._dark_sensors = set(state["dark_sensors"])
-        self.stale_evictions = state["stale_evictions"]
-        self.feed_evictions = state["feed_evictions"]
-        self.probes_ignored = state["probes_ignored"]
-        for cache, counters in zip(
-            (self._baseline, self._current), state["lru_counters"]
-        ):
-            cache.hits, cache.misses, cache.evictions = counters
-
     # ---------------------------------------------------------- inspection
 
     def failed_pairs(self) -> Tuple[Pair, ...]:
@@ -222,7 +175,7 @@ class SlidingWindow:
         return tuple(
             pair
             for pair in self.usable_pairs()
-            if not self._current.get(pair)[1].reached
+            if not self._current[pair][1].reached
         )
 
     def dark_sensors(self) -> Tuple[str, ...]:
@@ -235,6 +188,5 @@ class SlidingWindow:
             "current_pairs": len(self._current),
             "stale_evictions": self.stale_evictions,
             "probes_ignored": self.probes_ignored,
-            "lru_evictions": self._baseline.evictions + self._current.evictions,
             "dark_sensors": len(self._dark_sensors),
         }

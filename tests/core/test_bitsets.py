@@ -1,7 +1,6 @@
 """Tests for the interned bitset layer and the solver caches."""
 
 from repro.core.bitsets import (
-    CountingLru,
     clear_encoding_cache,
     encoding_cache_counters,
     intern_family,
@@ -73,27 +72,19 @@ class TestInternFamily:
         assert (other == expanded).all()
 
 
-class TestCountingLru:
-    def test_hit_miss_and_eviction(self):
-        lru = CountingLru(2)
-        assert lru.get("a") is None
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.get("a") == 1  # refreshes "a"
-        lru.put("c", 3)  # evicts "b", the least recently used
-        assert lru.get("b") is None
-        assert lru.get("a") == 1
-        assert lru.get("c") == 3
-        assert lru.hits == 3
-        assert lru.misses == 2
-
+class TestEncodingCache:
     def test_clear_resets_counters(self):
-        lru = CountingLru(2)
-        lru.put("a", 1)
-        lru.get("a")
-        lru.clear()
-        assert lru.get("a") is None
-        assert (lru.hits, lru.misses) == (0, 1)
+        """Clearing drops the interned families and zeroes the counters,
+        although a plain ``LruCache.clear`` keeps them."""
+        clear_encoding_cache()
+        sets = (frozenset({L(1)}),)
+        intern_family(sets)
+        intern_family(sets)
+        assert encoding_cache_counters() == {"hits": 1, "misses": 1}
+        clear_encoding_cache()
+        assert encoding_cache_counters() == {"hits": 0, "misses": 0}
+        intern_family(sets)
+        assert encoding_cache_counters() == {"hits": 0, "misses": 1}
 
 
 class TestExactMemoization:

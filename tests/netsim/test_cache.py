@@ -1,9 +1,10 @@
-"""Unit tests for the bounded LRU cache behind the simulation caches."""
+"""Unit tests for the bounded LRU cache behind the simulation caches
+and the solver memos."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.netsim.cache import LruCache
+from repro.cache import LruCache
 
 
 class TestLruCache:
@@ -69,39 +70,6 @@ class TestLruCache:
         cache.put("c", 3)
         assert "a" not in cache  # "a" was still the LRU entry
 
-    def test_items_lists_lru_first_without_touching_state(self):
-        cache = LruCache(capacity=3)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: "b" is now the LRU entry
-        assert cache.items() == [("b", 2), ("a", 1)]
-        # Listing is pure inspection: no counters, no recency change.
-        assert cache.hits == 1 and cache.misses == 0
-        cache.put("c", 3)
-        cache.put("d", 4)  # evicts "b", still the LRU after items()
-        assert "b" not in cache
-
-    def test_pop_removes_without_counting(self):
-        cache = LruCache(capacity=2)
-        cache.put("a", 1)
-        assert cache.pop("a") == 1
-        assert cache.pop("a") is None  # absent: no error, no miss
-        assert len(cache) == 0
-        assert cache.counters() == {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "entries": 0,
-        }
-
-    def test_pop_frees_capacity(self):
-        cache = LruCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.pop("a")
-        cache.put("c", 3)  # fits in the freed slot: nothing evicted
-        assert cache.evictions == 0
-        assert "b" in cache and "c" in cache
 
 
 class TestLruCacheEdgeCases:
@@ -154,49 +122,7 @@ class TestLruCacheEdgeCases:
 
 
 class TestLruCacheCounterInvariants:
-    """pop/items/__contains__ are accounting-neutral: only get() counts.
-
-    The sliding window leans on this — eviction sweeps (items + pop) and
-    membership checks must not skew the hit-rate the report prints."""
-
-    def test_hits_plus_misses_survives_interleaved_pops(self):
-        cache = LruCache(capacity=4)
-        lookups = 0
-        for index in range(30):
-            cache.put(index % 6, index)
-            cache.get(index % 6)
-            lookups += 1
-            if index % 3 == 0:
-                cache.pop(index % 6)  # policy eviction: not a lookup
-                cache.get(index % 6)  # honest miss after the pop
-                lookups += 1
-        assert cache.hits + cache.misses == lookups
-        assert cache.misses > 0
-
-    def test_pop_missing_key_counts_nothing(self):
-        cache = LruCache(capacity=2)
-        assert cache.pop("absent") is None
-        assert cache.counters() == {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "entries": 0,
-        }
-
-    def test_items_never_perturbs_recency(self):
-        """Scanning items() must leave the LRU order untouched: the next
-        over-capacity put still evicts the true LRU entry, and the scan
-        itself counts no lookups."""
-        cache = LruCache(capacity=3)
-        for key in ("a", "b", "c"):
-            cache.put(key, key)
-        cache.get("a")  # recency now b < c < a
-        before = cache.counters()
-        assert [key for key, _value in cache.items()] == ["b", "c", "a"]
-        assert cache.counters() == before
-        cache.put("d", "d")  # evicts "b", not the first-scanned entry
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache and "d" in cache
+    """``__contains__`` is accounting-neutral: only get() counts."""
 
     def test_contains_counts_nothing(self):
         cache = LruCache(capacity=2)

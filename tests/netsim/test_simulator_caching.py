@@ -196,7 +196,7 @@ class TestGcFootprint:
         # nests five deep (key, state key, filters, filter, prefixes).
         for _ in range(5):
             gc.collect()
-        entries = sim._trace_cache.items()
+        entries = list(sim._trace_cache._data.items())
         walks = list(sim._walks.items())
         assert any(key[0] != nominal.key for key, _trace in entries)
         assert sim._igp_index  # the walks were indexed

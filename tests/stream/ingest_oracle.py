@@ -107,8 +107,6 @@ class ReferenceIngestor(StreamIngestor):
         if stale:
             report.stale_rounds_dropped += 1
             report.record_quarantine(TRACE_EPOCH)
-            if self.validator.degradation is not None:
-                self.validator.degradation.stale_rounds_dropped += 1
             self.events_quarantined += 1
             return None
         if self.policy == REPAIR:
@@ -116,14 +114,10 @@ class ReferenceIngestor(StreamIngestor):
             report.traces_repaired += 1
             for fixup in fixups:
                 report.record_repair(fixup)
-            if self.validator.degradation is not None:
-                self.validator.degradation.traces_repaired += 1
             self.events_repaired += 1
             return ProbeEvent(tick=event.tick, seq=event.seq, path=repaired)
         report.traces_quarantined += 1
         report.record_quarantine(violations[0].invariant)
-        if self.validator.degradation is not None:
-            self.validator.degradation.traces_quarantined += 1
         self.events_quarantined += 1
         return None
 
@@ -155,7 +149,5 @@ class ReferenceIngestor(StreamIngestor):
         report.feed_messages_quarantined += 1
         for violation in violations:
             report.record_quarantine(violation.invariant)
-        if self.validator.degradation is not None:
-            self.validator.degradation.feed_messages_quarantined += 1
         self.events_quarantined += 1
         return None

@@ -150,24 +150,22 @@ class TestStoreReuse:
 
 
 class TestCrashRestore:
-    """A restart rebuilds the shard's window from its in-memory
-    checkpoint, its tail and its darkness buffer; the store is kept only
-    if that leaves the very same paths in the baseline slots."""
+    """A restart folds the shard's darkness buffer into the window it
+    kept; the store is kept only if that leaves the very same paths in
+    the baseline slots."""
 
     def _crashed_shard(self):
         shard = StreamShard(0, asn_of)
         supervisor = ShardSupervisor(
             [shard],
-            config=SupervisionConfig(checkpoint_every=1, restart_after=1),
+            config=SupervisionConfig(restart_after=1),
             plan=ScriptedPlan(crashes={(0, 2)}),
         )
         for seq, path in enumerate(
             (PRE_AB, post(A, B), PRE_AC, post(A, C, reached=True))
         ):
-            event = ProbeEvent(tick=1, seq=seq, path=path)
-            assert shard.offer(event)
-            supervisor.record_tail(0, "pair", event)
-        supervisor.end_tick(1)  # checkpoint
+            assert shard.offer(ProbeEvent(tick=1, seq=seq, path=path))
+        supervisor.end_tick(1)
         first = merged_snapshot([shard.window], asn_of)
         supervisor.end_tick(2)  # crash
         assert supervisor.is_dark(0)
@@ -182,7 +180,7 @@ class TestCrashRestore:
         assert supervisor.buffer_event(
             0, "pair", ProbeEvent(tick=3, seq=0, path=replaced)
         )
-        supervisor.begin_tick(3)  # restart: reset, restore, tail, buffer
+        supervisor.begin_tick(3)  # restart: fold the buffer
         assert not supervisor.is_dark(0)
         restored = merged_snapshot([shard.window], asn_of, first.before)
         assert restored.before is not first.before
@@ -190,10 +188,8 @@ class TestCrashRestore:
 
     def test_a_restart_to_the_same_paths_keeps_the_store(self):
         shard, supervisor, first = self._crashed_shard()
-        crashed_window = shard.window
         supervisor.begin_tick(3)
         assert not supervisor.is_dark(0)
-        assert shard.window is not crashed_window  # rebuilt by the restart
         restored = merged_snapshot([shard.window], asn_of, first.before)
         assert restored.before is first.before
 

@@ -4,6 +4,8 @@ unhandled exceptions and no failed diagnosis, accounts every offered
 event exactly once, and re-running the same seed is bit-identical —
 including the full incident schedule and every recovery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.__main__ import main as repro_main
@@ -18,19 +20,25 @@ CHAOS_CONFIG = ReplayConfig(
     seed=7,
     chaos_rate=0.15,
 )
+#: The same chaos over a corrupted log: screening quarantines events on
+#: shards that then crash.
+CORRUPT_CHAOS_CONFIG = replace(CHAOS_CONFIG, fault_rate=0.2, corrupt=True)
 
 
-def _chaos_run(**kwargs):
+def _chaos_run(config=CHAOS_CONFIG, **kwargs):
     # A fresh setup per run: the session sampler is stateful, so two
     # runs over ONE setup would stream different scenarios.
-    return run_stream_replay(
-        make_replay_setup(**SETUP_ARGS), CHAOS_CONFIG, **kwargs
-    )
+    return run_stream_replay(make_replay_setup(**SETUP_ARGS), config, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def chaos_result():
     return _chaos_run()
+
+
+@pytest.fixture(scope="module")
+def corrupt_chaos_result():
+    return _chaos_run(CORRUPT_CHAOS_CONFIG)
 
 
 class TestChaosCompletion:
@@ -53,14 +61,23 @@ class TestChaosCompletion:
             for diagnosis in report.diagnoses
         )
 
+    @pytest.mark.parametrize(
+        "config, run",
+        [
+            pytest.param(CHAOS_CONFIG, "chaos_result", id="clean"),
+            pytest.param(CORRUPT_CHAOS_CONFIG, "corrupt_chaos_result", id="corrupt"),
+        ],
+    )
     def test_every_offered_event_is_accounted_exactly_once(
-        self, chaos_result
+        self, request, config, run
     ):
         """offered == admitted + shed + rejected + quarantined +
         dead-lettered: chaos may delay or park events, never lose one
-        silently."""
-        engine = chaos_result.engine_counters
-        ingest = chaos_result.ingest_counters
+        silently.  Every event is screened exactly once, as in the
+        chaos-free run of the same log."""
+        result = request.getfixturevalue(run)
+        engine = result.engine_counters
+        ingest = result.ingest_counters
         assert engine["events_offered"] == (
             engine["events_admitted"]
             + engine["admission_shed"]
@@ -68,6 +85,9 @@ class TestChaosCompletion:
             + ingest["events_quarantined"]
             + engine["events_dead_lettered"]
         )
+        calm = _chaos_run(replace(config, chaos_rate=0.0))
+        assert calm.supervision is None
+        assert ingest == calm.ingest_counters
 
     def test_recoveries_leave_nothing_dark_at_flush(self, chaos_result):
         counters = chaos_result.supervision["counters"]

@@ -20,7 +20,6 @@ from repro.core.pathset import EPOCH_POST, EPOCH_PRE, ProbePath
 from repro.diagnosers import make_diagnosers
 from repro.errors import ValidationError
 from repro.experiments.runner import make_session
-from repro.faults import DegradationReport
 from repro.measurement.sensors import random_stub_placement
 from repro.netsim.gen.internet import research_internet
 from repro.stream import (
@@ -163,26 +162,19 @@ def screen_all(screen, events):
     return outcomes
 
 
-def ingestor(cls, policy, degradation):
-    return cls(
-        asn_of,
-        policy,
-        expected_epochs=(EPOCH_PRE, EPOCH_POST),
-        degradation=degradation,
-    )
+def ingestor(cls, policy):
+    return cls(asn_of, policy, expected_epochs=(EPOCH_PRE, EPOCH_POST))
 
 
 class TestMemoisedScreeningMatchesReference:
     @given(events=event_streams(), policy=st.sampled_from(POLICIES))
     @settings(max_examples=200, deadline=None)
     def test_same_outcomes_counters_and_reports(self, events, policy):
-        fast_degradation, slow_degradation = DegradationReport(), DegradationReport()
-        fast = ingestor(StreamIngestor, policy, fast_degradation)
-        slow = ingestor(ReferenceIngestor, policy, slow_degradation)
+        fast = ingestor(StreamIngestor, policy)
+        slow = ingestor(ReferenceIngestor, policy)
         assert screen_all(fast, events) == screen_all(slow, events)
         assert fast.counters() == slow.counters()
         assert fast.report == slow.report
-        assert fast_degradation == slow_degradation
 
     def test_each_distinct_content_is_checked_once(self):
         route = ("10.0.0.1", "10.0.9.9", ("10.0.1.1", "203.0.113.7"), True)
@@ -190,27 +182,23 @@ class TestMemoisedScreeningMatchesReference:
             ProbeEvent(tick=0, seq=seq, path=make_path(route, EPOCH_POST, True))
             for seq in range(5)
         ]
-        screen = ingestor(StreamIngestor, "quarantine", None)
+        screen = ingestor(StreamIngestor, "quarantine")
         assert screen_all(screen, events) == [("ok", None)] * 5
         assert len(screen._verdicts) == 1
         assert screen.counters()["events_quarantined"] == 5
         assert screen.report.traces_quarantined == 5
-        # The memo is a cache, not checkpointed state.
-        assert not any("verdict" in key for key in screen.state())
 
 
 SETUP_ARGS = dict(seed=5, n_sensors=6)
 
 
 def _replay(log, setup, policy):
-    degradation = DegradationReport()
     engine = build_engine(
         dict(
             asn_of=setup.session.sim.mapper.asn_of,
             diagnosers=setup.diagnosers,
             asx=setup.asx,
             policy=policy,
-            degradation=degradation,
         ),
         shards=2,
     )
@@ -223,7 +211,6 @@ def _replay(log, setup, policy):
         engine.detector_counters(),
         [shard.ingestor.report for shard in engine.shards],
         engine.control_ingestor.report,
-        degradation,
     )
 
 
@@ -326,8 +313,9 @@ class TestFeedSequenceAcrossEpisodes:
         # were quarantined as duplicates or backwards sequences.
         setup = _paper_placement_setup()
         log = build_event_log(setup, self.CONFIG)
-        _reports, _counters, ingest, *_rest, degradation = _replay(
-            log, setup, "quarantine"
+        _reports, _counters, ingest, *_rest, shard_reports, control_report = (
+            _replay(log, setup, "quarantine")
         )
-        assert degradation.feed_messages_quarantined == 0
+        assert control_report.feed_messages_quarantined == 0
+        assert all(r.feed_messages_quarantined == 0 for r in shard_reports)
         assert ingest["events_quarantined"] == 0

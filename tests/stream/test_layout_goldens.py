@@ -126,11 +126,11 @@ GOLDEN = {
     "sharded-tenants": {"reports": SERIAL_REPORTS},
     "chaos": {
         "reports": "b300206bb160455f3aedeab31591fe2e45245ead2e3396d9e42593d100ecfd5d",
-        "supervision": "73b930f6d09c11d49c94edf36bf22ebfb0c6ebb1e2cf5bc222d5eea06e869099",
+        "supervision": "0e9ab670d9223aab63ef0c09f113cf323c1533031569d629324528f7e28f8902",
     },
     "monitor-chaos": {
         "reports": "529d01f0c94987b7143ff5357222c9d59f908794feff33e0111661948f815b1a",
-        "supervision": "13f62713e08e14ce336bf6f880cd08b6ef7e3bb1432a77dd9f00589f2cc77fd6",
+        "supervision": "507b1a8e9caa8e2a09320487536a9305d5b8ff32069a3ce19b5d9e18336e7f44",
     },
 }
 

@@ -8,8 +8,8 @@ Two contracts the self-healing layer leans on:
   tick/admit interleavings;
 * :class:`~repro.stream.ShardRouter` consistent hashing is minimally
   disruptive — removing a shard moves only the removed shard's keys,
-  re-adding it restores the exact original mapping (what makes
-  checkpointed restart of a single shard possible at all).
+  re-adding it restores the exact original mapping (so a restarted
+  shard owns exactly the keys it owned before).
 """
 
 from hypothesis import given, settings

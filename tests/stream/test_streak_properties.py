@@ -10,8 +10,6 @@ The contracts the flight recorder and the episode detector both lean on:
 * :meth:`forget` never leaks — a forgotten sensor's pairs vanish from
   the alarmed set and the tracked-pair accounting, and re-observing
   them starts the streak from zero;
-* ``state()``/``restore_state()`` round-trips bit-identically mid-flap —
-  the checkpointed-restart guarantee;
 * :class:`EpisodeLifecycle` transition and flap counts stay bounded by
   the alarm churn that caused them, no matter how hostile the flapping.
 """
@@ -125,37 +123,6 @@ def test_forget_never_leaks_mid_flap(world):
     for _ in range(open_after - 1):
         tracker.observe(pair, False)
     assert pair not in tracker.alarmed_pairs()
-
-
-@given(world=streak_worlds(), cut=st.integers(0, 80))
-@settings(max_examples=120)
-def test_checkpoint_restore_replays_bit_identically(world, cut):
-    open_after, close_after, ops = world
-    cut = min(cut, len(ops))
-
-    straight = PairAlarmTracker(open_after, close_after)
-    for op, target, reached in ops:
-        if op == "obs":
-            straight.observe(target, reached)
-        else:
-            straight.forget(target)
-
-    first = PairAlarmTracker(open_after, close_after)
-    for op, target, reached in ops[:cut]:
-        if op == "obs":
-            first.observe(target, reached)
-        else:
-            first.forget(target)
-    resumed = PairAlarmTracker(open_after, close_after)
-    resumed.restore_state(first.state())
-    for op, target, reached in ops[cut:]:
-        if op == "obs":
-            resumed.observe(target, reached)
-        else:
-            resumed.forget(target)
-
-    assert resumed.state() == straight.state()
-    assert resumed.alarmed_pairs() == straight.alarmed_pairs()
 
 
 @st.composite

@@ -2,9 +2,11 @@
 typed refusal of malformed entries, darkness buffering with bounded
 memory, stale-alarm holds, and the headline recovery contract — a
 scripted shard crash or stall heals to final verdicts byte-identical to
-the undisturbed run."""
+the undisturbed run, and a crash of ``k`` ticks ends exactly where a
+``k``-tick stall does."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +35,10 @@ CONFIG = ReplayConfig(
     recovery_rounds=2,
     seed=11,
 )
+CORRUPT_CONFIG = replace(CONFIG, fault_rate=0.2, corrupt=True)
+#: The crash and stall tallies: the only counters a crash and a stall
+#: of the same length may disagree on.
+DARKNESS_TALLIES = ("shard_crashes", "shard_stalls")
 
 
 def reach(src, dst, reached=True, tick=0, seq=0):
@@ -60,8 +66,6 @@ class ScriptedPlan:
 
 class TestSupervisionConfig:
     def test_rejects_non_positive_tunables(self):
-        with pytest.raises(StreamError):
-            SupervisionConfig(checkpoint_every=0)
         with pytest.raises(StreamError):
             SupervisionConfig(restart_after=0)
         with pytest.raises(StreamError):
@@ -258,6 +262,14 @@ def golden_log():
     return setup, build_event_log(setup, CONFIG)
 
 
+@pytest.fixture(scope="module")
+def corrupt_log():
+    """The golden deployment streaming a corrupted log, so screening
+    quarantines events on every shard."""
+    setup = make_replay_setup(**SETUP_ARGS)
+    return setup, build_event_log(setup, CORRUPT_CONFIG)
+
+
 def _engine_kwargs(setup):
     return dict(
         asn_of=setup.session.sim.mapper.asn_of,
@@ -286,36 +298,31 @@ class TestScriptedRecovery:
         return run_replay(log, engine), engine
 
     def test_crash_recovery_is_byte_identical(self, golden_log):
+        """A one-tick crash on any shard at any tick, the end-of-stream
+        grace tick included, heals to the undisturbed verdicts."""
         baseline = self._undisturbed(golden_log)
         assert baseline  # the golden scenario diagnosed something
-        reports, engine = self._supervised(
-            golden_log,
-            ScriptedPlan(crashes={(0, 2)}),
-            checkpoint_every=1,
-            restart_after=1,
-        )
-        stats = engine.supervision_stats()
-        assert stats["counters"]["shard_crashes"] == 1
-        assert stats["counters"]["recoveries"] == 1
-        assert stats["ticks_to_recover"] == [1]
-        assert stats["incidents"] == [
-            {"kind": "shard-crash", "shard": 0, "tick": 2}
-        ]
-        assert reports == baseline
-
-    def test_crash_without_any_checkpoint_recovers_from_the_tail(
-        self, golden_log
-    ):
-        """A crash before the first checkpoint replays the full tail."""
-        baseline = self._undisturbed(golden_log)
-        reports, engine = self._supervised(
-            golden_log,
-            ScriptedPlan(crashes={(1, 1)}),
-            checkpoint_every=1000,  # never checkpoints
-            restart_after=1,
-        )
-        assert engine.supervision_stats()["counters"]["checkpoints_saved"] == 0
-        assert reports == baseline
+        last_tick = golden_log[1].last_tick
+        for shard in (0, 1):
+            for tick in range(last_tick + 2):
+                case = f"crash of shard {shard} at tick {tick}"
+                reports, engine = self._supervised(
+                    golden_log,
+                    ScriptedPlan(crashes={(shard, tick)}),
+                    restart_after=1,
+                )
+                stats = engine.supervision_stats()
+                assert stats["counters"]["shard_crashes"] == 1, case
+                assert stats["counters"]["recoveries"] == 1, case
+                # A crash on the grace tick is recovered by the flush
+                # that closes the same tick.
+                assert stats["ticks_to_recover"] == [
+                    1 if tick <= last_tick else 0
+                ], case
+                assert stats["incidents"] == [
+                    {"kind": "shard-crash", "shard": shard, "tick": tick}
+                ], case
+                assert reports == baseline, case
 
     def test_stall_recovery_is_byte_identical(self, golden_log):
         """A one-tick stall refolds its darkness buffer before the next
@@ -361,3 +368,57 @@ class TestScriptedRecovery:
         assert engine.counters()["events_admitted"] == (
             plain.counters()["events_admitted"]
         )
+
+
+def _darkened_outputs(log_fixture, plan, **config):
+    """Everything a supervised replay reports, bar the crash and stall
+    tallies."""
+    setup, log = log_fixture
+    engine = StreamEngine(
+        shards=2,
+        plan=plan,
+        supervision=SupervisionConfig(**config),
+        **_engine_kwargs(setup),
+    )
+    reports = run_replay(log, engine)
+    counters = engine.counters()
+    for key in DARKNESS_TALLIES:
+        del counters[key]
+    return (
+        reports,
+        engine.ingest_counters(),
+        engine.window_counters(),
+        engine.detector_counters(),
+        counters,
+    )
+
+
+class TestCrashIsAStall:
+    """A crashed shard keeps its state: dark for ``restart_after``
+    ticks, it ends exactly where a stall of that many ticks does, on a
+    corrupted log whose quarantines land on every shard."""
+
+    @pytest.mark.parametrize(
+        "shard, tick, ticks",
+        [
+            pytest.param(
+                shard, tick, ticks, id=f"shard{shard}-tick{tick}-k{ticks}"
+            )
+            for shard in (0, 1)
+            for tick in range(11)
+            for ticks in (1, 2, 3)
+        ],
+    )
+    def test_crash_equals_a_stall_of_the_same_length(
+        self, corrupt_log, shard, tick, ticks
+    ):
+        crashed = _darkened_outputs(
+            corrupt_log,
+            ScriptedPlan(crashes={(shard, tick)}),
+            restart_after=ticks,
+        )
+        stalled = _darkened_outputs(
+            corrupt_log, ScriptedPlan(stalls={(shard, tick): ticks})
+        )
+        assert crashed[-1]["recoveries"] == 1
+        assert crashed == stalled
