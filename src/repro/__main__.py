@@ -204,25 +204,28 @@ def _cmd_degradation(args: argparse.Namespace) -> int:
     validation = args.validation
     if args.corrupt and validation is None:
         validation = "quarantine"
-    result = degradation.run(
-        config,
-        fault_rates=tuple(args.rates),
-        job_timeout=args.job_timeout,
-        journal=args.journal,
-        resume=args.resume,
-        corrupt=args.corrupt,
-        validation=validation,
-    )
+    try:
+        result = degradation.run(
+            config,
+            fault_rates=tuple(args.rates),
+            journal=args.journal,
+            resume=args.resume,
+            corrupt=args.corrupt,
+            validation=validation,
+        )
+    except KeyboardInterrupt:
+        return _interrupted("degradation", args.journal)
     print(result.render())
     return 0
 
 
 def _interrupted(command: str, journal) -> int:
-    """One-line SIGINT epilogue for long-running stream/monitor runs.
+    """One-line SIGINT epilogue for long-running degradation, stream and
+    monitor runs.
 
-    Reports already emitted were durably appended to the journal as they
-    happened, so the interrupt loses no completed work; exit 130 is the
-    conventional fatal-SIGINT status.
+    Placements completed and reports emitted were durably appended to
+    the journal as they happened, so the interrupt loses no completed
+    work; exit 130 is the conventional fatal-SIGINT status.
     """
     if journal:
         hint = (
@@ -495,11 +498,6 @@ def _check_prerequisites(command: argparse.ArgumentParser, args) -> None:
     (stderr, exit 2) rather than silently ignoring them."""
     if getattr(args, "resume", False) and not args.journal:
         command.error("--resume needs --journal PATH")
-    if getattr(args, "job_timeout", None) is not None and args.workers == 1:
-        command.error(
-            "--job-timeout needs --workers 0 or above 1: the serial backend "
-            "cannot pre-empt a placement"
-        )
     if args.command != "stream":
         return
     if args.tenants < 0:
@@ -619,12 +617,6 @@ def main(argv=None) -> int:
         type=worker_count,
         default=1,
         help="worker processes per batch (0 = all cores, 1 = serial)",
-    )
-    degradation.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        help="per-placement wall-clock budget in seconds (workers > 1 only)",
     )
     degradation.add_argument(
         "--journal",

@@ -19,7 +19,6 @@ __all__ = [
     "ScenarioError",
     "FaultInjectionError",
     "ControlPlaneFeedError",
-    "JobTimeoutError",
     "JournalError",
     "ValidationError",
     "EmpathyError",
@@ -95,11 +94,6 @@ class ControlPlaneFeedError(FaultInjectionError):
     assembled.  Diagnosis proceeds without control-plane inputs."""
 
 
-class JobTimeoutError(ReproError):
-    """A placement job exceeded its wall-clock budget and was abandoned
-    (and retried, attempts permitting) by the resilient runner."""
-
-
 class JournalError(ReproError):
     """A journal cannot serve this run: its header is unreadable or not a
     run journal's, or its fingerprint says a run with different arguments
@@ -165,3 +159,8 @@ class ValidationError(ReproError):
         self.invariant = invariant
         self.record = record
         self.detail = detail
+
+    def __reduce__(self):
+        # The default rebuilds from the message alone, which this
+        # signature cannot take; a process pool pickles raised errors.
+        return (type(self), (self.invariant, self.record, self.detail))

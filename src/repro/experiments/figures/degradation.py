@@ -47,7 +47,6 @@ def _journal_path(
 def run(
     config: FigureConfig = FigureConfig(),
     fault_rates: Sequence[float] = DEFAULT_FAULT_RATES,
-    job_timeout: Optional[float] = None,
     journal: Union[str, Path, None] = None,
     resume: bool = False,
     corrupt: bool = False,
@@ -56,8 +55,7 @@ def run(
     """Sweep the uniform fault rate and score every algorithm at each.
 
     ``journal``/``resume`` checkpoint each rate's batch to
-    ``<journal>.rate<r>`` files; ``job_timeout`` bounds each placement
-    (parallel backend only).
+    ``<journal>.rate<r>`` files.
 
     ``corrupt=True`` switches the swept axis from *omission* faults
     (:meth:`~repro.faults.FaultConfig.uniform`) to *corruption* modes
@@ -106,7 +104,6 @@ def run(
             validation=validation,
             workers=config.workers,
             stats=stats,
-            job_timeout=job_timeout,
             journal=_journal_path(journal, rate),
             resume=resume,
         )

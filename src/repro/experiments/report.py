@@ -168,22 +168,8 @@ def render_runner_stats(stats: "RunnerStats") -> str:
             f"   consistency: sensors excluded={stats.sensors_excluded}  "
             f"re-diagnoses={stats.rediagnoses}",
         ]
-    resilience = (
-        stats.jobs_timed_out,
-        stats.jobs_crashed,
-        stats.jobs_retried,
-        stats.jobs_failed,
-        stats.serial_fallbacks,
-        stats.placements_resumed,
-    )
-    if any(resilience):
-        lines.append(
-            f"   resilience: timed out={stats.jobs_timed_out}  "
-            f"crashed={stats.jobs_crashed}  retried={stats.jobs_retried}  "
-            f"failed={stats.jobs_failed}  "
-            f"serial fallbacks={stats.serial_fallbacks}  "
-            f"resumed={stats.placements_resumed}"
-        )
+    if stats.placements_resumed:
+        lines.append(f"   journal: resumed={stats.placements_resumed}")
     return "\n".join(lines)
 
 

@@ -12,25 +12,25 @@ builds its own topology, session and RNG (seeded ``f"{seed}/{i}"``), so
 ``ProcessPoolExecutor`` (``workers=`` knob) with bit-identical results to
 the serial path.  Parallel execution requires the job callables
 (``topo_factory`` etc.) to be picklable — use the ready-made callables in
-:mod:`repro.experiments.jobs`; unpicklable jobs fall back to serial with
-a warning.
+:mod:`repro.experiments.jobs`.  Each placement runs once: the first one
+that raises stops the batch, and a journal of the placements accepted
+before it lets ``resume=True`` finish the batch.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import pickle
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -52,7 +52,7 @@ from repro.core.linkspace import PhysicalLink, physical_link
 from repro.core.metrics import MetricPair, as_projection, sensitivity, specificity
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE, PathStore
 from repro.core.result import DiagnosisResult
-from repro.errors import ControlPlaneFeedError, JobTimeoutError, ScenarioError
+from repro.errors import ControlPlaneFeedError, ScenarioError
 from repro.faults import (
     DegradationCounters,
     DegradationReport,
@@ -96,16 +96,7 @@ __all__ = [
     "build_placement_jobs",
     "run_kind_batch",
     "resolve_workers",
-    "DEFAULT_MAX_JOB_RETRIES",
-    "DEFAULT_RETRY_BACKOFF_SECONDS",
 ]
-
-#: Total attempts per placement job = 1 + this many retries.
-DEFAULT_MAX_JOB_RETRIES = 2
-
-#: Base of the exponential backoff between job retries, in seconds
-#: (retry ``k`` waits ``base * 2**(k-1)``).
-DEFAULT_RETRY_BACKOFF_SECONDS = 0.5
 
 
 @dataclass
@@ -601,23 +592,12 @@ class RunnerStats(BatchCounters):
     only number comparable to "how long did it take".  Under
     ``workers > 1`` the CPU sums legitimately exceed the wall time, and
     the cpu/wall ratio is the realised parallel speedup.
-
-    The resilience counters account for the batch executor itself:
-    placements that timed out (``jobs_timed_out``), died with their
-    worker process (``jobs_crashed``), were re-submitted
-    (``jobs_retried``), exhausted their retry budget (``jobs_failed``),
-    were replayed from a resume journal (``placements_resumed``), and
-    whole batches that degraded to serial because the jobs were not
-    picklable (``serial_fallbacks``).
+    ``placements_resumed`` counts the placements replayed from a resume
+    journal instead of run.
     """
 
     workers: int = 1
     placements: int = 0
-    jobs_timed_out: int = 0
-    jobs_crashed: int = 0
-    jobs_retried: int = 0
-    jobs_failed: int = 0
-    serial_fallbacks: int = 0
     placements_resumed: int = 0
     wall_seconds: float = 0.0
     per_placement: List[PlacementStats] = field(default_factory=list)
@@ -817,221 +797,20 @@ def resolve_workers(workers: int, n_jobs: int) -> int:
     return max(1, min(workers, n_jobs))
 
 
-def _jobs_picklable(jobs: Sequence[PlacementJob]) -> bool:
-    try:
-        pickle.dumps(list(jobs))
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return False
-    return True
+def _placement_results(
+    jobs: Sequence[PlacementJob], n_workers: int
+) -> Iterator[PlacementResult]:
+    """Each job's result, in job order; the first failure propagates.
 
-
-class _JobTracker:
-    """Retry accounting shared by the serial and parallel backends.
-
-    An attempt is charged when a job *fails* (crash, timeout, or
-    in-worker exception), never when it is merely re-submitted after a
-    pool rebuild took innocent bystanders down with it.  A job whose
-    charged attempts exceed ``max_retries`` is dropped from the sweep:
-    its absence costs one placement's records, not the batch.
+    ``Executor.map`` yields in submission order, so the error raised is
+    always the lowest-index failing placement's, and it cancels the jobs
+    that have not started when it raises.
     """
-
-    def __init__(
-        self,
-        jobs: Sequence[PlacementJob],
-        max_retries: int,
-        backoff_base: float,
-        stats: Optional[RunnerStats],
-        journal: Optional[RunJournal],
-        sleep: Callable[[float], None],
-    ) -> None:
-        self.queue: List[PlacementJob] = list(jobs)
-        self.attempts: Dict[int, int] = {}
-        self.results: Dict[int, PlacementResult] = {}
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.stats = stats
-        self.journal = journal
-        self.sleep = sleep
-
-    def accept(self, result: PlacementResult) -> None:
-        self.results[result.placement_index] = result
-        if self.journal is not None:
-            self.journal.append(result)
-
-    def charge_failure(self, job: PlacementJob, reason: str) -> None:
-        """Count one failed attempt; requeue with backoff or drop."""
-        index = job.placement_index
-        self.attempts[index] = self.attempts.get(index, 0) + 1
-        if self.attempts[index] > self.max_retries:
-            if self.stats is not None:
-                self.stats.jobs_failed += 1
-            logger.error(
-                "placement %d failed permanently after %d attempts (%s); "
-                "continuing the sweep without it",
-                index, self.attempts[index], reason,
-            )
-            return
-        if self.stats is not None:
-            self.stats.jobs_retried += 1
-        logger.warning(
-            "placement %d attempt %d failed (%s); retrying",
-            index, self.attempts[index], reason,
-        )
-        if self.backoff_base > 0:
-            self.sleep(self.backoff_base * 2 ** (self.attempts[index] - 1))
-        self.queue.append(job)
-
-
-def _run_jobs_serial(tracker: _JobTracker) -> None:
-    """In-process execution with bounded retries.
-
-    A hard worker crash (``os._exit``) cannot be isolated without a
-    subprocess; serial mode only guards against exceptions.
-    """
-    while tracker.queue:
-        job = tracker.queue.pop(0)
-        try:
-            result = job.run()
-        except Exception as exc:
-            tracker.charge_failure(job, f"{type(exc).__name__}: {exc}")
-            continue
-        tracker.accept(result)
-
-
-def _rebuild_pool(
-    pool: ProcessPoolExecutor, n_workers: int
-) -> ProcessPoolExecutor:
-    """Replace a broken or clogged pool, reclaiming its worker processes.
-
-    ``shutdown(wait=True)`` would join workers that may be stuck in an
-    endless placement, so the processes are terminated first.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-    return ProcessPoolExecutor(max_workers=n_workers)
-
-
-def _run_jobs_parallel(
-    tracker: _JobTracker, n_workers: int, job_timeout: Optional[float]
-) -> None:
-    """Crash-isolating, deadline-enforcing ProcessPoolExecutor loop.
-
-    A dead worker breaks the whole pool and fails every in-flight
-    future, so blame needs care: when more than one job was in flight,
-    all of them are re-run one at a time (``isolate``) — an innocent
-    job simply completes, and the culprit crashes alone, which is when
-    its retry budget is charged.  A pool that breaks before a submit
-    is handled alike, and the refused job stays queued, uncharged.  A
-    job that exceeds ``job_timeout`` is charged immediately and its
-    stuck worker is reclaimed by rebuilding the pool; the other
-    in-flight jobs are re-submitted uncharged.
-    """
-    stats = tracker.stats
-    pool = ProcessPoolExecutor(max_workers=n_workers)
-    in_flight: Dict[object, Tuple[PlacementJob, Optional[float]]] = {}
-    isolate: List[PlacementJob] = []
-
-    def submit_head(queue: List[PlacementJob]) -> None:
-        # The job leaves its queue only once the pool has accepted it.
-        future = pool.submit(_execute_placement_job, queue[0])
-        deadline = time.monotonic() + job_timeout if job_timeout else None
-        in_flight[future] = (queue.pop(0), deadline)
-
-    def pool_broke() -> None:
-        # The pool is unusable and every in-flight future is doomed; move
-        # those jobs to the isolation queue (uncharged), start a new pool.
-        nonlocal pool
-        if stats is not None:
-            stats.jobs_crashed += 1
-        isolate.extend(job for job, _deadline in in_flight.values())
-        in_flight.clear()
-        pool = _rebuild_pool(pool, n_workers)
-
-    try:
-        while tracker.queue or isolate or in_flight:
-            try:
-                if isolate:
-                    if not in_flight:
-                        submit_head(isolate)
-                else:
-                    while tracker.queue and len(in_flight) < n_workers:
-                        submit_head(tracker.queue)
-            except BrokenProcessPool:
-                # A worker died after the last wait(): the job that could
-                # not be submitted stays at the head of its queue.
-                pool_broke()
-                continue
-            deadlines = [d for (_, d) in in_flight.values() if d is not None]
-            wait_timeout = (
-                max(0.0, min(deadlines) - time.monotonic())
-                if deadlines
-                else None
-            )
-            done, _ = wait(
-                set(in_flight), timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-            broken = False
-            for future in done:
-                job, _deadline = in_flight.pop(future)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    if len(done) == 1 and not in_flight:
-                        # The job was alone in flight: it is the culprit.
-                        tracker.charge_failure(job, "worker process died")
-                    else:
-                        isolate.append(job)
-                except Exception as exc:
-                    tracker.charge_failure(
-                        job, f"{type(exc).__name__}: {exc}"
-                    )
-                else:
-                    tracker.accept(result)
-            if broken:
-                pool_broke()
-                continue
-            # Enforce deadlines on whatever is still running.
-            now = time.monotonic()
-            expired = [
-                (future, job)
-                for future, (job, deadline) in in_flight.items()
-                if deadline is not None and now >= deadline and not future.done()
-            ]
-            if expired:
-                # The stuck workers can only be reclaimed by rebuilding
-                # the pool; innocent in-flight jobs are re-queued
-                # without touching their retry budget.
-                for future, job in expired:
-                    del in_flight[future]
-                    if stats is not None:
-                        stats.jobs_timed_out += 1
-                    tracker.charge_failure(
-                        job,
-                        str(
-                            JobTimeoutError(
-                                f"placement {job.placement_index} exceeded "
-                                f"its {job_timeout:g}s wall-clock budget"
-                            )
-                        ),
-                    )
-                for future, (job, _deadline) in list(in_flight.items()):
-                    if not future.done():
-                        tracker.queue.insert(0, job)
-                    else:
-                        # Completed in the window between wait() and now.
-                        try:
-                            tracker.accept(future.result())
-                        except Exception as exc:
-                            tracker.charge_failure(
-                                job, f"{type(exc).__name__}: {exc}"
-                            )
-                in_flight.clear()
-                pool = _rebuild_pool(pool, n_workers)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    if n_workers == 1:
+        yield from map(_execute_placement_job, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        yield from pool.map(_execute_placement_job, jobs)
 
 
 def _callable_key(fn: Optional[Callable]):
@@ -1062,12 +841,8 @@ def run_kind_batch(
     validation: Optional[str] = None,
     workers: int = 1,
     stats: Optional[RunnerStats] = None,
-    job_timeout: Optional[float] = None,
-    max_job_retries: int = DEFAULT_MAX_JOB_RETRIES,
-    retry_backoff_seconds: float = DEFAULT_RETRY_BACKOFF_SECONDS,
     journal: Union[RunJournal, str, Path, None] = None,
     resume: bool = False,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Dict[str, List[RunRecord]]:
     """Run the paper's standard batch: placements × failures per kind.
 
@@ -1084,24 +859,21 @@ def run_kind_batch(
 
     ``workers`` selects the execution backend: ``1`` (default) runs the
     placements serially in-process, ``0`` uses every core, and ``n > 1``
-    fans the placement jobs out over a ``ProcessPoolExecutor``.  Results
+    maps the placement jobs over a ``ProcessPoolExecutor``.  Results
     are merged in placement order, so the record lists are bit-identical
     to a serial run.  Callables must be picklable for ``workers != 1``
-    (see :mod:`repro.experiments.jobs`); unpicklable batches fall back to
-    serial execution with a warning.  ``stats`` (a :class:`RunnerStats`)
-    is populated with per-placement accounting when given.
+    (see :mod:`repro.experiments.jobs`).  ``stats`` (a
+    :class:`RunnerStats`) is populated with per-placement accounting
+    when given.
 
-    Resilience knobs: ``job_timeout`` bounds each placement's wall clock
-    (parallel backend only — serial mode cannot pre-empt itself, and a
-    batch that runs serially logs a warning that the timeout is ignored);
-    ``max_job_retries`` re-runs a crashed/timed-out/raising placement
-    with exponential backoff (``retry_backoff_seconds * 2**k``) before
-    dropping it; a worker death fails at most the placements it was
-    running, never the sweep.  ``journal`` (a path or a
-    :class:`~repro.experiments.journal.RunJournal`) appends every
-    completed placement to disk; ``resume=True`` replays completed
-    placements from it and executes only the missing ones — merged
-    output is bit-identical to an uninterrupted run.
+    Each placement runs once, in placement order; the first placement
+    that raises stops the batch with its own exception.  ``journal`` (a
+    path or a :class:`~repro.experiments.journal.RunJournal`) appends
+    every completed placement to disk as it is accepted, so after a
+    failure it holds exactly the placements before the failing one;
+    ``resume=True`` replays completed placements from it and executes
+    only the missing ones — merged output is bit-identical to an
+    uninterrupted run.
     """
     jobs = build_placement_jobs(
         topo_factory,
@@ -1143,49 +915,26 @@ def run_kind_batch(
         }
         journal = RunJournal(journal, fingerprint)
 
-    n_workers = resolve_workers(workers, len(jobs))
-    if n_workers > 1 and not _jobs_picklable(jobs):
-        logger.warning(
-            "placement jobs are not picklable (lambda callables?); "
-            "falling back to serial execution — use the callables in "
-            "repro.experiments.jobs to enable workers=%d",
-            n_workers,
-        )
-        if stats is not None:
-            stats.serial_fallbacks += 1
-        n_workers = 1
-    if job_timeout and n_workers == 1:
-        logger.warning(
-            "job_timeout=%gs is ignored: the batch runs serially, and the "
-            "serial backend cannot pre-empt a placement",
-            job_timeout,
-        )
-
-    tracker = _JobTracker(
-        jobs, max_job_retries, retry_backoff_seconds, stats, journal, sleep
-    )
+    results: Dict[int, PlacementResult] = {}
     if resume and journal is not None:
-        completed = journal.load_completed()
-        if completed:
-            tracker.queue = [
-                job for job in jobs
-                if job.placement_index not in completed
-            ]
-            tracker.results.update(completed)
-            if stats is not None:
-                stats.placements_resumed += len(completed)
+        results = journal.load_completed()
+        if stats is not None:
+            stats.placements_resumed += len(results)
+        if results:
             logger.info(
                 "resumed %d completed placements from %s; %d to run",
-                len(completed), journal.path, len(tracker.queue),
+                len(results), journal.path, len(jobs) - len(results),
             )
-    if n_workers > 1:
-        _run_jobs_parallel(tracker, n_workers, job_timeout)
-    else:
-        _run_jobs_serial(tracker)
+    n_workers = resolve_workers(workers, len(jobs))
+    pending = [job for job in jobs if job.placement_index not in results]
+    for result in _placement_results(pending, n_workers):
+        results[result.placement_index] = result
+        if journal is not None:
+            journal.append(result)
 
     records: Dict[str, List[RunRecord]] = {kind: [] for kind in kinds}
-    for index in sorted(tracker.results):
-        result = tracker.results[index]
+    for index in sorted(results):
+        result = results[index]
         for kind in kinds:
             records[kind].extend(result.records[kind])
         if stats is not None:

@@ -1,7 +1,10 @@
 """Edge cases and error-path coverage across small modules."""
 
+import pickle
+
 import pytest
 
+from repro import errors
 from repro.errors import (
     AddressingError,
     ConvergenceError,
@@ -34,6 +37,23 @@ class TestErrorHierarchy:
 
     def test_convergence_is_a_routing_error(self):
         assert issubclass(ConvergenceError, RoutingError)
+
+    @pytest.mark.parametrize("name", errors.__all__)
+    def test_survives_pickling(self, name):
+        """A process pool pickles the error a worker raises: the parent
+        must get the same type, message and fields back."""
+        if name == "ValidationError":
+            error = errors.ValidationError(
+                "trace-loop", "probe 10.0.0.1->10.0.9.2 [post]", "hop 3"
+            )
+        elif name == "EpisodeOverflowError":
+            error = errors.EpisodeOverflowError("queue full", shard=1)
+        else:
+            error = getattr(errors, name)("boom")
+        restored = pickle.loads(pickle.dumps(error))
+        assert type(restored) is type(error)
+        assert str(restored) == str(error)
+        assert vars(restored) == vars(error)
 
 
 class TestEdgeInputsHelpers:

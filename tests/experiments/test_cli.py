@@ -161,20 +161,41 @@ class TestCorruptionCli:
         assert exit_info.value.code == 2
         assert "--resume needs --journal" in capsys.readouterr().err
 
-    def test_job_timeout_on_the_serial_backend_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            repro_main(
-                [
-                    "degradation", "--rates", "0", "--placements", "1",
-                    "--failures", "1", "--sensors", "6",
-                    "--job-timeout", "0.001",
-                ]
-            )
-        assert exit_info.value.code == 2
-        assert "--job-timeout needs --workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_strict_sweep_over_corrupt_data_exits_2(self, workers, capsys):
+        """The first placement's strict check stops the sweep, in-process
+        or in a worker, with its own one-line error."""
+        code = repro_main(
+            [
+                "degradation", "--corrupt", "--validation", "strict",
+                "--rates", "0.5", "--placements", "2", "--failures", "2",
+                "--sensors", "6", "--workers", workers,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invariant 'trace-dup' violated by probe "
+            "10.11.191.254->10.12.127.254 [pre]: hop 10 repeats 10.1.160.1"
+        ]
 
 
 class TestDegradationJournal:
+    def test_interrupt_names_the_resume_command(self, monkeypatch, capsys):
+        from repro.experiments.figures import degradation
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(degradation, "run", interrupt)
+        code = repro_main(
+            ["degradation", "--rates", "0", "--journal", "sweep.journal"]
+        )
+        assert code == 130
+        assert (
+            "resume with: python -m repro degradation ... "
+            "--journal sweep.journal --resume"
+        ) in capsys.readouterr().err
+
     def test_another_runs_journal_is_refused_before_the_batch(
         self, tmp_path, capsys
     ):

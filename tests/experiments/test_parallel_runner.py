@@ -107,16 +107,6 @@ class TestParallelEquivalence:
         assert parallel_stats.workers == 3
         assert len(parallel_stats.per_placement) == SMALL_BATCH["placements"]
 
-    def test_unpicklable_jobs_fall_back_to_serial(self, serial_records, caplog):
-        batch = dict(SMALL_BATCH)
-        batch["asx_selector"] = lambda topo, rng: topo.core_asns[0]
-        # The lambda changes nothing semantically (CoreAsx() does the
-        # same), so the fallback must reproduce the serial records.
-        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
-            records = run_kind_batch(**batch, workers=3)
-        assert records == serial_records
-        assert any("not picklable" in message for message in caplog.messages)
-
 
 @pytest.mark.slow
 def test_workers2_identical_on_full_research_internet():

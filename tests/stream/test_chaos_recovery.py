@@ -9,7 +9,14 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.stream import ReplayConfig, make_replay_setup, run_stream_replay
+from repro.stream import (
+    ReplayConfig,
+    build_event_log,
+    make_replay_setup,
+    run_replay,
+    run_stream_replay,
+)
+from repro.stream.replay import build_engine
 
 SETUP_ARGS = dict(seed=7, n_sensors=6)
 CHAOS_CONFIG = ReplayConfig(
@@ -89,16 +96,33 @@ class TestChaosCompletion:
         assert calm.supervision is None
         assert ingest == calm.ingest_counters
 
-    def test_recoveries_leave_nothing_dark_at_flush(self, chaos_result):
-        counters = chaos_result.supervision["counters"]
-        recoveries = chaos_result.supervision["ticks_to_recover"]
-        assert len(recoveries) == counters["recoveries"]
-        assert all(ticks >= 0 for ticks in recoveries)
-        # Buffered events were all folded back (or dead-lettered).
-        assert counters["events_buffered"] >= 0
-        assert chaos_result.supervision["dead_letters"] == (
-            counters["events_dead_lettered"]
-        )
+    def test_recoveries_leave_nothing_dark_at_flush(self):
+        """Every shard that crashed or stalled is running again once the
+        stream is flushed, on the clean and on the corrupted log."""
+        for config in (CHAOS_CONFIG, CORRUPT_CHAOS_CONFIG):
+            setup = make_replay_setup(**SETUP_ARGS)
+            engine = build_engine(
+                dict(
+                    asn_of=setup.session.sim.mapper.asn_of,
+                    diagnosers=setup.diagnosers,
+                    asx=setup.asx,
+                ),
+                seed=config.seed,
+                chaos_rate=config.chaos_rate,
+            )
+            run_replay(build_event_log(setup, config), engine)
+            supervision = engine.supervision_stats()
+            counters = supervision["counters"]
+            assert counters["shard_crashes"] > 0 and counters["shard_stalls"] > 0
+            recoveries = supervision["ticks_to_recover"]
+            assert len(recoveries) == counters["recoveries"]
+            assert all(ticks >= 0 for ticks in recoveries)
+            assert supervision["dead_letters"] == (
+                counters["events_dead_lettered"]
+            )
+            assert [
+                engine.supervisor.status(shard.index) for shard in engine.shards
+            ] == ["running"] * len(engine.shards), config
 
 
 class TestChaosDeterminism:
