@@ -925,8 +925,8 @@ def run_kind_batch(
                 "resumed %d completed placements from %s; %d to run",
                 len(results), journal.path, len(jobs) - len(results),
             )
-    n_workers = resolve_workers(workers, len(jobs))
     pending = [job for job in jobs if job.placement_index not in results]
+    n_workers = resolve_workers(workers, len(pending))
     for result in _placement_results(pending, n_workers):
         results[result.placement_index] = result
         if journal is not None:

@@ -272,19 +272,9 @@ class FaultConfig:
             if field.name != "lg_query_budget"
         ) or bool(self.lg_query_budget)
 
-    _CHAOS_FIELDS = (
-        "shard_crash_rate",
-        "shard_stall_rate",
-        "slow_shard_rate",
-    )
-
     def any_corruption(self) -> bool:
         """True when at least one corruption mode can fire."""
         return any(getattr(self, name) for name in self._CORRUPTION_FIELDS)
-
-    def any_chaos(self) -> bool:
-        """True when at least one service-chaos mode can fire."""
-        return any(getattr(self, name) for name in self._CHAOS_FIELDS)
 
 
 class FaultPlan:

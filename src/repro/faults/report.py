@@ -161,16 +161,6 @@ class DegradationReport(DegradationCounters):
         self.degraded_diagnoses += 1
         self.diagnoser_errors[label] = self.diagnoser_errors.get(label, 0) + 1
 
-    def merge(self, other: "DegradationReport") -> None:
-        """Fold another report's counters into this one."""
-        add_counters(self, other)
-        for label, count in other.diagnoser_errors.items():
-            self.diagnoser_errors[label] = (
-                self.diagnoser_errors.get(label, 0) + count
-            )
-        for message in other.notes:
-            self.note(message)
-
     def as_dict(self) -> Dict[str, int]:
         """Flat counter snapshot."""
         return {name: getattr(self, name) for name in RUN_COUNTERS}

@@ -3,8 +3,9 @@
 The batch pipeline screens whole rounds at snapshot-assembly time
 (:meth:`repro.validate.Validator.screen_store`); a stream cannot wait
 for a round to complete.  :class:`StreamIngestor` screens each event the
-moment it arrives, under the same three policies — ``strict`` raises the
-same :class:`~repro.errors.ValidationError`, ``repair`` applies the same
+moment it arrives and hands every violating record to the same
+:class:`~repro.validate.Validator` policy — ``strict`` raises the
+typed :class:`~repro.errors.ValidationError`, ``repair`` applies the
 canonical fixups, ``quarantine`` drops the record — so a corrupted
 observation never reaches the window, the episode detector, or a
 diagnoser.
@@ -14,14 +15,16 @@ Their verdict is a pure function of the path content (the ingestor's
 mapper and epochs are fixed), and a quiet stream repeats the same
 traceroutes round after round, so each distinct path is checked once and
 its verdict memoised; every event is still counted and every violation
-still reported and handled.  Control-plane events are screened against
-the feed invariants *per-message* (a duplicate of an already-ingested
-message, or a message whose feed sequence runs backwards per feed kind,
-is a violation).  Heartbeats, dropouts and bare reachability bits have
-no invariants to lie about and always pass.
+still handed to the policy.  Control-plane messages pass one
+:class:`~repro.validate.FeedScreen` per feed kind, the batch
+quarantine's admission rule kept for the whole run: a duplicate of an
+already-ingested message, or one whose feed sequence runs backwards, is
+dropped.  Heartbeats, dropouts and bare reachability bits have no
+invariants to lie about and always pass.
 
-Accounting lands on the shared :class:`~repro.validate.ValidationReport`
-so the stream CLI renders the same counters as the batch runner.
+Every decision is counted on the validator's
+:class:`~repro.faults.DegradationReport`; :meth:`StreamIngestor.counters`
+reads the stream report's ingest line off it.
 """
 
 from __future__ import annotations
@@ -36,15 +39,8 @@ from repro.stream.events import (
     StreamEvent,
     WithdrawalEvent,
 )
-from repro.validate import (
-    POLICIES,
-    REPAIR,
-    TRACE_EPOCH,
-    Validator,
-    check_probe_path,
-    repair_probe_path,
-)
-from repro.validate.invariants import FEED_DUP, FEED_ORDER, Violation
+from repro.validate import POLICIES, FeedScreen, Validator, check_probe_path
+from repro.validate.invariants import Violation
 
 __all__ = ["StreamIngestor"]
 
@@ -77,25 +73,14 @@ class StreamIngestor:
             )
         self.asn_of = asn_of
         self.expected_epochs = tuple(expected_epochs)
-        # Reuse the batch Validator for its policy dispatch + accounting;
-        # the per-event screening below feeds its bookkeeping hooks.
         self.validator = Validator(policy=policy)
         self.events_screened = 0
-        self.events_quarantined = 0
-        self.events_repaired = 0
-        # Per-feed-kind dedup/ordering state, mirroring check_feed but
-        # incrementally: observations seen so far and highest seq.
-        self._feed_seen: Dict[str, set] = {"igp": set(), "bgp": set()}
-        self._feed_highest: Dict[str, Optional[int]] = {"igp": None, "bgp": None}
+        self._feeds = {"igp": FeedScreen(), "bgp": FeedScreen()}
         self._verdicts: Dict[ProbePath, Tuple[Violation, ...]] = {}
 
     @property
     def policy(self) -> str:
         return self.validator.policy
-
-    @property
-    def report(self):
-        return self.validator.report
 
     def ingest(self, event: StreamEvent) -> Optional[StreamEvent]:
         """Screen one event.
@@ -133,62 +118,36 @@ class StreamIngestor:
         violations = self._verdict(path)
         if not violations:
             return event
-        self.validator._found(violations)  # raises under strict
-        stale = any(v.invariant == TRACE_EPOCH for v in violations)
-        report = self.validator.report
-        if stale:
-            report.stale_rounds_dropped += 1
-            report.record_quarantine(TRACE_EPOCH)
-            self.events_quarantined += 1
+        screened = self.validator.screen_path(path, violations, self.asn_of)
+        if screened is None:
             return None
-        if self.policy == REPAIR:
-            repaired, fixups = repair_probe_path(path, self.asn_of)
-            report.traces_repaired += 1
-            for fixup in fixups:
-                report.record_repair(fixup)
-            self.events_repaired += 1
-            return ProbeEvent(tick=event.tick, seq=event.seq, path=repaired)
-        report.traces_quarantined += 1
-        report.record_quarantine(violations[0].invariant)
-        self.events_quarantined += 1
-        return None
+        return ProbeEvent(tick=event.tick, seq=event.seq, path=screened)
 
     # ---- control-plane feeds
 
     def _ingest_feed(self, event, kind: str, observation) -> Optional[StreamEvent]:
-        """Incremental FEED_DUP / FEED_ORDER screening for one message.
+        """Admit one feed message, or drop it.
 
         A stream has no "whole feed" to sort, so ``repair`` degrades to
         ``quarantine`` here: dropping the out-of-order duplicate *is*
         the canonical incremental fixup (re-sorting history would mean
         rewriting already-consumed events).
         """
-        seq = getattr(observation, "seq", None)
-        sequenced = seq is not None and seq >= 0
-        highest = self._feed_highest[kind]
-        if observation in self._feed_seen[kind]:
-            invariant, detail = FEED_DUP, "duplicate feed message"
-        elif sequenced and highest is not None and seq < highest:
-            invariant = FEED_ORDER
-            detail = f"sequence ran backwards ({highest} -> {seq})"
-        else:
-            self._feed_seen[kind].add(observation)
-            if sequenced:
-                self._feed_highest[kind] = seq
+        dropped = self._feeds[kind].admit(observation)
+        if dropped is None:
             return event
-        record = f"{kind} feed message seq={seq}"
-        # Raises under strict.
-        self.validator._found([Violation(invariant, record, detail)])
-        report = self.validator.report
-        report.feed_messages_quarantined += 1
-        report.record_quarantine(invariant)
-        self.events_quarantined += 1
+        invariant, detail = dropped
+        record = f"{kind} feed message seq={getattr(observation, 'seq', None)}"
+        self.validator.drop_feed_message(Violation(invariant, record, detail))
         return None
 
     def counters(self) -> Dict[str, int]:
-        """Ingest accounting for the stream report."""
+        """Ingest accounting for the stream report, read off the ledger."""
+        ledger = self.validator.degradation
         return {
             "events_screened": self.events_screened,
-            "events_quarantined": self.events_quarantined,
-            "events_repaired": self.events_repaired,
+            "events_quarantined": ledger.stale_rounds_dropped
+            + ledger.traces_quarantined
+            + ledger.feed_messages_quarantined,
+            "events_repaired": ledger.traces_repaired,
         }

@@ -11,8 +11,14 @@ one of three per-run policies:
 * :data:`STRICT` — raise :class:`~repro.errors.ValidationError` naming
   record and invariant;
 * :data:`REPAIR` — apply the canonical deterministic fixups of
-  :mod:`repro.validate.repair`, with per-fixup accounting;
+  :mod:`repro.validate.repair`;
 * :data:`QUARANTINE` — drop offending records and diagnose best-effort.
+
+Each decision is counted once, on the validator's
+:class:`~repro.faults.DegradationReport`.  The stream's ingestor hands
+every violating record to the same :class:`Validator` policy, and
+admits feed messages through the same :class:`FeedScreen` as the batch
+quarantine.
 
 The corruption modes that exercise this layer live in
 :mod:`repro.faults` (:data:`~repro.faults.CORRUPTION_MODES`), driven by
@@ -22,6 +28,7 @@ serial sweeps corrupt — and screen — bit-identically.
 
 from repro.validate.engine import (
     POLICIES,
+    FeedScreen,
     QUARANTINE,
     REPAIR,
     STRICT,
@@ -46,13 +53,13 @@ from repro.validate.invariants import (
     check_rounds,
 )
 from repro.validate.repair import repair_feed, repair_probe_path
-from repro.validate.report import ValidationReport
 
 __all__ = [
     "POLICIES",
     "STRICT",
     "REPAIR",
     "QUARANTINE",
+    "FeedScreen",
     "Validator",
     "INVARIANTS",
     "TRACE_DUP",
@@ -72,5 +79,4 @@ __all__ = [
     "check_rounds",
     "repair_feed",
     "repair_probe_path",
-    "ValidationReport",
 ]

@@ -1,9 +1,10 @@
 """The validation policy engine: strict, repair, or quarantine.
 
 A :class:`Validator` is created per diagnosis run and threaded through
-the collector seams (snapshot assembly, control-plane feed, LG lookups).
-Every screened record either passes, is canonically repaired, or is
-dropped — according to one policy for the whole run:
+the collector seams (snapshot assembly, control-plane feed, LG lookups);
+the stream's :class:`~repro.stream.ingest.StreamIngestor` keeps one for
+its whole life.  Every screened record either passes, is canonically
+repaired, or is dropped — according to one policy for the whole run:
 
 * ``strict`` — raise a typed :class:`~repro.errors.ValidationError`
   naming the record and the invariant.  For CI and for debugging a
@@ -13,13 +14,12 @@ dropped — according to one policy for the whole run:
   repair (a stale epoch tag, an LG answer from the wrong table) are
   quarantined instead.
 * ``quarantine`` — drop every offending record and diagnose
-  best-effort on what remains, like PR 3's omission handling.
+  best-effort on what remains, as the collector does with omissions.
 
-Every decision is counted on the validator's
-:class:`~repro.validate.report.ValidationReport` and, when one is
-attached, eagerly on the run's
-:class:`~repro.faults.DegradationReport` — the totals travel the
-existing RunnerStats path and surface in ``-- runner stats``.
+Every decision is counted once, on the validator's
+:class:`~repro.faults.DegradationReport` — the run's own when one is
+given, so the totals travel the existing RunnerStats path and surface
+in ``-- runner stats``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.core.pathset import PathStore, ProbePath
 from repro.errors import MeasurementError, ValidationError
 from repro.faults import DegradationReport
 from repro.validate.invariants import (
-    LG_PATH,
+    FEED_DUP,
+    FEED_ORDER,
     TRACE_EPOCH,
     Violation,
     check_feed,
@@ -39,14 +40,39 @@ from repro.validate.invariants import (
     check_rounds,
 )
 from repro.validate.repair import repair_feed, repair_probe_path
-from repro.validate.report import ValidationReport
 
-__all__ = ["STRICT", "REPAIR", "QUARANTINE", "POLICIES", "Validator"]
+__all__ = ["STRICT", "REPAIR", "QUARANTINE", "POLICIES", "FeedScreen", "Validator"]
 
 STRICT = "strict"
 REPAIR = "repair"
 QUARANTINE = "quarantine"
 POLICIES = (STRICT, REPAIR, QUARANTINE)
+
+
+class FeedScreen:
+    """Admission of one feed's messages, one at a time.
+
+    A message is dropped when it repeats an admitted one, or when it is
+    sequenced (``seq >= 0``) below the highest admitted ``seq``.
+    """
+
+    def __init__(self) -> None:
+        self.seen = set()
+        self.highest: Optional[int] = None
+
+    def admit(self, message) -> Optional[Tuple[str, str]]:
+        """``None`` when ``message`` is admitted, else why it is dropped:
+        an ``(invariant, detail)`` pair."""
+        if message in self.seen:
+            return FEED_DUP, "duplicate feed message"
+        seq = getattr(message, "seq", -1)
+        sequenced = seq is not None and seq >= 0
+        if sequenced and self.highest is not None and seq < self.highest:
+            return FEED_ORDER, f"sequence ran backwards ({self.highest} -> {seq})"
+        self.seen.add(message)
+        if sequenced:
+            self.highest = seq
+        return None
 
 
 class Validator:
@@ -63,21 +89,43 @@ class Validator:
                 f"expected one of {', '.join(POLICIES)}"
             )
         self.policy = policy
-        self.degradation = degradation
-        self.report = ValidationReport(policy)
-
-    # ---- shared bookkeeping
+        self.degradation = (
+            DegradationReport() if degradation is None else degradation
+        )
 
     def _found(self, violations: Sequence[Violation]) -> None:
         """Record detections (and raise, under strict)."""
-        self.report.record_violations(violations)
-        if self.degradation is not None:
-            self.degradation.invariant_violations += len(violations)
+        self.degradation.invariant_violations += len(violations)
         if self.policy == STRICT and violations:
             first = violations[0]
             raise ValidationError(first.invariant, first.record, first.detail)
 
     # ---- probe paths / measurement rounds
+
+    def screen_path(
+        self,
+        path: ProbePath,
+        violations: Sequence[Violation],
+        asn_of: Callable[[str], Optional[int]],
+    ) -> Optional[ProbePath]:
+        """Apply the policy to one probe path and its (non-empty)
+        ``violations``.
+
+        Returns the path to keep — repaired under ``repair`` — or
+        ``None`` when it is dropped.
+        """
+        self._found(violations)
+        if any(v.invariant == TRACE_EPOCH for v in violations):
+            # No sound repair for a record from the wrong epoch:
+            # quarantined under every non-strict policy.
+            self.degradation.stale_rounds_dropped += 1
+            self.degradation.note("stale measurement round detected")
+            return None
+        if self.policy == REPAIR:
+            self.degradation.traces_repaired += 1
+            return repair_probe_path(path, asn_of)
+        self.degradation.traces_quarantined += 1
+        return None
 
     def screen_store(
         self,
@@ -94,34 +142,11 @@ class Validator:
         changed = False
         for path in store.paths():
             violations = check_probe_path(path, asn_of, expected_epoch)
-            if not violations:
+            if violations:
+                changed = True
+                path = self.screen_path(path, violations, asn_of)
+            if path is not None:
                 kept.append(path)
-                continue
-            self._found(violations)
-            changed = True
-            stale = any(v.invariant == TRACE_EPOCH for v in violations)
-            if stale:
-                # No sound repair for a record from the wrong epoch:
-                # quarantined under every non-strict policy.
-                self.report.stale_rounds_dropped += 1
-                self.report.record_quarantine(TRACE_EPOCH)
-                if self.degradation is not None:
-                    self.degradation.stale_rounds_dropped += 1
-                    self.degradation.note("stale measurement round detected")
-                continue
-            if self.policy == REPAIR:
-                repaired, fixups = repair_probe_path(path, asn_of)
-                self.report.traces_repaired += 1
-                for fixup in fixups:
-                    self.report.record_repair(fixup)
-                if self.degradation is not None:
-                    self.degradation.traces_repaired += 1
-                kept.append(repaired)
-            else:
-                self.report.traces_quarantined += 1
-                self.report.record_quarantine(violations[0].invariant)
-                if self.degradation is not None:
-                    self.degradation.traces_quarantined += 1
         if not changed:
             return store
         rebuilt = PathStore()
@@ -153,11 +178,9 @@ class Validator:
                 continue
             new_before.add(before.get(pair))
             new_after.add(after.get(pair))
-        discarded = len(
+        self.degradation.pairs_discarded += len(
             set(before.pairs()) | set(after.pairs())
         ) - len(new_before)
-        if self.degradation is not None:
-            self.degradation.pairs_discarded += discarded
         return new_before, new_after
 
     # ---- control-plane feed streams
@@ -169,36 +192,18 @@ class Validator:
             return tuple(messages)
         self._found(violations)
         if self.policy == REPAIR:
-            repaired, fixups = repair_feed(messages)
-            affected = len(violations)
-            self.report.feed_messages_repaired += affected
-            for fixup in fixups:
-                self.report.record_repair(fixup)
-            if self.degradation is not None:
-                self.degradation.feed_messages_repaired += affected
-            return repaired
-        kept = []
-        seen = set()
-        highest = None
-        dropped = 0
-        for message in messages:
-            seq = getattr(message, "seq", -1)
-            sequenced = seq is not None and seq >= 0
-            if message in seen or (
-                sequenced and highest is not None and seq < highest
-            ):
-                dropped += 1
-                continue
-            seen.add(message)
-            if sequenced:
-                highest = seq
-            kept.append(message)
-        self.report.feed_messages_quarantined += dropped
-        for violation in violations:
-            self.report.record_quarantine(violation.invariant)
-        if self.degradation is not None:
-            self.degradation.feed_messages_quarantined += dropped
-        return tuple(kept)
+            self.degradation.feed_messages_repaired += len(violations)
+            return repair_feed(messages)
+        screen = FeedScreen()
+        kept = tuple(m for m in messages if screen.admit(m) is None)
+        self.degradation.feed_messages_quarantined += len(messages) - len(kept)
+        return kept
+
+    def drop_feed_message(self, violation: Violation) -> None:
+        """Count one feed message a :class:`FeedScreen` did not admit
+        (raises under strict)."""
+        self._found((violation,))
+        self.degradation.feed_messages_quarantined += 1
 
     # ---- Looking Glass answers
 
@@ -214,7 +219,7 @@ class Validator:
         There is no sound repair for a stale Looking Glass answer (the
         true current path is simply unknown), so both non-strict
         policies quarantine: to ND-LG the AS looks like one with no
-        public Looking Glass — exactly how PR 3 degrades a flaky LG.
+        public Looking Glass — exactly how a flaky LG degrades.
         """
         if path is None:
             return None
@@ -222,8 +227,5 @@ class Validator:
         if not violations:
             return path
         self._found(violations)
-        self.report.lg_paths_quarantined += 1
-        self.report.record_quarantine(LG_PATH)
-        if self.degradation is not None:
-            self.degradation.lg_paths_quarantined += 1
+        self.degradation.lg_paths_quarantined += 1
         return None

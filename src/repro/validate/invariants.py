@@ -1,10 +1,9 @@
 """Typed invariants over diagnosis inputs, and their checkers.
 
 Every invariant has a stable string id (``trace-loop``, ``feed-order``,
-...) used three ways: naming the violation in a strict-mode
-:class:`~repro.errors.ValidationError`, keying the per-fixup accounting
-of the :class:`~repro.validate.report.ValidationReport`, and labelling
-rows of the policy matrix in ``docs/robustness.md``.  Checkers are pure
+...) used two ways: naming the violation in a strict-mode
+:class:`~repro.errors.ValidationError`, and labelling rows of the
+policy matrix in ``docs/robustness.md``.  Checkers are pure
 functions returning :class:`Violation` tuples — policy (raise, repair,
 drop) lives in :mod:`repro.validate.engine`, not here.
 

@@ -3,9 +3,8 @@
 Repairs are pure functions of the record and the IP-to-AS mapping — no
 randomness, no ambient state — so a repaired sweep is reproducible and
 ``repair`` is idempotent (``repair(repair(x)) == repair(x)``, property-
-tested in ``tests/validate/``).  Each repair returns the fixed record
-plus the tuple of invariant ids it actually applied, feeding the
-per-fixup accounting of :class:`~repro.validate.report.ValidationReport`.
+tested in ``tests/validate/``).  Each repair returns the fixed record;
+a probe path that needed no fixing comes back as the input object.
 
 The probe-path pipeline runs in a fixed order chosen so later stages
 cannot re-introduce earlier violations:
@@ -30,22 +29,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.linkspace import Endpoint
 from repro.core.pathset import ProbePath
-from repro.validate.invariants import (
-    FEED_DUP,
-    FEED_ORDER,
-    TRACE_DUP,
-    TRACE_LOOP,
-    TRACE_REACH_BIT,
-    TRACE_UNRESOLVED,
-)
 
 __all__ = ["repair_probe_path", "repair_feed"]
 
 
 def repair_probe_path(
     path: ProbePath, asn_of: Callable[[str], Optional[int]]
-) -> Tuple[ProbePath, Tuple[str, ...]]:
-    """Repair one probe path; returns (fixed path, fixups applied).
+) -> ProbePath:
+    """Repair one probe path.
 
     The returned path satisfies every repairable per-record invariant;
     if nothing needed fixing the input object is returned unchanged.
@@ -53,23 +44,13 @@ def repair_probe_path(
     that confirmed reachability — but it never invents any: every
     surviving hop was reported, in its reported order.
     """
-    fixups: List[str] = []
-    hops: List[Endpoint] = []
-    for index, hop in enumerate(path.hops):
-        if (
-            index > 0
-            and isinstance(hop, str)
-            and asn_of(hop) is None
-        ):
-            if TRACE_UNRESOLVED not in fixups:
-                fixups.append(TRACE_UNRESOLVED)
-            continue
-        hops.append(hop)
+    # Steps 1 and 2: drop unresolvable hops, collapse consecutive repeats.
     collapsed: List[Endpoint] = []
-    for hop in hops:
-        if collapsed and isinstance(hop, str) and hop == collapsed[-1]:
-            if TRACE_DUP not in fixups:
-                fixups.append(TRACE_DUP)
+    for index, hop in enumerate(path.hops):
+        if isinstance(hop, str) and (
+            (index > 0 and asn_of(hop) is None)
+            or (collapsed and hop == collapsed[-1])
+        ):
             continue
         collapsed.append(hop)
     seen = set()
@@ -77,31 +58,20 @@ def repair_probe_path(
     for hop in collapsed:
         if isinstance(hop, str):
             if hop in seen:
-                fixups.append(TRACE_LOOP)
                 break
             seen.add(hop)
         truncated.append(hop)
-    if (path.hops[-1] == path.dst) != path.reached:
-        # The bit lied about the trace as reported — distinct from a
-        # reachability change that is merely a consequence of truncation.
-        fixups.append(TRACE_REACH_BIT)
-    reached = truncated[-1] == path.dst
-    if not fixups:
-        return path, ()
-    return (
-        ProbePath(
-            src=path.src,
-            dst=path.dst,
-            hops=tuple(truncated),
-            reached=reached,
-            epoch=path.epoch,
-        ),
-        tuple(fixups),
+    hops = tuple(truncated)
+    reached = hops[-1] == path.dst
+    if hops == path.hops and reached == path.reached:
+        return path
+    return ProbePath(
+        src=path.src, dst=path.dst, hops=hops, reached=reached, epoch=path.epoch
     )
 
 
-def repair_feed(messages: Sequence) -> Tuple[Tuple, Tuple[str, ...]]:
-    """Repair one feed stream; returns (fixed messages, fixups applied).
+def repair_feed(messages: Sequence) -> Tuple:
+    """Repair one feed stream.
 
     Deduplicates on full-record identity (first occurrence wins) and
     restores monotonic order with a stable sort of the *sequenced*
@@ -109,16 +79,7 @@ def repair_feed(messages: Sequence) -> Tuple[Tuple, Tuple[str, ...]]:
     nothing sound to sort by and keep their arrival positions, exactly
     the subset the ``feed-order`` invariant skips.
     """
-    fixups: List[str] = []
-    seen = set()
-    deduped = []
-    for message in messages:
-        if message in seen:
-            if FEED_DUP not in fixups:
-                fixups.append(FEED_DUP)
-            continue
-        seen.add(message)
-        deduped.append(message)
+    deduped = list(dict.fromkeys(messages))
 
     def sequenced(message) -> bool:
         seq = getattr(message, "seq", -1)
@@ -126,8 +87,6 @@ def repair_feed(messages: Sequence) -> Tuple[Tuple, Tuple[str, ...]]:
 
     slots = [i for i, m in enumerate(deduped) if sequenced(m)]
     ordered = sorted((deduped[i] for i in slots), key=lambda m: m.seq)
-    if any(deduped[i] != m for i, m in zip(slots, ordered)):
-        fixups.append(FEED_ORDER)
-        for i, m in zip(slots, ordered):
-            deduped[i] = m
-    return tuple(deduped), tuple(fixups)
+    for i, m in zip(slots, ordered):
+        deduped[i] = m
+    return tuple(deduped)

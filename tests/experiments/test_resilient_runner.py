@@ -235,6 +235,7 @@ class TestJournalAndResume:
             stats=stats,
         )
         assert stats.placements_resumed == cut
+        assert stats.workers == max(1, min(workers, 3 - cut))
         assert resumed == clean_records
 
     def test_truncated_tail_is_recovered_from(self, tmp_path, clean_records):

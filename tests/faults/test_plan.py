@@ -148,21 +148,3 @@ class TestDegradationReport:
         assert report.degraded_diagnoses == 3
         assert report.diagnoser_errors == {"nd-edge": 2, "tomo": 1}
         assert report.is_degraded()
-
-    def test_merge_sums_counters_and_dedups_notes(self):
-        a, b = DegradationReport(), DegradationReport()
-        a.probes_dropped = 2
-        a.note("control-plane feed outage")
-        b.probes_dropped = 3
-        b.lg_retries = 1
-        b.record_diagnoser_error("tomo")
-        b.note("control-plane feed outage")
-        b.note("failure masked by measurement faults")
-        a.merge(b)
-        assert a.probes_dropped == 5
-        assert a.lg_retries == 1
-        assert a.diagnoser_errors == {"tomo": 1}
-        assert a.notes == [
-            "control-plane feed outage",
-            "failure masked by measurement faults",
-        ]

@@ -4,25 +4,28 @@
 content once and memoises the verdict, and it and
 :func:`~repro.validate.check_probe_path` format a record label only when
 they find a violation.  :class:`ReferenceIngestor` keeps the per-event
-screen they replaced, unchanged: it re-checks every probe event with
-:func:`reference_check_probe_path`, and it and that check label every
-record up front.  The differential tests in ``test_ingest_oracle.py``
-hold the two to the same return values, raised errors, counters and
-reports.
+screen they replaced: it re-checks every probe event with
+:func:`reference_check_probe_path`, it and that check label every
+record up front, and it keeps its own feed duplicate and order state.
+Both ingestors hand every violation to the same
+:meth:`~repro.validate.Validator.screen_path` policy and count on the
+same ledger, so the differential tests in ``test_ingest_oracle.py`` hold
+the memo and the per-event checks to the same return values, raised
+errors, counters and ledgers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.pathset import ProbePath
 from repro.stream.events import ProbeEvent, StreamEvent
 from repro.stream.ingest import StreamIngestor
-from repro.validate import REPAIR, TRACE_EPOCH, repair_probe_path
 from repro.validate.invariants import (
     FEED_DUP,
     FEED_ORDER,
     TRACE_DUP,
+    TRACE_EPOCH,
     TRACE_LOOP,
     TRACE_REACH_BIT,
     TRACE_UNRESOLVED,
@@ -90,9 +93,13 @@ def reference_check_probe_path(
 class ReferenceIngestor(StreamIngestor):
     """A :class:`StreamIngestor` that screens every event afresh."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._seen = {"igp": set(), "bgp": set()}
+        self._highest = {"igp": None, "bgp": None}
+
     def _ingest_probe(self, event: ProbeEvent) -> Optional[ProbeEvent]:
         path = event.path
-        violations: List[Violation] = []
         if path.epoch not in self.expected_epochs:
             violations = reference_check_probe_path(
                 path, self.asn_of, self.expected_epochs[-1]
@@ -101,53 +108,28 @@ class ReferenceIngestor(StreamIngestor):
             violations = reference_check_probe_path(path, self.asn_of, path.epoch)
         if not violations:
             return event
-        self.validator._found(violations)  # raises under strict
-        stale = any(v.invariant == TRACE_EPOCH for v in violations)
-        report = self.validator.report
-        if stale:
-            report.stale_rounds_dropped += 1
-            report.record_quarantine(TRACE_EPOCH)
-            self.events_quarantined += 1
+        screened = self.validator.screen_path(path, violations, self.asn_of)
+        if screened is None:
             return None
-        if self.policy == REPAIR:
-            repaired, fixups = repair_probe_path(path, self.asn_of)
-            report.traces_repaired += 1
-            for fixup in fixups:
-                report.record_repair(fixup)
-            self.events_repaired += 1
-            return ProbeEvent(tick=event.tick, seq=event.seq, path=repaired)
-        report.traces_quarantined += 1
-        report.record_quarantine(violations[0].invariant)
-        self.events_quarantined += 1
-        return None
+        return ProbeEvent(tick=event.tick, seq=event.seq, path=screened)
 
     def _ingest_feed(self, event, kind: str, observation) -> Optional[StreamEvent]:
-        violations: List[Violation] = []
-        record = f"{kind} feed message seq={getattr(observation, 'seq', None)}"
-        if observation in self._feed_seen[kind]:
-            violations.append(
-                Violation(FEED_DUP, record, "duplicate feed message")
-            )
         seq = getattr(observation, "seq", None)
+        record = f"{kind} feed message seq={seq}"
         sequenced = seq is not None and seq >= 0
-        highest = self._feed_highest[kind]
-        if not violations and sequenced and highest is not None and seq < highest:
-            violations.append(
-                Violation(
-                    FEED_ORDER,
-                    record,
-                    f"sequence ran backwards ({highest} -> {seq})",
-                )
+        highest = self._highest[kind]
+        if observation in self._seen[kind]:
+            violation = Violation(FEED_DUP, record, "duplicate feed message")
+        elif sequenced and highest is not None and seq < highest:
+            violation = Violation(
+                FEED_ORDER,
+                record,
+                f"sequence ran backwards ({highest} -> {seq})",
             )
-        if not violations:
-            self._feed_seen[kind].add(observation)
+        else:
+            self._seen[kind].add(observation)
             if sequenced:
-                self._feed_highest[kind] = seq
+                self._highest[kind] = seq
             return event
-        self.validator._found(violations)  # raises under strict
-        report = self.validator.report
-        report.feed_messages_quarantined += 1
-        for violation in violations:
-            report.record_quarantine(violation.invariant)
-        self.events_quarantined += 1
+        self.validator.drop_feed_message(violation)
         return None

@@ -85,16 +85,16 @@ class TestPolicies:
     def test_quarantine_drops_forged_probe(self):
         screen = ingestor(QUARANTINE)
         assert screen.ingest(probe_event([SRC, FORGED, DST])) is None
-        assert screen.events_quarantined == 1
-        assert screen.report.traces_quarantined == 1
+        assert screen.counters()["events_quarantined"] == 1
+        assert screen.validator.degradation.traces_quarantined == 1
 
     def test_repair_fixes_forged_probe(self):
         screen = ingestor(REPAIR)
         admitted = screen.ingest(probe_event([SRC, FORGED, DST]))
         assert admitted is not None
         assert FORGED not in admitted.path.hops
-        assert screen.events_repaired == 1
-        assert screen.report.traces_repaired == 1
+        assert screen.counters()["events_repaired"] == 1
+        assert screen.validator.degradation.traces_repaired == 1
 
     def test_strict_raises_on_forged_probe(self):
         screen = ingestor(STRICT)
@@ -105,8 +105,8 @@ class TestPolicies:
         # A stale replay is not repairable: even under repair it drops.
         screen = ingestor(REPAIR)
         assert screen.ingest(probe_event([SRC, MID, DST], epoch="ancient")) is None
-        assert screen.events_quarantined == 1
-        assert screen.report.stale_rounds_dropped == 1
+        assert screen.counters()["events_quarantined"] == 1
+        assert screen.validator.degradation.stale_rounds_dropped == 1
 
 
 class TestFeedScreening:
@@ -116,13 +116,13 @@ class TestFeedScreening:
         second = withdrawal_event(seq=1, feed_seq=1, prefix="10.0.8.0/24")
         assert screen.ingest(first) is first
         assert screen.ingest(second) is second
-        assert screen.events_quarantined == 0
+        assert screen.counters()["events_quarantined"] == 0
 
     def test_duplicate_message_is_quarantined(self):
         screen = ingestor(QUARANTINE)
         assert screen.ingest(withdrawal_event(seq=0, feed_seq=0)) is not None
         assert screen.ingest(withdrawal_event(seq=1, feed_seq=0)) is None
-        assert screen.report.feed_messages_quarantined == 1
+        assert screen.validator.degradation.feed_messages_quarantined == 1
 
     def test_backwards_sequence_is_quarantined(self):
         screen = ingestor(QUARANTINE)
@@ -138,8 +138,8 @@ class TestFeedScreening:
         screen = ingestor(REPAIR)
         assert screen.ingest(withdrawal_event(seq=0, feed_seq=0)) is not None
         assert screen.ingest(withdrawal_event(seq=1, feed_seq=0)) is None
-        assert screen.events_repaired == 0
-        assert screen.events_quarantined == 1
+        assert screen.counters()["events_repaired"] == 0
+        assert screen.counters()["events_quarantined"] == 1
 
     def test_strict_raises_on_duplicate(self):
         screen = ingestor(STRICT)
@@ -160,4 +160,4 @@ class TestFeedScreening:
         assert screen.ingest(bgp) is bgp
         # IGP seq 0 < BGP seq 4: no cross-feed ordering violation.
         assert screen.ingest(igp) is igp
-        assert screen.events_quarantined == 0
+        assert screen.counters()["events_quarantined"] == 0

@@ -4,8 +4,10 @@ The ingestor checks each distinct path content once and memoises the
 verdict; :class:`~tests.stream.ingest_oracle.ReferenceIngestor` checks
 every event afresh.  On generated event sequences the two must agree
 event by event — return values and raised errors — and on every counter
-and report.  A replay differential holds an event log with interned paths
-to the same outcome as one whose every event carries its own copy.
+and the whole ledger.  A replay differential holds an event log with
+interned paths to the same outcome as one whose every event carries its
+own copy.  A parity test holds the stream's screen of one path to the
+batch's screen of a one-path round.
 """
 
 import copy
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.control_plane import WithdrawalObservation
 from repro.core.linkspace import UhNode
-from repro.core.pathset import EPOCH_POST, EPOCH_PRE, ProbePath
+from repro.core.pathset import EPOCH_POST, EPOCH_PRE, PathStore, ProbePath
 from repro.diagnosers import make_diagnosers
 from repro.errors import ValidationError
 from repro.experiments.runner import make_session
@@ -37,7 +39,7 @@ from repro.stream import (
     save_event_log,
 )
 from repro.stream.replay import build_engine
-from repro.validate import POLICIES
+from repro.validate import POLICIES, Validator
 
 from tests.stream.ingest_oracle import ReferenceIngestor
 
@@ -174,7 +176,7 @@ class TestMemoisedScreeningMatchesReference:
         slow = ingestor(ReferenceIngestor, policy)
         assert screen_all(fast, events) == screen_all(slow, events)
         assert fast.counters() == slow.counters()
-        assert fast.report == slow.report
+        assert fast.validator.degradation == slow.validator.degradation
 
     def test_each_distinct_content_is_checked_once(self):
         route = ("10.0.0.1", "10.0.9.9", ("10.0.1.1", "203.0.113.7"), True)
@@ -186,7 +188,43 @@ class TestMemoisedScreeningMatchesReference:
         assert screen_all(screen, events) == [("ok", None)] * 5
         assert len(screen._verdicts) == 1
         assert screen.counters()["events_quarantined"] == 5
-        assert screen.report.traces_quarantined == 5
+        assert screen.validator.degradation.traces_quarantined == 5
+
+
+def outcome(screen):
+    """``screen()``'s surviving paths, or the fields of its ValidationError."""
+    try:
+        return ("ok", screen())
+    except ValidationError as error:
+        return ("raised", error.invariant, error.record, error.detail)
+
+
+class TestStreamScreenMatchesBatch:
+    @given(
+        route=routes(),
+        epoch=st.sampled_from((EPOCH_PRE, EPOCH_POST)),
+        claims_reached=st.booleans(),
+        policy=st.sampled_from(POLICIES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_path_is_kept_repaired_dropped_or_raised_alike(
+        self, route, epoch, claims_reached, policy
+    ):
+        path = make_path(route, epoch, claims_reached)
+        store = PathStore()
+        store.add(path)
+        batch = Validator(policy)
+        stream = ingestor(StreamIngestor, policy)
+
+        def batch_screen():
+            return list(batch.screen_store(store, asn_of, epoch).paths())
+
+        def stream_screen():
+            admitted = stream.ingest(ProbeEvent(tick=0, seq=0, path=path))
+            return [] if admitted is None else [admitted.path]
+
+        assert outcome(batch_screen) == outcome(stream_screen)
+        assert batch.degradation == stream.validator.degradation
 
 
 SETUP_ARGS = dict(seed=5, n_sensors=6)
@@ -209,9 +247,32 @@ def _replay(log, setup, policy):
         engine.ingest_counters(),
         engine.window_counters(),
         engine.detector_counters(),
-        [shard.ingestor.report for shard in engine.shards],
-        engine.control_ingestor.report,
+        [shard.ingestor.validator.degradation for shard in engine.shards],
+        engine.control_ingestor.validator.degradation,
     )
+
+
+class TestLedgerCountsEachViolation:
+    def test_corrupted_two_shard_replay(self):
+        setup = make_replay_setup(seed=7, n_sensors=6)
+        log = build_event_log(
+            setup,
+            ReplayConfig(
+                kind="link-1", episodes=2, fault_rate=0.2, corrupt=True, seed=7
+            ),
+        )
+        _reports, _counters, ingest, *_rest, shard_ledgers, control_ledger = (
+            _replay(log, setup, "quarantine")
+        )
+        # 207: the summed length of the per-ingestor violation lists the
+        # ledger replaced.
+        ledgers = [*shard_ledgers, control_ledger]
+        assert sum(ledger.invariant_violations for ledger in ledgers) == 207
+        assert ingest == {
+            "events_screened": 308,
+            "events_quarantined": 155,
+            "events_repaired": 0,
+        }
 
 
 def _copied(log):

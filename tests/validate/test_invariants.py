@@ -180,8 +180,8 @@ class TestValidatorPolicies:
         )
         screened = validator.screen_store(store, asn_of, EPOCH_POST)
         assert len(list(screened.paths())) == 1
-        assert validator.report.traces_quarantined == 1
-        assert validator.report.stale_rounds_dropped == 0
+        assert validator.degradation.traces_quarantined == 1
+        assert validator.degradation.stale_rounds_dropped == 0
 
     def test_repair_fixes_in_place_and_counts(self):
         validator = Validator(REPAIR)
@@ -189,8 +189,8 @@ class TestValidatorPolicies:
         screened = validator.screen_store(store, asn_of, EPOCH_POST)
         (survivor,) = screened.paths()
         assert survivor.hops == (SRC, MID1, DST)
-        assert validator.report.traces_repaired == 1
-        assert validator.report.traces_quarantined == 0
+        assert validator.degradation.traces_repaired == 1
+        assert validator.degradation.traces_quarantined == 0
 
     @pytest.mark.parametrize("policy", [REPAIR, QUARANTINE])
     def test_stale_epoch_has_no_sound_repair(self, policy):
@@ -198,8 +198,8 @@ class TestValidatorPolicies:
         store = self.store_with(path([SRC, MID1, DST], epoch=EPOCH_PRE))
         screened = validator.screen_store(store, asn_of, EPOCH_POST)
         assert list(screened.paths()) == []
-        assert validator.report.stale_rounds_dropped == 1
-        assert validator.report.traces_quarantined == 0  # disjoint counters
+        assert validator.degradation.stale_rounds_dropped == 1
+        assert validator.degradation.traces_quarantined == 0  # disjoint counters
 
     def test_clean_store_is_returned_unchanged(self):
         validator = Validator(QUARANTINE)
@@ -212,7 +212,7 @@ class TestValidatorPolicies:
             [Msg("b", 1), Msg("a", 0), Msg("a", 0)], "igp"
         )
         assert screened == (Msg("a", 0), Msg("b", 1))
-        assert validator.report.feed_messages_repaired > 0
+        assert validator.degradation.feed_messages_repaired > 0
 
     def test_feed_quarantine_drops_offenders(self):
         validator = Validator(QUARANTINE)
@@ -220,7 +220,7 @@ class TestValidatorPolicies:
             [Msg("b", 1), Msg("a", 0), Msg("b", 1)], "igp"
         )
         assert screened == (Msg("b", 1),)
-        assert validator.report.feed_messages_quarantined == 2
+        assert validator.degradation.feed_messages_quarantined == 2
 
     @pytest.mark.parametrize("policy", [REPAIR, QUARANTINE])
     def test_bad_lg_answer_degrades_to_none(self, policy):
@@ -229,7 +229,7 @@ class TestValidatorPolicies:
             validator.screen_lg_path(65001, (65002, 65003), DST, EPOCH_POST)
             is None
         )
-        assert validator.report.lg_paths_quarantined == 1
+        assert validator.degradation.lg_paths_quarantined == 1
 
     def test_good_lg_answer_passes_through(self):
         validator = Validator(QUARANTINE)

@@ -71,10 +71,8 @@ class TestProbePathRepair:
     @given(path=probe_paths())
     @settings(max_examples=200, deadline=None)
     def test_repair_is_idempotent(self, path):
-        repaired, fixups = repair_probe_path(path, asn_of)
-        again, more_fixups = repair_probe_path(repaired, asn_of)
-        assert again == repaired
-        assert more_fixups == ()
+        repaired = repair_probe_path(path, asn_of)
+        assert repair_probe_path(repaired, asn_of) is repaired
 
     @given(path=probe_paths())
     @settings(max_examples=200, deadline=None)
@@ -84,7 +82,7 @@ class TestProbePathRepair:
     @given(path=probe_paths())
     @settings(max_examples=200, deadline=None)
     def test_repaired_path_revalidates_clean(self, path):
-        repaired, _fixups = repair_probe_path(path, asn_of)
+        repaired = repair_probe_path(path, asn_of)
         leftovers = [
             v
             for v in check_probe_path(repaired, asn_of, repaired.epoch)
@@ -95,36 +93,32 @@ class TestProbePathRepair:
     @given(path=probe_paths())
     @settings(max_examples=200, deadline=None)
     def test_repair_never_invents_hops(self, path):
-        repaired, _fixups = repair_probe_path(path, asn_of)
+        repaired = repair_probe_path(path, asn_of)
         assert set(repaired.hops) <= set(path.hops)
 
     @given(path=probe_paths())
     @settings(max_examples=100, deadline=None)
     def test_clean_paths_pass_through_unchanged(self, path):
-        repaired, fixups = repair_probe_path(path, asn_of)
         if not check_probe_path(path, asn_of, path.epoch):
-            assert repaired is path
-            assert fixups == ()
+            assert repair_probe_path(path, asn_of) is path
 
 
 class TestFeedRepair:
     @given(stream=feed_streams())
     @settings(max_examples=200, deadline=None)
     def test_repair_is_idempotent(self, stream):
-        repaired, _fixups = repair_feed(stream)
-        again, more_fixups = repair_feed(repaired)
-        assert again == repaired
-        assert more_fixups == ()
+        repaired = repair_feed(stream)
+        assert repair_feed(repaired) == repaired
 
     @given(stream=feed_streams())
     @settings(max_examples=200, deadline=None)
     def test_repaired_stream_revalidates_clean(self, stream):
-        repaired, _fixups = repair_feed(stream)
+        repaired = repair_feed(stream)
         assert check_feed(repaired, "feed") == ()
 
     @given(stream=feed_streams())
     @settings(max_examples=200, deadline=None)
     def test_repair_only_removes_duplicates(self, stream):
-        repaired, _fixups = repair_feed(stream)
+        repaired = repair_feed(stream)
         assert set(repaired) == set(stream)
         assert len(repaired) == len(set(stream))
